@@ -62,6 +62,38 @@ seedCentroids(const std::vector<std::vector<double>> &rows,
     return centroids;
 }
 
+/**
+ * Assigns each row its nearest centroid (the first on ties) and
+ * returns whether any assignment changed. Out of line and cache-line
+ * aligned, so the distance loop — k-means' hot spot — sits at the
+ * same offset in every build: inlined into kMeans, it moved with
+ * whatever code the linker placed before it, and in the layouts
+ * where it straddled a cache line k-means ran about a third slower.
+ */
+__attribute__((noinline, aligned(64))) bool
+assignNearest(const std::vector<std::vector<double>> &rows,
+              const std::vector<std::vector<double>> &centroids,
+              unsigned k, std::vector<std::uint32_t> &assignments)
+{
+    bool changed = false;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::uint32_t best = 0;
+        double best_d = std::numeric_limits<double>::max();
+        for (std::uint32_t c = 0; c < k; ++c) {
+            double d = sqDist(rows[i], centroids[c]);
+            if (d < best_d) {
+                best_d = d;
+                best = c;
+            }
+        }
+        if (assignments[i] != best) {
+            assignments[i] = best;
+            changed = true;
+        }
+    }
+    return changed;
+}
+
 } // namespace
 
 KMeansResult
@@ -78,23 +110,8 @@ kMeans(const std::vector<std::vector<double>> &rows, unsigned k,
     std::size_t dims = rows[0].size();
 
     for (unsigned iter = 0; iter < max_iterations; ++iter) {
-        bool changed = false;
-        // Assign.
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            std::uint32_t best = 0;
-            double best_d = std::numeric_limits<double>::max();
-            for (std::uint32_t c = 0; c < k; ++c) {
-                double d = sqDist(rows[i], res.centroids[c]);
-                if (d < best_d) {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            if (res.assignments[i] != best) {
-                res.assignments[i] = best;
-                changed = true;
-            }
-        }
+        const bool changed =
+            assignNearest(rows, res.centroids, k, res.assignments);
         if (!changed && iter > 0)
             break;
         // Update.

@@ -1,7 +1,10 @@
 #include "common/state_io.hh"
 
 #include <array>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <ios>
 
 namespace tpcp
 {
@@ -22,6 +25,9 @@ makeCrcTable()
     return table;
 }
 
+/** Envelope header: magic, version, payload length, payload CRC. */
+constexpr std::size_t kEnvelopeHeaderBytes = 4 + 4 + 8 + 4;
+
 } // namespace
 
 void
@@ -29,6 +35,49 @@ StateWriter::raw(const void *data, std::size_t size)
 {
     const auto *p = static_cast<const std::uint8_t *>(data);
     buf.insert(buf.end(), p, p + size);
+}
+
+void
+StateReader::truncated(std::size_t size) const
+{
+    tpcp_raise(label_, ": truncated (need ", size, " bytes, have ",
+               remaining(), ")");
+}
+
+std::string
+StateReader::readString(std::uint64_t len, std::size_t max_len)
+{
+    if (len > max_len || len > remaining())
+        tpcp_raise(label_, ": string length ", len, " exceeds ",
+                   len > max_len ? "the format limit" :
+                                   "the remaining payload");
+    std::string s(len, '\0');
+    raw(s.data(), len);
+    return s;
+}
+
+void
+StateReader::header(std::uint32_t magic, std::uint32_t version)
+{
+    const std::uint32_t got_magic = u32();
+    if (got_magic != magic)
+        tpcp_raise(label_, ": bad magic 0x", std::hex, got_magic,
+                   " (expected 0x", magic, ")");
+    const std::uint32_t got_version = u32();
+    if (got_version != version)
+        tpcp_raise(label_, ": version ", got_version,
+                   " unsupported (expected ", version, ")");
+}
+
+std::uint64_t
+StateReader::checkCount(std::uint64_t n,
+                        std::size_t bytes_per_item) const
+{
+    if (n > remaining() / bytes_per_item)
+        tpcp_raise(label_, ": count ", n, " impossible for the ",
+                   remaining(), " bytes that remain (", bytes_per_item,
+                   " bytes per item)");
+    return n;
 }
 
 std::uint32_t
@@ -42,86 +91,93 @@ crc32(const void *data, std::size_t size)
     return c ^ 0xffffffffu;
 }
 
+std::vector<std::uint8_t>
+readFile(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        tpcp_raise("cannot open '", path, "' for reading");
+    // The size is only a capacity hint: the read loop decides the
+    // length, so a file that changes underneath is never misread.
+    std::vector<std::uint8_t> bytes;
+    std::error_code ec;
+    const std::uintmax_t hint = std::filesystem::file_size(path, ec);
+    if (!ec)
+        bytes.reserve(hint);
+    std::uint8_t chunk[16384];
+    std::size_t got;
+    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
+        bytes.insert(bytes.end(), chunk, chunk + got);
+    const bool failed = std::ferror(f) != 0;
+    std::fclose(f);
+    if (failed)
+        tpcp_raise("I/O error reading '", path, "'");
+    return bytes;
+}
+
+bool
+writeFileAtomic(const std::string &path,
+                const std::vector<std::uint8_t> &bytes)
+{
+    // The counter keeps temp names distinct when several threads
+    // write into one directory.
+    static std::atomic<std::uint64_t> tempCounter{0};
+    const std::string tmp =
+        path + ".tmp" +
+        std::to_string(
+            tempCounter.fetch_add(1, std::memory_order_relaxed));
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (!f)
+        return false;
+    bool ok = bytes.empty() ||
+              std::fwrite(bytes.data(), 1, bytes.size(), f) ==
+                  bytes.size();
+    ok = std::fclose(f) == 0 && ok;
+    if (ok && std::rename(tmp.c_str(), path.c_str()) == 0)
+        return true;
+    std::remove(tmp.c_str());
+    return false;
+}
+
 bool
 writeStateFile(const std::string &path, std::uint32_t magic,
                std::uint32_t version, const StateWriter &payload)
 {
-    std::uint8_t header[20];
-    const std::uint64_t payloadSize = payload.size();
-    const std::uint32_t crc =
-        crc32(payload.buffer().data(), payload.size());
-    std::memcpy(header + 0, &magic, 4);
-    std::memcpy(header + 4, &version, 4);
-    std::memcpy(header + 8, &payloadSize, 8);
-    std::memcpy(header + 16, &crc, 4);
+    StateWriter file;
+    file.reserve(kEnvelopeHeaderBytes + payload.size());
+    file.u32(magic);
+    file.u32(version);
+    file.u64(payload.size());
+    file.u32(crc32(payload.buffer().data(), payload.size()));
+    file.raw(payload.buffer().data(), payload.size());
+    return writeFileAtomic(path, file.buffer());
+}
 
-    // Atomic publish: write to a temp file, then rename over the target,
-    // so a reader (or a resumed run) never sees a half-written snapshot.
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok =
-        std::fwrite(header, 1, sizeof(header), f) == sizeof(header) &&
-        (payload.size() == 0 ||
-         std::fwrite(payload.buffer().data(), 1, payload.size(), f) ==
-             payload.size());
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+std::vector<std::uint8_t>
+parseStateFile(const std::vector<std::uint8_t> &bytes,
+               std::uint32_t magic, std::uint32_t version,
+               const std::string &what)
+{
+    const std::string label = "state file '" + what + "'";
+    StateReader r(bytes, label);
+    r.header(magic, version);
+    const std::uint64_t payload_size = r.u64();
+    const std::uint32_t want_crc = r.u32();
+    if (payload_size != r.remaining())
+        tpcp_raise(label, ": payload length mismatch: header says ",
+                   payload_size, ", file carries ", r.remaining());
+    const std::uint32_t got_crc = r.crc();
+    if (got_crc != want_crc)
+        tpcp_raise(label, ": failed checksum: computed ", got_crc,
+                   ", stored ", want_crc);
+    return {bytes.begin() + kEnvelopeHeaderBytes, bytes.end()};
 }
 
 std::vector<std::uint8_t>
 readStateFile(const std::string &path, std::uint32_t magic,
               std::uint32_t version)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        tpcp_raise("cannot open state file '", path, "'");
-
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t chunk[4096];
-    std::size_t got;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + got);
-    const bool readErr = std::ferror(f) != 0;
-    std::fclose(f);
-    if (readErr)
-        tpcp_raise("I/O error reading state file '", path, "'");
-
-    StateReader r(bytes);
-    constexpr std::size_t headerSize = 4 + 4 + 8 + 4;
-    if (bytes.size() < headerSize)
-        tpcp_raise("state file '", path, "' truncated: ", bytes.size(),
-                   " bytes, need at least ", headerSize);
-    const std::uint32_t gotMagic = r.u32();
-    if (gotMagic != magic)
-        tpcp_raise("state file '", path, "' has bad magic ", gotMagic,
-                   " (expected ", magic, ")");
-    const std::uint32_t gotVersion = r.u32();
-    if (gotVersion != version)
-        tpcp_raise("state file '", path, "' has version ", gotVersion,
-                   " (expected ", version, ")");
-    const std::uint64_t payloadSize = r.u64();
-    const std::uint32_t wantCrc = r.u32();
-    if (payloadSize != r.remaining())
-        tpcp_raise("state file '", path, "' payload length mismatch: header "
-                   "says ", payloadSize, ", file carries ", r.remaining());
-
-    std::vector<std::uint8_t> payload(bytes.begin() + headerSize,
-                                      bytes.end());
-    const std::uint32_t gotCrc = crc32(payload.data(), payload.size());
-    if (gotCrc != wantCrc)
-        tpcp_raise("state file '", path, "' failed checksum: computed ",
-                   gotCrc, ", stored ", wantCrc);
-    return payload;
+    return parseStateFile(readFile(path), magic, version, path);
 }
 
 } // namespace tpcp

@@ -129,11 +129,7 @@ saveStats(StateWriter &w, const StreamStats &s)
 void
 loadStats(StateReader &r, StreamStats &s)
 {
-    std::uint64_t n = r.u64();
-    if (n > (1ull << 32))
-        tpcp_raise("resilience checkpoint: implausible phase-stream "
-                   "length ",
-                   n);
+    const std::uint64_t n = r.count(sizeof(std::uint32_t));
     s.phases.resize(n);
     for (std::uint64_t i = 0; i < n; ++i)
         s.phases[i] = r.u32();
@@ -182,7 +178,7 @@ loadHarnessCheckpoint(const std::string &path,
 {
     std::vector<std::uint8_t> payload =
         readStateFile(path, harnessMagic, harnessVersion);
-    StateReader r(payload);
+    StateReader r(payload, "resilience checkpoint");
     std::string workload = r.str();
     std::string target = r.str();
     double rate = r.f64();

@@ -1,8 +1,6 @@
 #include "serve/migration.hh"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "common/state_io.hh"
 
@@ -18,40 +16,18 @@ joinPath(const std::string &dir, const std::string &name)
     return dir + "/" + name;
 }
 
-std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
+void
+installFile(const std::string &path,
+            const std::vector<std::uint8_t> &bytes)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        tpcp_raise("cannot open ", path);
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (in.bad())
-        tpcp_raise("read error on ", path);
-    return bytes;
+    if (!writeFileAtomic(path, bytes))
+        tpcp_raise("cannot write ", path);
 }
 
-void
-writeFileAtomic(const std::string &path,
-                const std::vector<std::uint8_t> &bytes)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            tpcp_raise("cannot create ", tmp);
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-        if (!out)
-            tpcp_raise("write error on ", tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        tpcp_raise("cannot commit ", path);
-    }
-}
+// The manifest entry bound in loadMigrationBundle() counts the
+// counters as sizeof(TenantCounters) bytes.
+static_assert(sizeof(TenantCounters) == 14 * sizeof(std::uint64_t),
+              "writeCounters/readCounters must cover every counter");
 
 void
 writeCounters(StateWriter &w, const TenantCounters &c)
@@ -127,8 +103,8 @@ writeMigrationBundle(const std::string &bundle_dir,
         // tear on a crash, but without a manifest the bundle is
         // unimportable, so a torn copy can never be consumed.
         const std::vector<std::uint8_t> bytes =
-            readFileBytes(joinPath(checkpoint_dir, name));
-        writeFileAtomic(joinPath(bundle_dir, name), bytes);
+            readFile(joinPath(checkpoint_dir, name));
+        installFile(joinPath(bundle_dir, name), bytes);
         manifest.u64(bytes.size());
         manifest.u32(crc32(bytes.data(), bytes.size()));
     }
@@ -145,11 +121,11 @@ loadMigrationBundle(const std::string &bundle_dir,
     const std::vector<std::uint8_t> payload =
         readStateFile(joinPath(bundle_dir, kMigrationManifest),
                       kMigrationMagic, kMigrationVersion);
-    StateReader r(payload);
-    const std::uint64_t count = r.u64();
-    if (count > (1ull << 32))
-        tpcp_raise("migration manifest declares implausible tenant "
-                   "count ", count);
+    StateReader r(payload, "migration manifest");
+    // Every entry carries at least its id, next sequence number,
+    // counters, quarantine state and checkpoint flag.
+    const std::uint64_t count =
+        r.count(8 + 8 + sizeof(TenantCounters) + 8 + 1);
 
     std::vector<MigratedTenant> tenants;
     tenants.reserve(count);
@@ -169,7 +145,7 @@ loadMigrationBundle(const std::string &bundle_dir,
             const std::uint32_t want_crc = r.u32();
             const std::string path = joinPath(
                 bundle_dir, tenantCheckpointFile(t.id));
-            std::vector<std::uint8_t> bytes = readFileBytes(path);
+            std::vector<std::uint8_t> bytes = readFile(path);
             if (bytes.size() != want_size)
                 tpcp_raise("migration bundle: ", path, " is ",
                            bytes.size(), " bytes, manifest says ",
@@ -180,8 +156,8 @@ loadMigrationBundle(const std::string &bundle_dir,
             // The checkpoint's own envelope must also hold: a file
             // corrupted before bundling carries a valid manifest CRC
             // but an invalid TSRV envelope.
-            readStateFile(path, kTenantCheckpointMagic,
-                          kTenantCheckpointVersion);
+            parseStateFile(bytes, kTenantCheckpointMagic,
+                           kTenantCheckpointVersion, path);
             files.push_back(std::move(bytes));
         } else {
             files.emplace_back();
@@ -203,10 +179,9 @@ loadMigrationBundle(const std::string &bundle_dir,
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         if (!tenants[i].hasCheckpoint)
             continue;
-        writeFileAtomic(
-            joinPath(checkpoint_dir,
-                     tenantCheckpointFile(tenants[i].id)),
-            files[i]);
+        installFile(joinPath(checkpoint_dir,
+                             tenantCheckpointFile(tenants[i].id)),
+                    files[i]);
     }
     return tenants;
 }

@@ -2,47 +2,10 @@
 
 #include <cstring>
 
-#include "common/status.hh"
+#include "common/state_io.hh"
 
 namespace tpcp::serve
 {
-
-namespace
-{
-
-void
-put32(std::vector<std::uint8_t> &out, std::uint32_t v)
-{
-    std::uint8_t b[4];
-    std::memcpy(b, &v, 4);
-    out.insert(out.end(), b, b + 4);
-}
-
-void
-put64(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    std::uint8_t b[8];
-    std::memcpy(b, &v, 8);
-    out.insert(out.end(), b, b + 8);
-}
-
-std::uint32_t
-get32(const std::uint8_t *p)
-{
-    std::uint32_t v;
-    std::memcpy(&v, p, 4);
-    return v;
-}
-
-std::uint64_t
-get64(const std::uint8_t *p)
-{
-    std::uint64_t v;
-    std::memcpy(&v, p, 8);
-    return v;
-}
-
-} // namespace
 
 void
 encodePacket(std::vector<std::uint8_t> &out, std::uint64_t tenant,
@@ -52,22 +15,18 @@ encodePacket(std::vector<std::uint8_t> &out, std::uint64_t tenant,
     tpcp_assert(num_counters >= 1 &&
                 num_counters <= kMaxPacketCounters,
                 "packet counter count out of range");
-    out.clear();
-    out.reserve(packetBytes(num_counters));
-    put32(out, kPacketMagic);
-    put32(out, kPacketVersion);
-    put64(out, tenant);
-    put64(out, seq);
-    put32(out, num_counters);
-    put32(out, 0); // reserved
-    put64(out, total);
-    std::uint64_t cpi_bits;
-    std::memcpy(&cpi_bits, &cpi, sizeof(cpi_bits));
-    put64(out, cpi_bits);
-    const std::uint8_t *raw =
-        reinterpret_cast<const std::uint8_t *>(counters);
-    out.insert(out.end(), raw,
-               raw + std::size_t{num_counters} * 4);
+    StateWriter w;
+    w.reserve(packetBytes(num_counters));
+    w.u32(kPacketMagic);
+    w.u32(kPacketVersion);
+    w.u64(tenant);
+    w.u64(seq);
+    w.u32(num_counters);
+    w.u32(0); // reserved
+    w.u64(total);
+    w.f64(cpi);
+    w.raw(counters, std::size_t{num_counters} * 4);
+    out = w.take();
 }
 
 void
@@ -82,10 +41,12 @@ bool
 peekPacketTenant(const std::uint8_t *data, std::size_t size,
                  std::uint64_t &tenant)
 {
-    if (size < kPacketHeaderBytes || get32(data) != kPacketMagic ||
-        get32(data + 4) != kPacketVersion)
+    if (size < kPacketHeaderBytes)
         return false;
-    tenant = get64(data + 8);
+    StateReader r(data, size, "packet");
+    if (r.u32() != kPacketMagic || r.u32() != kPacketVersion)
+        return false;
+    tenant = r.u64();
     return true;
 }
 
@@ -93,35 +54,29 @@ void
 decodePacket(const std::uint8_t *data, std::size_t size,
              IntervalPacket &out)
 {
-    if (size < kPacketHeaderBytes)
-        tpcp_raise("packet truncated: ", size, " bytes, header is ",
-                   kPacketHeaderBytes);
-    const std::uint32_t magic = get32(data);
-    if (magic != kPacketMagic)
-        tpcp_raise("packet has bad magic 0x", magic);
-    const std::uint32_t version = get32(data + 4);
-    if (version != kPacketVersion)
-        tpcp_raise("packet version ", version, " unsupported (want ",
-                   kPacketVersion, ")");
-    const std::uint32_t num_counters = get32(data + 24);
+    StateReader r(data, size, "packet");
+    r.header(kPacketMagic, kPacketVersion);
+    const std::uint64_t tenant = r.u64();
+    const std::uint64_t seq = r.u64();
+    const std::uint32_t num_counters = r.u32();
     if (num_counters == 0 || num_counters > kMaxPacketCounters)
         tpcp_raise("packet declares implausible counter count ",
                    num_counters);
-    if (get32(data + 28) != 0)
+    if (r.u32() != 0)
         tpcp_raise("packet has non-zero reserved field");
+    const InstCount total = r.u64();
+    const double cpi = r.f64();
     if (size != packetBytes(num_counters))
         tpcp_raise("packet length ", size, " mismatches declared ",
                    "counter count ", num_counters, " (want ",
                    packetBytes(num_counters), ")");
 
-    out.tenant = get64(data + 8);
-    out.seq = get64(data + 16);
-    out.total = get64(data + 32);
-    std::uint64_t cpi_bits = get64(data + 40);
-    std::memcpy(&out.cpi, &cpi_bits, sizeof(out.cpi));
+    out.tenant = tenant;
+    out.seq = seq;
+    out.total = total;
+    out.cpi = cpi;
     out.counters.resize(num_counters);
-    std::memcpy(out.counters.data(), data + kPacketHeaderBytes,
-                std::size_t{num_counters} * 4);
+    r.raw(out.counters.data(), std::size_t{num_counters} * 4);
 }
 
 } // namespace tpcp::serve

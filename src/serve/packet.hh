@@ -67,7 +67,7 @@ packetBytes(std::uint32_t num_counters)
 }
 
 /**
- * Appends the encoded frame to @p out (which is cleared first).
+ * Replaces the contents of @p out with the encoded frame.
  */
 void encodePacket(std::vector<std::uint8_t> &out,
                   std::uint64_t tenant, std::uint64_t seq,

@@ -1,12 +1,9 @@
 #include "trace/interval_profile.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <memory>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 #include "common/status.hh"
 
 namespace tpcp::trace
@@ -21,49 +18,11 @@ constexpr std::uint32_t profileMagic = 0x54504350; // "TPCP"
 // the profile cache).
 constexpr std::uint32_t profileVersion = 2;
 
-struct FileCloser
-{
-    void
-    operator()(std::FILE *f) const
-    {
-        if (f)
-            std::fclose(f);
-    }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-template <typename T>
-bool
-writeScalar(std::FILE *f, T v)
-{
-    return std::fwrite(&v, sizeof(T), 1, f) == 1;
-}
-
-template <typename T>
-bool
-readScalar(std::FILE *f, T &v)
-{
-    return std::fread(&v, sizeof(T), 1, f) == 1;
-}
-
-bool
-writeString(std::FILE *f, const std::string &s)
-{
-    auto len = static_cast<std::uint32_t>(s.size());
-    if (!writeScalar(f, len))
-        return false;
-    return len == 0 || std::fwrite(s.data(), 1, len, f) == len;
-}
-
-bool
-readString(std::FILE *f, std::string &s)
-{
-    std::uint32_t len = 0;
-    if (!readScalar(f, len) || len > (1u << 20))
-        return false;
-    s.resize(len);
-    return len == 0 || std::fread(s.data(), 1, len, f) == len;
-}
+/** Plausibility bounds checked before any allocation is sized by
+ * the file. */
+constexpr std::uint32_t kMaxString = 1u << 20;
+constexpr std::uint32_t kMaxDims = 64;
+constexpr std::uint32_t kMaxDim = 4096;
 
 } // namespace
 
@@ -116,141 +75,97 @@ IntervalProfile::cpis() const
     return out;
 }
 
-bool
-IntervalProfile::saveTo(const std::string &path) const
+std::size_t
+recordBytes(const std::vector<unsigned> &dims)
 {
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        return false;
-    std::FILE *fp = f.get();
+    std::size_t n = 8 + 8 + 8; // cpi, insts, accumTotal
+    for (unsigned d : dims)
+        n += 4ull * d;
+    return n;
+}
 
-    bool ok = writeScalar(fp, profileMagic) &&
-              writeScalar(fp, profileVersion) &&
-              writeString(fp, workload_) && writeString(fp, core_) &&
-              writeScalar<std::uint64_t>(fp, intervalLen) &&
-              writeScalar<std::uint64_t>(fp, machineHash_) &&
-              writeScalar<std::uint32_t>(
-                  fp, static_cast<std::uint32_t>(dims_.size()));
-    if (!ok)
-        return false;
-    for (unsigned d : dims_) {
-        if (!writeScalar<std::uint32_t>(fp, d))
-            return false;
+void
+writeRecord(StateWriter &w, const IntervalRecord &rec)
+{
+    w.f64(rec.cpi);
+    w.u64(rec.insts);
+    w.u64(rec.accumTotal);
+    for (const auto &vec : rec.accums)
+        w.raw(vec.data(), vec.size() * sizeof(std::uint32_t));
+}
+
+IntervalRecord
+readRecord(StateReader &r, const std::vector<unsigned> &dims)
+{
+    IntervalRecord rec;
+    rec.cpi = r.f64();
+    rec.insts = r.u64();
+    rec.accumTotal = r.u64();
+    rec.accums.reserve(dims.size());
+    for (unsigned d : dims) {
+        std::vector<std::uint32_t> vec(d);
+        r.raw(vec.data(), d * sizeof(std::uint32_t));
+        rec.accums.push_back(std::move(vec));
     }
-    if (!writeScalar<std::uint64_t>(fp, records.size()))
-        return false;
-    for (const auto &r : records) {
-        if (!writeScalar(fp, r.cpi) ||
-            !writeScalar<std::uint64_t>(fp, r.insts) ||
-            !writeScalar<std::uint64_t>(fp, r.accumTotal))
-            return false;
-        for (const auto &vec : r.accums) {
-            if (std::fwrite(vec.data(), sizeof(std::uint32_t),
-                            vec.size(), fp) != vec.size()) {
-                return false;
-            }
-        }
-    }
-    return std::fflush(fp) == 0;
+    return rec;
 }
 
 bool
 IntervalProfile::save(const std::string &path) const
 {
-    // Write-to-temp + atomic rename: a reader either sees the old
-    // file or the complete new one, never a partial write. The
-    // counter keeps temp names distinct when several threads save
-    // different profiles into one directory.
-    static std::atomic<std::uint64_t> tempCounter{0};
-    std::string tmp =
-        path + ".tmp" +
-        std::to_string(
-            tempCounter.fetch_add(1, std::memory_order_relaxed));
-    if (!saveTo(tmp))
-        return false;
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    return true;
-}
-
-bool
-IntervalProfile::readFrom(std::FILE *fp)
-{
-    std::uint32_t magic = 0, version = 0;
-    if (!readScalar(fp, magic) || magic != profileMagic ||
-        !readScalar(fp, version) || version != profileVersion)
-        return false;
-    std::uint64_t interval = 0, machine = 0;
-    std::uint32_t ndims = 0;
-    if (!readString(fp, workload_) || !readString(fp, core_) ||
-        !readScalar(fp, interval) || !readScalar(fp, machine) ||
-        !readScalar(fp, ndims) || ndims == 0 || ndims > 64)
-        return false;
-    intervalLen = interval;
-    machineHash_ = machine;
-    dims_.resize(ndims);
-    for (auto &d : dims_) {
-        std::uint32_t v = 0;
-        if (!readScalar(fp, v) || v == 0 || v > 4096)
-            return false;
-        d = v;
-    }
-    std::uint64_t n = 0;
-    if (!readScalar(fp, n) || n > (1ull << 32))
-        return false;
-    // Plausibility bound before the big allocation: a corrupted
-    // record count must not make a damaged file allocate gigabytes.
-    // Every record carries at least its fixed scalars plus one u32
-    // per accumulator counter, so the remaining file length caps n.
-    std::uint64_t perRecord = 8 + 8 + 8;
+    StateWriter w;
+    w.reserve(64 + workload_.size() + core_.size() + 4 * dims_.size() +
+              records.size() * recordBytes(dims_));
+    w.u32(profileMagic);
+    w.u32(profileVersion);
+    w.str32(workload_);
+    w.str32(core_);
+    w.u64(intervalLen);
+    w.u64(machineHash_);
+    w.u32(static_cast<std::uint32_t>(dims_.size()));
     for (unsigned d : dims_)
-        perRecord += 4ull * d;
-    const long here = std::ftell(fp);
-    if (here < 0 || std::fseek(fp, 0, SEEK_END) != 0)
-        return false;
-    const long end = std::ftell(fp);
-    if (end < here || std::fseek(fp, here, SEEK_SET) != 0)
-        return false;
-    if (n > static_cast<std::uint64_t>(end - here) / perRecord)
-        return false;
-    records.resize(n);
-    for (auto &r : records) {
-        std::uint64_t insts = 0, total = 0;
-        if (!readScalar(fp, r.cpi) || !readScalar(fp, insts) ||
-            !readScalar(fp, total))
-            return false;
-        r.insts = insts;
-        r.accumTotal = total;
-        r.accums.resize(dims_.size());
-        for (std::size_t d = 0; d < dims_.size(); ++d) {
-            r.accums[d].resize(dims_[d]);
-            if (std::fread(r.accums[d].data(), sizeof(std::uint32_t),
-                           dims_[d], fp) != dims_[d]) {
-                return false;
-            }
-        }
-    }
-    // A well-formed file ends exactly here; trailing bytes mean the
-    // file was corrupted (e.g. two writers appending in place).
-    return std::fgetc(fp) == EOF;
+        w.u32(d);
+    w.u64(records.size());
+    for (const auto &rec : records)
+        writeRecord(w, rec);
+    return writeFileAtomic(path, w.buffer());
 }
 
 bool
 IntervalProfile::load(const std::string &path)
 {
     *this = IntervalProfile{};
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        return false;
-    if (!readFrom(f.get())) {
-        // Never leave a half-parsed profile behind.
-        *this = IntervalProfile{};
+    IntervalProfile p;
+    try {
+        const std::vector<std::uint8_t> bytes = readFile(path);
+        StateReader r(bytes, "profile");
+        r.header(profileMagic, profileVersion);
+        p.workload_ = r.str32(kMaxString);
+        p.core_ = r.str32(kMaxString);
+        p.intervalLen = r.u64();
+        p.machineHash_ = r.u64();
+        const std::uint32_t ndims = r.u32();
+        if (ndims == 0 || ndims > kMaxDims)
+            return false;
+        p.dims_.resize(ndims);
+        for (auto &d : p.dims_) {
+            d = r.u32();
+            if (d == 0 || d > kMaxDim)
+                return false;
+        }
+        const std::uint64_t n = r.count(recordBytes(p.dims_));
+        p.records.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            p.records.push_back(readRecord(r, p.dims_));
+        // A well-formed file ends exactly here; trailing bytes mean
+        // the file was corrupted (e.g. two writers appending in
+        // place).
+        if (!r.atEnd())
+            return false;
+    } catch (const Error &) {
         return false;
     }
+    *this = std::move(p);
     return true;
 }
 

@@ -14,11 +14,16 @@
 #define TPCP_TRACE_INTERVAL_PROFILE_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
+
+namespace tpcp
+{
+class StateReader;
+class StateWriter;
+} // namespace tpcp
 
 namespace tpcp::trace
 {
@@ -36,6 +41,20 @@ struct IntervalRecord
      * (indexed like IntervalProfile::dims). */
     std::vector<std::vector<std::uint32_t>> accums;
 };
+
+/** Encoded size of one record recorded at dimension configs
+ * @p dims. `.tpcpprof` and `.tpcptrace` files share the record
+ * layout: f64 cpi, u64 insts, u64 accumTotal, then each config's
+ * u32 counters in dims order. */
+std::size_t recordBytes(const std::vector<unsigned> &dims);
+
+/** Appends @p rec in the shared record layout. */
+void writeRecord(StateWriter &w, const IntervalRecord &rec);
+
+/** Reads one record laid out for @p dims (raises tpcp::Error when
+ * the reader runs out). */
+IntervalRecord readRecord(StateReader &r,
+                          const std::vector<unsigned> &dims);
 
 /** A complete per-interval profile of one workload run. */
 class IntervalProfile
@@ -95,11 +114,6 @@ class IntervalProfile
     bool load(const std::string &path);
 
   private:
-    /** Writes the serialized form to @p path directly. */
-    bool saveTo(const std::string &path) const;
-    /** Reads the serialized form from an open file. */
-    bool readFrom(std::FILE *fp);
-
     std::string workload_;
     std::string core_;
     InstCount intervalLen = 0;

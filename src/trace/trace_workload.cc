@@ -1,11 +1,10 @@
 #include "trace/trace_workload.hh"
 
-#include <cstdio>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
 
+#include "common/state_io.hh"
 #include "common/status.hh"
 
 namespace tpcp::trace
@@ -34,37 +33,6 @@ cache()
     return c;
 }
 
-std::vector<std::uint8_t>
-readAllBytes(const std::string &path)
-{
-    struct FileCloser
-    {
-        void
-        operator()(std::FILE *f) const
-        {
-            if (f)
-                std::fclose(f);
-        }
-    };
-    std::unique_ptr<std::FILE, FileCloser> f(
-        std::fopen(path.c_str(), "rb"));
-    if (!f)
-        tpcp_raise("trace ", path, ": cannot open for reading");
-    if (std::fseek(f.get(), 0, SEEK_END) != 0 ||
-        std::ftell(f.get()) < 0)
-        tpcp_raise("trace ", path, ": size probe failed");
-    long size = std::ftell(f.get());
-    if (std::fseek(f.get(), 0, SEEK_SET) != 0)
-        tpcp_raise("trace ", path, ": seek failed");
-    std::vector<std::uint8_t> bytes(
-        static_cast<std::size_t>(size));
-    if (!bytes.empty() &&
-        std::fread(bytes.data(), 1, bytes.size(), f.get()) !=
-            bytes.size())
-        tpcp_raise("trace ", path, ": short read");
-    return bytes;
-}
-
 } // namespace
 
 IntervalProfile
@@ -72,7 +40,7 @@ getTraceProfile(const std::string &path)
 {
     // Hash the current bytes first: the content hash, not the path,
     // decides whether the memoized parse is still valid.
-    std::vector<std::uint8_t> bytes = readAllBytes(path);
+    std::vector<std::uint8_t> bytes = readFile(path);
     std::uint64_t hash = fnv1a64(bytes.data(), bytes.size());
 
     TraceCache &c = cache();

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -171,4 +173,129 @@ TEST(StateIo, MissingFileRaises)
     EXPECT_THROW(
         readStateFile(tmpPath("no_such.state"), kMagic, kVersion),
         Error);
+}
+
+namespace
+{
+
+/** The message of the tpcp::Error @p fn raises ("" if none). */
+template <typename Fn>
+std::string
+errorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const Error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(StateIo, ReaderErrorsStartWithTheLabel)
+{
+    StateWriter w;
+    w.u32(7);
+    StateReader r(w.buffer(), "trace some/file.tpcptrace");
+    const std::string msg = errorOf([&] { r.u64(); });
+    EXPECT_EQ(msg.rfind("trace some/file.tpcptrace: truncated", 0), 0u)
+        << msg;
+
+    // A sub-reader reports under its parent's label.
+    StateReader outer(w.buffer(), "packet");
+    StateReader inner = outer.sub(4);
+    EXPECT_TRUE(outer.atEnd());
+    EXPECT_EQ(errorOf([&] { inner.u64(); }).rfind("packet: ", 0), 0u);
+    EXPECT_EQ(errorOf([&] { outer.sub(1); }).rfind("packet: ", 0), 0u);
+}
+
+TEST(StateIo, CountIsBoundedByTheRemainingPayload)
+{
+    auto withCount = [](std::uint64_t n, std::size_t payload) {
+        StateWriter w;
+        w.u64(n);
+        for (std::size_t i = 0; i < payload; ++i)
+            w.u8(0);
+        return w;
+    };
+    // Three 4-byte items fit exactly in 12 bytes; four do not.
+    StateWriter fits = withCount(3, 12);
+    StateReader r(fits.buffer());
+    EXPECT_EQ(r.count(4), 3u);
+    EXPECT_EQ(r.remaining(), 12u);
+
+    for (std::uint64_t forged :
+         {std::uint64_t{4}, std::uint64_t{1} << 32, ~std::uint64_t{0}}) {
+        StateWriter w = withCount(forged, 12);
+        StateReader bad(w.buffer(), "manifest");
+        const std::string msg = errorOf([&] { bad.count(4); });
+        EXPECT_EQ(msg.rfind("manifest: count ", 0), 0u)
+            << "count " << forged << ": " << msg;
+    }
+    // A count read elsewhere is checked against this reader's bytes.
+    StateReader items(fits.buffer());
+    EXPECT_EQ(items.checkCount(20, 1), 20u);
+    EXPECT_THROW(items.checkCount(21, 1), Error);
+}
+
+TEST(StateIo, HeaderCheckPrintsMagicsInHex)
+{
+    // The four magics of the binary formats: TPKT frames, .tpcptrace,
+    // .tpcpprof and the TMIG manifest envelope.
+    for (std::uint32_t magic :
+         {0x544B5054u, 0x52545054u, 0x54504350u, 0x47494D54u}) {
+        StateWriter good;
+        good.u32(magic);
+        good.u32(1);
+        StateReader ok(good.buffer());
+        EXPECT_NO_THROW(ok.header(magic, 1));
+        EXPECT_TRUE(ok.atEnd());
+
+        StateWriter w;
+        w.u32(0x0badf00du);
+        w.u32(1);
+        StateReader r(w.buffer(), "input");
+        std::ostringstream want;
+        want << "input: bad magic 0xbadf00d (expected 0x" << std::hex
+             << magic << ")";
+        EXPECT_EQ(errorOf([&] { r.header(magic, 1); }), want.str());
+
+        StateReader v(good.buffer(), "input");
+        EXPECT_EQ(errorOf([&] { v.header(magic, 2); }),
+                  "input: version 1 unsupported (expected 2)");
+    }
+}
+
+TEST(StateIo, Str32EnforcesItsLimit)
+{
+    StateWriter w;
+    w.str32("phase");
+    StateReader ok(w.buffer());
+    EXPECT_EQ(ok.str32(5), "phase");
+    StateReader over(w.buffer());
+    EXPECT_THROW(over.str32(4), Error);
+}
+
+TEST(StateIo, AtomicFileRoundTripLeavesNoTempFile)
+{
+    const std::string dir = tmpPath("atomic_dir");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/file.bin";
+    const std::vector<std::uint8_t> bytes = {0, 1, 2, 0xff};
+    ASSERT_TRUE(writeFileAtomic(path, bytes));
+    ASSERT_TRUE(writeFileAtomic(path, bytes)); // replaces in place
+    EXPECT_EQ(readFile(path), bytes);
+    std::size_t entries = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        (void)e;
+        ++entries;
+    }
+    EXPECT_EQ(entries, 1u);
+
+    EXPECT_FALSE(writeFileAtomic(dir + "/missing/file.bin", bytes));
+    EXPECT_THROW(readFile(dir + "/absent.bin"), Error);
+    EXPECT_THROW(readFile(dir), Error); // a directory is not a file
+    std::filesystem::remove_all(dir);
 }
