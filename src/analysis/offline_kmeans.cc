@@ -175,68 +175,51 @@ classifyOffline(const trace::IntervalProfile &profile,
 
     unsigned max_k = std::min<unsigned>(
         cfg.maxK, static_cast<unsigned>(rows.size()));
-
-    // Run k-means for each candidate k; the BIC-style score is kept
-    // for reporting and k is selected by the elbow rule below.
-    struct Candidate
-    {
-        KMeansResult km;
-        double score = 0.0;
-        unsigned k = 0;
-    };
-    std::vector<Candidate> candidates;
-    Rng rng(cfg.seed);
     double n = static_cast<double>(rows.size());
     double d = static_cast<double>(rows[0].size());
 
-    for (unsigned k = 1; k <= max_k; ++k) {
-        Candidate best;
-        best.k = k;
+    // Scree selection: the smallest k explaining the configured
+    // fraction of total variance, else max_k; near-identical intervals
+    // (variance per interval below 1e-9) keep k = 1. Restart seeds
+    // come from one stream in k order, so no candidate depends on a
+    // later one and the sweep can stop at the chosen k.
+    Rng rng(cfg.seed);
+    KMeansResult best;
+    double total_variance = 0.0;
+    unsigned k = 1;
+    for (;; ++k) {
         double best_inertia = std::numeric_limits<double>::max();
         for (unsigned r = 0; r < cfg.restarts; ++r) {
             KMeansResult km =
                 kMeans(rows, k, cfg.maxIterations, rng.next64());
             if (km.inertia < best_inertia) {
                 best_inertia = km.inertia;
-                best.km = std::move(km);
+                best = std::move(km);
             }
         }
-        // x-means BIC: pooled variance with a degrees-of-freedom
-        // correction so the score peaks near the true cluster count
-        // instead of growing monotonically with k.
-        double df = std::max(n - static_cast<double>(k), 1.0);
-        double variance =
-            std::max(best.km.inertia / (d * df), 1e-9);
-        double log_likelihood =
-            -0.5 * n * d * std::log(2.0 * M_PI * variance) -
-            0.5 * d * df;
-        double params = static_cast<double>(k) * (d + 1.0);
-        best.score = log_likelihood - 0.5 * params * std::log(n);
-        candidates.push_back(std::move(best));
+        if (k == 1)
+            total_variance = best.inertia;
+        bool degenerate = total_variance / n < 1e-9;
+        bool explained = best.inertia <= (1.0 - cfg.explainedVariance) *
+                                             total_variance;
+        if (degenerate || explained || k == max_k)
+            break;
     }
 
-    // Scree selection: the smallest k explaining the configured
-    // fraction of total variance. Degenerate inputs (all intervals
-    // identical) keep k = 1.
-    double total_variance = candidates.front().km.inertia;
-    const Candidate *chosen = &candidates.back();
-    if (total_variance / n < 1e-9) {
-        chosen = &candidates.front();
-    } else {
-        for (const auto &c : candidates) {
-            if (c.km.inertia <=
-                (1.0 - cfg.explainedVariance) * total_variance) {
-                chosen = &c;
-                break;
-            }
-        }
-    }
+    // x-means BIC, reported only: pooled variance with a degrees-of-
+    // freedom correction so the score peaks near the true cluster
+    // count instead of growing monotonically with k.
+    double df = std::max(n - static_cast<double>(k), 1.0);
+    double variance = std::max(best.inertia / (d * df), 1e-9);
+    double log_likelihood =
+        -0.5 * n * d * std::log(2.0 * M_PI * variance) - 0.5 * d * df;
+    double params = static_cast<double>(k) * (d + 1.0);
 
     OfflineResult out;
-    out.assignments = chosen->km.assignments;
-    out.k = chosen->k;
-    out.inertia = chosen->km.inertia;
-    out.score = chosen->score;
+    out.assignments = std::move(best.assignments);
+    out.k = k;
+    out.inertia = best.inertia;
+    out.score = log_likelihood - 0.5 * params * std::log(n);
     return out;
 }
 

@@ -11,8 +11,10 @@
  * classification algorithm used in SimPoint", and section 7 repeats
  * the claim. This module implements that comparator: k-means with
  * k-means++ seeding over normalized interval vectors, with the number
- * of clusters picked by a BIC-style score, so the claim can be
- * checked directly (bench/abl_offline).
+ * of clusters picked by an explained-variance scree rule (see
+ * OfflineConfig::explainedVariance), so the claim can be checked
+ * directly (bench/abl_offline). The sweep over k stops at the chosen
+ * k; a BIC-style score of that clustering is reported alongside.
  */
 
 #ifndef TPCP_ANALYSIS_OFFLINE_KMEANS_HH
@@ -32,7 +34,8 @@ struct OfflineConfig
 {
     /** Accumulator dimensionality to read from the profile. */
     unsigned dims = 16;
-    /** Candidate cluster counts: 1..maxK are scored. */
+    /** Largest candidate cluster count; k = 1, 2, ... is tried in
+     * order up to the first one the scree rule accepts. */
     unsigned maxK = 20;
     /** Random restarts per k (best inertia wins). */
     unsigned restarts = 3;
@@ -61,7 +64,8 @@ struct OfflineResult
     unsigned k = 0;
     /** Sum of squared distances to the chosen centroids. */
     double inertia = 0.0;
-    /** BIC-style score of the chosen clustering. */
+    /** BIC-style score of the chosen clustering (reported only; it
+     * does not pick k). */
     double score = 0.0;
 };
 

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "analysis/offline_kmeans.hh"
@@ -55,6 +58,107 @@ shapedProfile(std::size_t n)
         p.push(std::move(rec));
     }
     return p;
+}
+
+/**
+ * A profile of @p n intervals of one code shape that differ by one
+ * count in a million: the variance per interval (~5e-13) is below
+ * classifyOffline's 1e-9 degenerate-input floor, while k = 2 would
+ * explain all of it.
+ */
+trace::IntervalProfile
+nearConstantProfile(std::size_t n)
+{
+    trace::IntervalProfile p("t", "ooo", 1000, {16});
+    for (std::size_t i = 0; i < n; ++i) {
+        trace::IntervalRecord rec;
+        rec.insts = 1000;
+        rec.cpi = 1.0;
+        std::vector<std::uint32_t> raw(16, 0);
+        raw[3] = 1000000;
+        raw[4] = static_cast<std::uint32_t>(i % 2);
+        rec.accumTotal = raw[3] + raw[4];
+        rec.accums = {raw};
+        p.push(std::move(rec));
+    }
+    return p;
+}
+
+/**
+ * The offline classifier's specification as an exhaustive sweep:
+ * best-of-restarts k-means for every k in 1..maxK on one
+ * Rng(cfg.seed) stream, then the scree rule over all candidates
+ * (first k explaining the configured variance, else maxK; k = 1 when
+ * the variance per interval is below 1e-9), then the BIC-style score
+ * of the chosen k.
+ */
+OfflineResult
+exhaustiveSweep(const trace::IntervalProfile &profile,
+                const OfflineConfig &cfg)
+{
+    auto rows = normalizedIntervalVectors(profile, cfg.dims);
+    unsigned max_k = std::min<unsigned>(
+        cfg.maxK, static_cast<unsigned>(rows.size()));
+    Rng rng(cfg.seed);
+    std::vector<KMeansResult> best(max_k);
+    for (unsigned k = 1; k <= max_k; ++k) {
+        double best_inertia = std::numeric_limits<double>::max();
+        for (unsigned r = 0; r < cfg.restarts; ++r) {
+            KMeansResult km =
+                kMeans(rows, k, cfg.maxIterations, rng.next64());
+            if (km.inertia < best_inertia) {
+                best_inertia = km.inertia;
+                best[k - 1] = std::move(km);
+            }
+        }
+    }
+
+    double n = static_cast<double>(rows.size());
+    double d = static_cast<double>(rows[0].size());
+    double total_variance = best[0].inertia;
+    unsigned k = max_k;
+    if (total_variance / n < 1e-9) {
+        k = 1;
+    } else {
+        for (unsigned c = 1; c <= max_k; ++c) {
+            if (best[c - 1].inertia <=
+                (1.0 - cfg.explainedVariance) * total_variance) {
+                k = c;
+                break;
+            }
+        }
+    }
+
+    const KMeansResult &chosen = best[k - 1];
+    double df = std::max(n - static_cast<double>(k), 1.0);
+    double variance = std::max(chosen.inertia / (d * df), 1e-9);
+    double log_likelihood =
+        -0.5 * n * d * std::log(2.0 * M_PI * variance) - 0.5 * d * df;
+    double params = static_cast<double>(k) * (d + 1.0);
+
+    OfflineResult out;
+    out.assignments = chosen.assignments;
+    out.k = k;
+    out.inertia = chosen.inertia;
+    out.score = log_likelihood - 0.5 * params * std::log(n);
+    return out;
+}
+
+/** classifyOffline() must equal the exhaustive sweep bit for bit. */
+void
+expectMatchesExhaustiveSweep(const trace::IntervalProfile &profile,
+                             const OfflineConfig &cfg,
+                             unsigned expected_k)
+{
+    OfflineResult ref = exhaustiveSweep(profile, cfg);
+    OfflineResult got = classifyOffline(profile, cfg);
+    EXPECT_EQ(ref.k, expected_k);
+    EXPECT_EQ(got.k, ref.k);
+    EXPECT_EQ(got.assignments, ref.assignments);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.inertia),
+              std::bit_cast<std::uint64_t>(ref.inertia));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.score),
+              std::bit_cast<std::uint64_t>(ref.score));
 }
 
 } // namespace
@@ -154,6 +258,31 @@ TEST(OfflineClassify, SingleShapeGivesFewClusters)
     }
     OfflineResult r = classifyOffline(p);
     EXPECT_LE(r.k, 2u);
+}
+
+TEST(OfflineClassify, EarlyStopMatchesExhaustiveSweep)
+{
+    // Three planted shapes: the scree rule accepts a k well below
+    // maxK, so the sweep stops early.
+    OfflineConfig cfg;
+    expectMatchesExhaustiveSweep(shapedProfile(240), cfg, 3);
+}
+
+TEST(OfflineClassify, NoQualifyingKMatchesExhaustiveSweep)
+{
+    // Explaining all variance is out of reach on jittered shapes, so
+    // no k qualifies and the result falls through to maxK.
+    OfflineConfig cfg;
+    cfg.maxK = 8;
+    cfg.explainedVariance = 1.0;
+    expectMatchesExhaustiveSweep(shapedProfile(240), cfg, 8);
+}
+
+TEST(OfflineClassify, DegenerateInputMatchesExhaustiveSweep)
+{
+    // k = 1 from the degenerate-input fallback, not the scree rule.
+    OfflineConfig cfg;
+    expectMatchesExhaustiveSweep(nearConstantProfile(60), cfg, 1);
 }
 
 TEST(OfflineClassify, DeterministicForFixedSeed)

@@ -23,8 +23,8 @@ if [ ! -d "$build" ]; then
     exit 1
 fi
 
-harnesses="fig2_table_size abl_bitsel fig4_transition_phase \
-fig7_next_phase fig8_sweep adversarial_sweep"
+harnesses="fig2_table_size abl_bitsel abl_offline \
+fig4_transition_phase fig7_next_phase fig8_sweep adversarial_sweep"
 
 cmake --build "$build" --target $harnesses
 
