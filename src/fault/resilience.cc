@@ -200,6 +200,10 @@ loadHarnessCheckpoint(const std::string &path,
     tracker.loadState(r);
     injector.loadState(r);
     loadStats(r, faulty);
+    if (faulty.phases.size() > profile.numIntervals())
+        tpcp_raise("resilience checkpoint ", path, " holds ",
+                   faulty.phases.size(), " intervals, the profile has ",
+                   profile.numIntervals());
     if (!r.atEnd())
         tpcp_raise("resilience checkpoint ", path, ": ",
                    r.remaining(), " trailing payload bytes");

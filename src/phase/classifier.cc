@@ -253,6 +253,13 @@ PhaseClassifier::loadState(StateReader &r)
 {
     accum.loadState(r);
     tbl().loadState(r);
+    // Rows of another width would trip the match-scan assertion on
+    // the next interval.
+    const std::size_t width = tbl().rowSize();
+    if ((width != 0 || tbl().size() != 0) && width != cfg.numCounters)
+        tpcp_raise("signature-table snapshot rows are ", width,
+                   " bytes, the classifier compresses to ",
+                   cfg.numCounters);
     nextPhase = r.u32();
     if (nextPhase < firstStablePhaseId)
         nextPhase = firstStablePhaseId;

@@ -69,7 +69,11 @@ struct ClassifierConfig
      * fault-free behavior and all golden outputs are unchanged. */
     bool parityProtect = false;
     /** When parityProtect is on, additionally parity-scrub the whole
-     * table every this many intervals (0 = demand scrubbing only). */
+     * table every this many intervals (0 = demand scrubbing only).
+     * The results are those of a whole-table scrub, but a scrub only
+     * scans when a soft error or a checkpoint restore may have left a
+     * row disagreeing with its check bits; otherwise it is provably a
+     * no-op and costs one flag test (SignatureTable::scrubParity). */
     unsigned scrubEvery = 0;
     /** Extra Manhattan distance (pre-normalization) tolerated on top
      * of the syndrome-corrected distance when re-matching a query

@@ -1,6 +1,8 @@
 #include "phase/signature_table.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -62,6 +64,35 @@ distanceBoundUpper(double cutoff, std::uint64_t denom)
         return 0; // reference scan skips the entry outright
     double prod = cutoff * static_cast<double>(denom);
     return static_cast<std::uint64_t>(prod) + 2;
+}
+
+static_assert(std::endian::native == std::endian::little,
+              "the word-wise ECC maps row byte j to word bits 8j..8j+7");
+static_assert(simd::kRowPad % 8 == 0,
+              "the ECC's last row word must lie inside the padded row");
+
+constexpr std::uint64_t kTopBit = std::uint64_t(1) << 63;
+
+/** kEccPosMask[k] selects the word bits w < 63 whose 1-based
+ * in-word position w + 1 has bit k set. */
+constexpr std::array<std::uint64_t, 6> kEccPosMask = [] {
+    std::array<std::uint64_t, 6> masks{};
+    for (unsigned w = 0; w < 63; ++w)
+        for (unsigned k = 0; k < 6; ++k)
+            if ((w + 1) >> k & 1)
+                masks[k] |= std::uint64_t(1) << w;
+    return masks;
+}();
+
+/** The 8 row bytes at @p p as one little-endian word. The row's zero
+ * padding completes a partial last word, adding nothing to either
+ * check code. */
+inline std::uint64_t
+loadRowWord(const std::uint8_t *p)
+{
+    std::uint64_t x;
+    std::memcpy(&x, p, sizeof(x));
+    return x;
 }
 
 } // namespace
@@ -392,6 +423,7 @@ SignatureTable::clear()
     lruHead = npos;
     lruTail = npos;
     numQuarantined_ = 0;
+    unverified = false;
     corrections_ = 0;
     rowDims = 0;
     rowStride_ = 0;
@@ -403,27 +435,41 @@ std::uint8_t
 SignatureTable::computeParity(std::uint32_t idx) const
 {
     const std::uint8_t *row = &rows[idx * rowStride_];
-    std::uint8_t p = 0;
-    for (std::size_t j = 0; j < rowDims; ++j)
-        p ^= row[j];
-    return p;
+    std::uint64_t x = 0;
+    for (std::size_t j = 0; j < rowDims; j += 8)
+        x ^= loadRowWord(row + j);
+    x ^= x >> 32;
+    x ^= x >> 16;
+    x ^= x >> 8;
+    return static_cast<std::uint8_t>(x);
 }
 
 std::uint16_t
 SignatureTable::computeEccPos(std::uint32_t idx) const
 {
+    // Bit w of word m is row bit 64m + w, at 1-based position
+    // 64m + w + 1. For w < 63 that is (m << 6) | (w + 1); for w = 63
+    // it is (m + 1) << 6. The (m << 6) terms fold per word by parity;
+    // the (w + 1) terms are linear in the bits, so they fold over the
+    // XOR of all words' low 63 bits at the end.
     const std::uint8_t *row = &rows[idx * rowStride_];
-    std::uint16_t s = 0;
-    for (std::size_t j = 0; j < rowDims; ++j) {
-        std::uint8_t v = row[j];
-        while (v) {
-            unsigned b = static_cast<unsigned>(
-                __builtin_ctz(static_cast<unsigned>(v)));
-            s ^= static_cast<std::uint16_t>(j * 8 + b + 1);
-            v = static_cast<std::uint8_t>(v & (v - 1));
-        }
+    std::uint64_t low = 0;
+    std::size_t high = 0;
+    for (std::size_t j = 0, m = 0; j < rowDims; j += 8, ++m) {
+        const std::uint64_t x = loadRowWord(row + j);
+        const std::uint64_t xl = x & ~kTopBit;
+        low ^= xl;
+        if (__builtin_parityll(xl))
+            high ^= m;
+        if (x & kTopBit)
+            high ^= m + 1;
     }
-    return s;
+    std::size_t s = high << 6;
+    for (unsigned k = 0; k < 6; ++k)
+        s |= static_cast<std::size_t>(
+                 __builtin_parityll(low & kEccPosMask[k]))
+             << k;
+    return static_cast<std::uint16_t>(s);
 }
 
 void
@@ -445,6 +491,7 @@ SignatureTable::flipSignatureBit(std::uint32_t idx, unsigned bit)
     tpcp_assert(idx < metas.size() && bit < rowDims * 8);
     rows[idx * rowStride_ + bit / 8] ^=
         static_cast<std::uint8_t>(1u << (bit % 8));
+    unverified = true;
 }
 
 bool
@@ -455,6 +502,8 @@ SignatureTable::checkParityAt(std::uint32_t idx)
                 "parity check on a table without parity tracking");
     if (quarantined[idx])
         return false;
+    if (!unverified)
+        return true;
     const std::uint8_t sFold =
         static_cast<std::uint8_t>(parity[idx] ^ computeParity(idx));
     const std::uint16_t sPos =
@@ -487,11 +536,18 @@ SignatureTable::checkParityAt(std::uint32_t idx)
 std::uint32_t
 SignatureTable::scrubParity()
 {
+    // Without parity tracking the loop runs, so checkParityAt()'s
+    // assertion still fires on the first non-quarantined row.
+    if (!unverified && parityTracked)
+        return 0;
     std::uint32_t newlyQuarantined = 0;
     for (std::uint32_t i = 0; i < metas.size(); ++i) {
         if (!quarantined[i] && !checkParityAt(i))
             ++newlyQuarantined;
     }
+    // Only now: the checks above must run in full. Every row they
+    // passed matches its check bits, and the rest are quarantined.
+    unverified = false;
     return newlyQuarantined;
 }
 
@@ -645,15 +701,24 @@ SignatureTable::loadState(StateReader &r)
                    savedCap, "x", savedBits, " bits, configured ", cap,
                    "x", minCtrBits, " bits");
     clear();
+    // The check bits are restored as saved, not recomputed, so no
+    // row is known to match them.
+    unverified = true;
     rowDims = r.u64();
     rowBits = r.u32();
-    const std::uint64_t n = r.u64();
+    if (rowDims > 4096)
+        tpcp_raise("signature-table snapshot rows implausibly wide (",
+                   rowDims, " bytes)");
+    if (rowBits < 1 || rowBits > 8)
+        tpcp_raise("signature-table snapshot stores ", rowBits,
+                   " bits per dimension");
+    // Per entry: the row, weight u32, threshold f64, phase u32,
+    // min counter u64, CPI stats (u64 + 4 f64), lastUse u64, parity
+    // u8, position code u32 and quarantine flag u8.
+    const std::uint64_t n = r.count(rowDims + 78);
     if (cap != 0 && n > cap)
         tpcp_raise("signature-table snapshot holds ", n,
                    " entries, capacity is ", cap);
-    if (rowDims > 4096 || n > (1u << 20))
-        tpcp_raise("signature-table snapshot implausibly large (",
-                   n, " entries x ", rowDims, " bytes)");
     rowStride_ = rowDims == 0 ? 0 : simd::paddedSize(rowDims);
     rows.assign(n * rowStride_, 0);
     for (std::size_t i = 0; i < n; ++i)

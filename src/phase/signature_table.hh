@@ -214,7 +214,8 @@ class SignatureTable
     /**
      * Fault hook: flips bit @p bit of entry @p idx's stored signature
      * bytes *without* updating the row's parity byte, modelling a
-     * soft error in the SRAM holding the signature.
+     * soft error in the SRAM holding the signature. Marks the table
+     * unverified (see checkParityAt()).
      */
     void flipSignatureBit(std::uint32_t idx, unsigned bit);
 
@@ -226,14 +227,31 @@ class SignatureTable
      * position code says *where*), also returning true. Damage beyond
      * one bit is detected but uncorrectable: the entry is quarantined
      * (excluded from matching until repaired) and false is returned.
+     *
+     * The check bits are recomputed only while the table is
+     * *unverified*: some non-quarantined row may not match its check
+     * bits. Only flipSignatureBit() and loadState() can cause that;
+     * every other row write (insert, replaceSignature, repairEntry,
+     * the in-place correction here) refreshes or re-verifies the
+     * row's check bits. So while the table is verified, every
+     * non-quarantined row is known clean, and returning
+     * !quarantinedAt(@p idx) without recomputing is exactly what the
+     * full check would return. A clean result here does not verify
+     * the table; only scrubParity() does.
      */
     bool checkParityAt(std::uint32_t idx);
 
     /** Soft errors corrected in place by the per-row ECC. */
     std::uint64_t eccCorrections() const { return corrections_; }
 
-    /** Parity-checks every entry (periodic scrub). Returns the number
-     * of entries newly quarantined by this pass. */
+    /**
+     * Parity-checks every entry (periodic scrub). Returns the number
+     * of entries newly quarantined by this pass. On a verified table
+     * (see checkParityAt()) that number is 0 and nothing is scanned.
+     * Otherwise every non-quarantined row is checked in full, and the
+     * table is marked verified only after that scan: each row then
+     * either matches its check bits or is quarantined.
+     */
     std::uint32_t scrubParity();
 
     /** True when entry @p idx is quarantined by a parity failure. */
@@ -310,12 +328,14 @@ class SignatureTable
     /** Appends detached @p idx at the MRU end of the LRU list. */
     void lruAppend(std::uint32_t idx);
 
-    /** XOR fold of entry @p idx's signature bytes. */
+    /** XOR fold of entry @p idx's signature bytes, computed a 64-bit
+     * word at a time. */
     std::uint8_t computeParity(std::uint32_t idx) const;
 
     /** XOR of the 1-based positions of all set bits in entry
      * @p idx's row: a single flipped bit at position p changes this
-     * by exactly p, which locates the error. */
+     * by exactly p, which locates the error. Computed a 64-bit word
+     * at a time with parity folds, not bit by bit. */
     std::uint16_t computeEccPos(std::uint32_t idx) const;
 
     /** Stores fresh check bits for entry @p idx and lifts any
@@ -359,6 +379,9 @@ class SignatureTable
      * rows; quarantined entries are skipped by match(). */
     std::vector<std::uint8_t> quarantined;
     std::uint32_t numQuarantined_ = 0;
+    /** Some non-quarantined row may not match its check bits (see
+     * checkParityAt()). Not saved: a restored table starts set. */
+    bool unverified = false;
     std::uint64_t corrections_ = 0;
     std::uint64_t tick = 0;
     std::uint64_t evictions_ = 0;

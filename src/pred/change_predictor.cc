@@ -390,14 +390,14 @@ ChangePredictor::loadState(StateReader &r)
     primed = r.b();
     lastPhase = r.u32();
     runLen = r.u64();
-    std::uint64_t n = r.u64();
+    std::uint64_t n = r.count(4);
     if (n > 64)
         tpcp_raise("change-predictor snapshot: unique history of ", n,
                    " entries is implausible");
     uniqueHist.clear();
     for (std::uint64_t i = 0; i < n; ++i)
         uniqueHist.push_back(r.u32());
-    n = r.u64();
+    n = r.count(4 + 8);
     if (n > 64)
         tpcp_raise("change-predictor snapshot: RLE history of ", n,
                    " entries is implausible");

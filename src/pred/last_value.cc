@@ -79,10 +79,7 @@ LastValuePredictor::loadState(StateReader &r)
 {
     last = r.u32();
     primed_ = r.b();
-    const std::uint64_t n = r.u64();
-    if (n > (1u << 20))
-        tpcp_raise("last-value snapshot: ", n,
-                   " confidence counters is implausible");
+    const std::uint64_t n = r.count(4 + 8);
     conf.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
         PhaseId id = r.u32();

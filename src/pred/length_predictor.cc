@@ -193,7 +193,7 @@ RunLengthPredictor::loadState(StateReader &r)
     primed = r.b();
     lastPhase = r.u32();
     runLen = r.u64();
-    std::uint64_t n = r.u64();
+    std::uint64_t n = r.count(4 + 8);
     if (n > 64)
         tpcp_raise("length-predictor snapshot: RLE history of ", n,
                    " entries is implausible");

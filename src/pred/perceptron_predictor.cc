@@ -354,7 +354,7 @@ PerceptronPredictor::loadState(StateReader &r)
     primed = r.b();
     lastPhase = r.u32();
     runLen = r.u64();
-    std::uint64_t n = r.u64();
+    std::uint64_t n = r.count(4 + 1);
     if (n > cfg.historyRuns)
         tpcp_raise("perceptron snapshot: history of ", n,
                    " runs exceeds the configured ", cfg.historyRuns);

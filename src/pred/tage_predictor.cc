@@ -770,7 +770,7 @@ TagePredictor::loadState(StateReader &r)
     lastPhase = r.u32();
     runLen = r.u64();
     changesSeen = r.u64();
-    std::uint64_t n = r.u64();
+    std::uint64_t n = r.count(4 + 1);
     if (n > cfg.historyLengths.back())
         tpcp_raise("TAGE snapshot: history of ", n,
                    " runs exceeds the longest table's ",

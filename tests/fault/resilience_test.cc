@@ -206,3 +206,33 @@ TEST(Resilience, CorruptCheckpointRejectedOnResume)
     EXPECT_THROW(runResilience(p, resume), Error);
     std::remove(ckpt.c_str());
 }
+
+TEST(Resilience, ResumeWithFlipsPendingIsByteIdentical)
+{
+    // With a 16-interval scrub period a checkpoint usually lands
+    // while a signature flip is still unscrubbed: the restored table
+    // must find and correct it exactly as the uninterrupted run does.
+    const std::string ckpt = tmpPath("resilience_pending.ckpt");
+    trace::IntervalProfile p = syntheticProfile();
+    ResilienceOptions opts = baseOptions();
+    opts.injector.target = Target::All;
+    opts.injector.ratePerInterval = 0.3;
+    opts.injector.mitigated = true;
+    opts.scrubEvery = 16;
+
+    const ResilienceReport full = runResilience(p, opts);
+    ASSERT_GT(full.eccCorrections, 0u);
+    for (std::uint64_t k : {5u, 23u, 40u, 97u, 131u, 170u, 199u}) {
+        SCOPED_TRACE("checkpoint at " + std::to_string(k));
+        ResilienceOptions stop = opts;
+        stop.checkpointPath = ckpt;
+        stop.checkpointAt = k;
+        ASSERT_TRUE(runResilience(p, stop).checkpointed);
+
+        ResilienceOptions resume = opts;
+        resume.checkpointPath = ckpt;
+        resume.resume = true;
+        EXPECT_EQ(toJson(runResilience(p, resume)), toJson(full));
+    }
+    std::remove(ckpt.c_str());
+}

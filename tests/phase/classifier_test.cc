@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/state_io.hh"
+#include "common/status.hh"
 #include "phase/classifier.hh"
 
 using namespace tpcp;
@@ -381,4 +384,27 @@ TEST(Classifier, BatchedRecordBranchesMatchesSerial)
         EXPECT_DOUBLE_EQ(a.distance, b.distance)
             << "interval " << interval;
     }
+}
+
+TEST(Classifier, RestoreRefusesRowsOfAnotherWidth)
+{
+    // Rows that are not numCounters bytes wide would trip the match
+    // scan's width assertion on the next interval.
+    PhaseClassifier c(baseConfig());
+    StateWriter w;
+    c.saveState(w);
+    std::vector<std::uint8_t> bytes = w.buffer();
+    // The accumulator (u32 counters, u32 bits, the counters, u64
+    // total), then the table's u32 capacity and u32 counter bits
+    // precede its u64 row width.
+    const std::size_t at = 4 + 4 + 4 * kDims + 8 + 4 + 4;
+    std::uint64_t width;
+    std::memcpy(&width, bytes.data() + at, sizeof(width));
+    ASSERT_EQ(width, 0u) << "an empty table has no row width yet";
+    width = kDims / 2;
+    std::memcpy(bytes.data() + at, &width, sizeof(width));
+
+    PhaseClassifier d(baseConfig());
+    StateReader r(bytes);
+    EXPECT_THROW(d.loadState(r), Error);
 }

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/state_io.hh"
 #include "common/status.hh"
 #include "phase/signature_table.hh"
@@ -491,4 +495,119 @@ TEST(SignatureTableEcc, StateRoundTripPreservesEccAndQuarantine)
     SignatureTable v(4, 6);
     StateReader r2(w.buffer());
     EXPECT_THROW(v.loadState(r2), Error);
+}
+
+// ---- The verified-table shortcut and the word-wise check codes ----
+
+namespace
+{
+
+/** A full-byte (8 bits per dimension) signature of @p width bytes
+ * whose bits vary across every byte and word position, including
+ * each word's top bit. */
+Signature
+wideSig(std::size_t width)
+{
+    std::vector<std::uint8_t> dims(width);
+    for (std::size_t j = 0; j < width; ++j)
+        dims[j] = static_cast<std::uint8_t>(j % 7 == 6 ? 0xff
+                                                       : j * 37 + 11);
+    return Signature(std::move(dims), 8);
+}
+
+constexpr std::size_t kEccWidths[] = {1, 3, 8, 9, 15, 16, 32, 33, 64};
+
+} // namespace
+
+TEST(SignatureTableEcc, EverySingleFlipCorrectedAtEveryRowWidth)
+{
+    // Widths below, at and across 8-byte word boundaries cover the
+    // word loop and the partial last word.
+    for (std::size_t width : kEccWidths) {
+        const Signature s = wideSig(width);
+        for (unsigned bit = 0; bit < width * 8; ++bit) {
+            SCOPED_TRACE("width " + std::to_string(width) + " bit " +
+                         std::to_string(bit));
+            SignatureTable t(32, 6);
+            std::uint32_t e = t.insert(s, 0.25);
+            t.flipSignatureBit(e, bit);
+            EXPECT_TRUE(t.checkParityAt(e));
+            EXPECT_EQ(t.eccCorrections(), 1u);
+            EXPECT_EQ(t.signatureAt(e), s);
+
+            SignatureTable u(32, 6);
+            u.insert(wideSig(width), 0.25);
+            std::uint32_t f = u.insert(s, 0.25);
+            u.flipSignatureBit(f, bit);
+            EXPECT_EQ(u.scrubParity(), 0u);
+            EXPECT_EQ(u.eccCorrections(), 1u);
+            EXPECT_EQ(u.numQuarantined(), 0u);
+            EXPECT_EQ(u.signatureAt(f), s);
+        }
+    }
+}
+
+TEST(SignatureTableEcc, EveryDoubleFlipIn16ByteRowQuarantines)
+{
+    const Signature s = wideSig(16);
+    for (unsigned a = 0; a < 16 * 8; ++a) {
+        for (unsigned b = a + 1; b < 16 * 8; ++b) {
+            SignatureTable t(32, 6);
+            std::uint32_t e = t.insert(s, 0.25);
+            t.flipSignatureBit(e, a);
+            t.flipSignatureBit(e, b);
+            ASSERT_FALSE(t.checkParityAt(e)) << a << "," << b;
+            ASSERT_TRUE(t.quarantinedAt(e)) << a << "," << b;
+            ASSERT_EQ(t.eccCorrections(), 0u) << a << "," << b;
+        }
+    }
+}
+
+TEST(SignatureTableEcc, FlipPendingAcrossSaveLoadIsCorrectedByScrub)
+{
+    // The verified flag is not saved: a restored table must re-check
+    // its rows, or a flip pending at the snapshot would go unseen.
+    const Signature s = wideSig(16);
+    SignatureTable t(8, 6);
+    std::uint32_t e = t.insert(s, 0.25);
+    t.flipSignatureBit(e, 77);
+
+    StateWriter w;
+    t.saveState(w);
+    SignatureTable u(8, 6);
+    StateReader r(w.buffer());
+    u.loadState(r);
+    EXPECT_EQ(u.scrubParity(), 0u);
+    EXPECT_EQ(u.eccCorrections(), 1u);
+    EXPECT_EQ(u.signatureAt(e), s);
+}
+
+TEST(SignatureTableEcc, CleanCheckOfAnotherRowKeepsFlipPending)
+{
+    const Signature sa = wideSig(9);
+    SignatureTable t(8, 6);
+    std::uint32_t a = t.insert(sa, 0.25);
+    std::uint32_t b = t.insert(wideSig(9), 0.25);
+    t.flipSignatureBit(a, 70);
+    EXPECT_TRUE(t.checkParityAt(b));
+    EXPECT_EQ(t.eccCorrections(), 0u);
+    EXPECT_TRUE(t.checkParityAt(a));
+    EXPECT_EQ(t.eccCorrections(), 1u);
+    EXPECT_EQ(t.signatureAt(a), sa);
+}
+
+TEST(SignatureTable, RestoreRefusesBitsPerDimensionOutsideOneToEight)
+{
+    // signatureAt() asserts on a width outside 1..8 bits.
+    SignatureTable t(8, 6);
+    StateWriter w;
+    t.saveState(w);
+    for (std::uint32_t bits : {0u, 9u}) {
+        std::vector<std::uint8_t> bytes = w.buffer();
+        // u32 capacity, u32 counter bits and u64 row width precede it.
+        std::memcpy(bytes.data() + 16, &bits, sizeof(bits));
+        SignatureTable u(8, 6);
+        StateReader r(bytes);
+        EXPECT_THROW(u.loadState(r), Error) << bits;
+    }
 }

@@ -2,7 +2,8 @@
  * @file
  * Seeded multi-fault mutation test over the five binary decoders —
  * TPKT frames, `.tpcptrace` files, `.tpcpprof` profiles, state_io
- * envelopes and TMIG migration manifests — plus forged-count
+ * envelopes and TMIG migration manifests — and over the tracker
+ * state a resilience checkpoint restores, plus forged-count
  * regressions for the counts that size allocations.
  *
  * Each mutant stacks several faults on a valid sample: a multi-byte
@@ -13,6 +14,8 @@
  * packet, trace, profile and envelope decoders' results re-encode to
  * exactly the mutant's bytes — or it is rejected with tpcp::Error
  * (IntervalProfile::load returns false) and leaves no partial state.
+ * A mutated resilience checkpoint, sealed with a valid CRC, either
+ * resumes to the end of its campaign or raises tpcp::Error.
  * Seed and mutant count are fixed, so a failure replays exactly.
  */
 
@@ -92,6 +95,36 @@ samplePacket(std::uint32_t counters)
     return out;
 }
 
+/** A 60-interval profile alternating between two phases in blocks
+ * of 10 intervals, for resilience campaigns. */
+trace::IntervalProfile
+campaignProfile()
+{
+    trace::IntervalProfile p("test/synth", "ooo", 1000, {16});
+    for (std::size_t i = 0; i < 60; ++i) {
+        trace::IntervalRecord rec;
+        rec.cpi = 1.0 + (i / 10) % 2;
+        rec.insts = 1000;
+        rec.accumTotal = 10000;
+        rec.accums.push_back(std::vector<std::uint32_t>(16, 625));
+        rec.accums[0][(i / 10) % 2] = 2500;
+        p.push(std::move(rec));
+    }
+    return p;
+}
+
+/** Options that checkpoint a campaign into @p ckpt at interval 50. */
+fault::ResilienceOptions
+campaignOptions(const std::string &ckpt)
+{
+    fault::ResilienceOptions opts;
+    opts.dims = 16;
+    opts.injector.seed = 42;
+    opts.checkpointPath = ckpt;
+    opts.checkpointAt = 50;
+    return opts;
+}
+
 /** Writes a two-checkpoint, three-tenant bundle into @p bundle. */
 void
 writeSampleBundle(const std::string &bundle, const std::string &src)
@@ -160,7 +193,10 @@ enum class Format
     Trace,
     Profile,
     Envelope,
-    Manifest
+    Manifest,
+    /** A resilience checkpoint payload; writeStateFile() seals each
+     * mutant in a fresh envelope. */
+    Checkpoint
 };
 
 /** Stacks 2–4 random faults on a sample. */
@@ -436,6 +472,9 @@ TEST(CodecMutation, MultiFaultMutantsDecodeExactlyOrRaiseCleanly)
             case Format::Manifest:
                 checkManifest(m, bundle, dir, tally);
                 break;
+            case Format::Checkpoint:
+                // Resumed in ResilienceCheckpointMutantsResumeOrRaise.
+                break;
             }
             if (HasFatalFailure())
                 return;
@@ -445,6 +484,56 @@ TEST(CodecMutation, MultiFaultMutantsDecodeExactlyOrRaiseCleanly)
         EXPECT_GT(tally.decoded, 0u) << s.name;
         EXPECT_GT(tally.rejected, 0u) << s.name;
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CodecMutation, ResilienceCheckpointMutantsResumeOrRaise)
+{
+    const std::string dir = tempDir("mutation_resilience");
+    const std::string ckpt = dir + "/campaign.ckpt";
+    const trace::IntervalProfile p = campaignProfile();
+    // A mitigated campaign against every structure, scrubbed every 16
+    // intervals: the checkpoint holds populated predictor tables,
+    // corrected and quarantined rows, and possibly a pending flip.
+    fault::ResilienceOptions opts = campaignOptions(ckpt);
+    opts.injector.target = fault::Target::All;
+    opts.injector.ratePerInterval = 0.3;
+    opts.injector.mitigated = true;
+    opts.scrubEvery = 16;
+    ASSERT_TRUE(fault::runResilience(p, opts).checkpointed);
+
+    const Bytes file = readFile(ckpt);
+    std::uint32_t magic, version;
+    std::memcpy(&magic, file.data(), 4);
+    std::memcpy(&version, file.data() + 4, 4);
+    const std::vector<Bytes> bases = {
+        parseStateFile(file, magic, version, ckpt)};
+
+    fault::ResilienceOptions resume = opts;
+    resume.checkpointAt = 0;
+    resume.resume = true;
+    Mutator mutator(kSeed + 1, bases);
+    Tally tally;
+    for (unsigned i = 0; i < kMutantsPerFormat; ++i) {
+        SCOPED_TRACE("checkpoint mutant " + std::to_string(i));
+        const Bytes m = mutator.mutate(bases[0], Format::Checkpoint);
+        StateWriter w;
+        w.raw(m.data(), m.size());
+        ASSERT_TRUE(writeStateFile(ckpt, magic, version, w));
+        // Anything but tpcp::Error (std::bad_alloc above all) escapes
+        // and fails the test.
+        try {
+            const fault::ResilienceReport r =
+                fault::runResilience(p, resume);
+            ++tally.decoded;
+            EXPECT_FALSE(r.checkpointed);
+            EXPECT_EQ(r.intervals, p.numIntervals());
+        } catch (const Error &) {
+            ++tally.rejected;
+        }
+    }
+    EXPECT_GT(tally.decoded, 0u);
+    EXPECT_GT(tally.rejected, 0u);
     std::filesystem::remove_all(dir);
 }
 
@@ -497,21 +586,8 @@ TEST(ForgedCount, ResilienceCheckpointPhaseStreamLengthRaises)
 {
     const std::string dir = tempDir("forged_resilience");
     const std::string ckpt = dir + "/campaign.ckpt";
-    trace::IntervalProfile p("test/synth", "ooo", 1000, {16});
-    for (std::size_t i = 0; i < 60; ++i) {
-        trace::IntervalRecord rec;
-        rec.cpi = 1.0 + (i / 10) % 2;
-        rec.insts = 1000;
-        rec.accumTotal = 10000;
-        rec.accums.push_back(std::vector<std::uint32_t>(16, 625));
-        rec.accums[0][(i / 10) % 2] = 2500;
-        p.push(std::move(rec));
-    }
-    fault::ResilienceOptions opts;
-    opts.dims = 16;
-    opts.injector.seed = 42;
-    opts.checkpointPath = ckpt;
-    opts.checkpointAt = 50;
+    const trace::IntervalProfile p = campaignProfile();
+    const fault::ResilienceOptions opts = campaignOptions(ckpt);
     ASSERT_TRUE(fault::runResilience(p, opts).checkpointed);
 
     // The payload ends with the stream stats: u64 length, one u32
@@ -528,6 +604,39 @@ TEST(ForgedCount, ResilienceCheckpointPhaseStreamLengthRaises)
 
     const std::uint64_t forged = std::uint64_t{1} << 32;
     std::memcpy(payload.data() + at, &forged, 8);
+    StateWriter w;
+    w.raw(payload.data(), payload.size());
+    ASSERT_TRUE(writeStateFile(ckpt, magic, version, w));
+
+    fault::ResilienceOptions resume = opts;
+    resume.checkpointAt = 0;
+    resume.resume = true;
+    EXPECT_THROW(fault::runResilience(p, resume), Error);
+    std::filesystem::remove_all(dir);
+}
+
+// A checkpoint whose phase stream is longer than the profile used to
+// be scored against the shorter fault-free stream, reading past its
+// end.
+TEST(ForgedCount, ResilienceCheckpointLongerThanProfileRaises)
+{
+    const std::string dir = tempDir("long_resilience");
+    const std::string ckpt = dir + "/campaign.ckpt";
+    const trace::IntervalProfile p = campaignProfile();
+    const fault::ResilienceOptions opts = campaignOptions(ckpt);
+    ASSERT_TRUE(fault::runResilience(p, opts).checkpointed);
+
+    const Bytes file = readFile(ckpt);
+    std::uint32_t magic, version;
+    std::memcpy(&magic, file.data(), 4);
+    std::memcpy(&version, file.data() + 4, 4);
+    Bytes payload = parseStateFile(file, magic, version, ckpt);
+    const std::size_t at = payload.size() - (8 + 4 * 50 + 6 * 8 + 1 + 4);
+    // Append phases until the stream is one longer than the profile.
+    const std::uint64_t length = p.numIntervals() + 1;
+    std::memcpy(payload.data() + at, &length, 8);
+    payload.insert(payload.begin() + at + 8 + 4 * 50, 4 * (length - 50),
+                   0);
     StateWriter w;
     w.raw(payload.data(), payload.size());
     ASSERT_TRUE(writeStateFile(ckpt, magic, version, w));

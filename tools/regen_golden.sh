@@ -24,7 +24,8 @@ if [ ! -d "$build" ]; then
 fi
 
 harnesses="fig2_table_size abl_bitsel abl_offline \
-fig4_transition_phase fig7_next_phase fig8_sweep adversarial_sweep"
+fig4_transition_phase fig7_next_phase fig8_sweep adversarial_sweep \
+fault_sweep"
 
 cmake --build "$build" --target $harnesses
 
@@ -36,6 +37,13 @@ for h in $harnesses; do
         # family floors" trailer is part of the golden.
         "./$build/bench/$h" --jobs=1 \
             --floors=bench/adversarial_floors.txt \
+            > "$golden/$h.stdout"
+        ;;
+    fault_sweep)
+        # A 16-interval scrub period leaves flips pending long enough
+        # to exercise corrections, quarantines and repairs; at the
+        # default period of 1 the repairs column is all zero.
+        "./$build/bench/$h" --jobs=1 --scrub-every=16 --json=- \
             > "$golden/$h.stdout"
         ;;
     *)
