@@ -22,6 +22,7 @@
 #include "analysis/parallel_runner.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "workload/workload.hh"
 
 using namespace tpcp;
@@ -149,7 +150,7 @@ main(int argc, char **argv)
     summary.print(std::cout);
 
     if (json_path != "-") {
-        if (!adapt::writeJson(json_path, all)) {
+        if (!writeJsonFile(json_path, adapt::toJson(all))) {
             std::cerr << "error: cannot write " << json_path
                       << "\n";
             return 1;

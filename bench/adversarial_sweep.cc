@@ -46,6 +46,7 @@
 #include "analysis/parallel_runner.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/resilience.hh"
 #include "pred/eval.hh"
@@ -194,7 +195,7 @@ loadFloors(const std::string &path)
 }
 
 std::string
-jsonRow(const RowResult &r)
+toJson(const RowResult &r)
 {
     std::ostringstream os;
     os << "{\"name\": \"" << r.name << "\""
@@ -305,15 +306,7 @@ main(int argc, char **argv)
         table.print(std::cout);
 
         if (json_path != "-") {
-            std::ofstream out(json_path);
-            if (!out)
-                tpcp_raise("cannot write ", json_path);
-            out << "[\n";
-            for (std::size_t i = 0; i < results.size(); ++i)
-                out << "  " << jsonRow(results[i])
-                    << (i + 1 < results.size() ? "," : "") << "\n";
-            out << "]\n";
-            if (!out.flush())
+            if (!writeJsonFile(json_path, toJsonLines(results)))
                 tpcp_raise("cannot write ", json_path);
             std::cout << "\nwrote " << results.size()
                       << " rows to " << json_path << "\n";

@@ -106,10 +106,7 @@ scratchDir(const std::string &name)
 double
 conservation(const ServeCounters &c, std::uint64_t pushed)
 {
-    const std::uint64_t accounted =
-        c.packets + c.malformedPackets + c.rejectedPackets +
-        c.shedPackets + c.quarantineDrops;
-    return accounted == pushed ? 1.0 : 0.0;
+    return c.accounted() == pushed ? 1.0 : 0.0;
 }
 
 /** Pushes one frame, restamped for (tenant, seq); a full ring is a

@@ -26,6 +26,7 @@
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/resilience.hh"
 
@@ -150,7 +151,7 @@ main(int argc, char **argv)
 
         std::string json = args.get("json", "");
         if (!json.empty() && json != "-") {
-            if (!fault::writeJson(json, reports)) {
+            if (!writeJsonFile(json, fault::toJson(reports))) {
                 std::cerr << "error: cannot write " << json << "\n";
                 return 1;
             }

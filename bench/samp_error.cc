@@ -21,6 +21,7 @@
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "sample/report.hh"
 #include "sample/selector.hh"
 
@@ -185,7 +186,7 @@ main(int argc, char **argv)
     }
 
     if (json_path != "-") {
-        if (!sample::writeJson(json_path, all)) {
+        if (!writeJsonFile(json_path, sample::toJson(all))) {
             std::cerr << "error: cannot write " << json_path
                       << "\n";
             return 1;

@@ -112,8 +112,7 @@ runPoint(unsigned tenants, unsigned producers,
 
     const std::uint64_t expected =
         std::uint64_t{tenants} * packets;
-    const std::uint64_t accounted =
-        sc.packets + sc.malformedPackets + sc.rejectedPackets;
+    const std::uint64_t accounted = sc.accounted();
     if (pt.produced != expected || accounted != pt.produced ||
         sc.malformedPackets != 0 || sc.rejectedPackets != 0 ||
         sc.lostUpstream != 0) {

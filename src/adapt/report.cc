@@ -1,10 +1,9 @@
 #include "adapt/report.hh"
 
-#include <cstdio>
-#include <fstream>
 #include <map>
 
 #include "analysis/experiment.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/status.hh"
 
@@ -86,80 +85,10 @@ namespace
 {
 
 void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-appendNumber(std::string &out, double v)
-{
-    // Matches sample/report.cc: enough digits for byte-identical
-    // reruns without full round-trip noise.
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    out += buf;
-}
-
-void
-appendField(std::string &out, const char *key,
-            const std::string &value, bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendEscaped(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, double value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNumber(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, std::uint64_t value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += std::to_string(value);
-    if (!last)
-        out += ", ";
-}
-
-void
 appendTotals(std::string &out, const char *key, const RunTotals &t)
 {
-    out += '"';
-    out += key;
-    out += "\": {";
+    appendKey(out, key);
+    out += '{';
     appendField(out, "cycles", t.cycles);
     appendField(out, "energy", t.energy);
     appendField(out, "edp", t.edp, true);
@@ -175,20 +104,15 @@ toJson(const AdaptReport &r)
     appendField(out, "workload", r.workload);
     appendField(out, "policy", r.policy);
     appendField(out, "lattice", r.lattice);
-    appendField(out, "num_configs",
-                static_cast<std::uint64_t>(r.numConfigs));
-    appendField(out, "intervals",
-                static_cast<std::uint64_t>(r.intervals));
-    appendField(out, "num_phases",
-                static_cast<std::uint64_t>(r.numPhases));
+    appendField(out, "num_configs", r.numConfigs);
+    appendField(out, "intervals", r.intervals);
+    appendField(out, "num_phases", r.numPhases);
     appendField(out, "switches", r.switches.total());
     appendField(out, "switches_predicted", r.switches.predicted);
     appendField(out, "switches_exploration",
                 r.switches.exploration);
     appendField(out, "switches_reactive", r.switches.reactive);
-    appendField(out, "penalty_cycles",
-                static_cast<std::uint64_t>(
-                    r.switches.penaltyCycles));
+    appendField(out, "penalty_cycles", r.switches.penaltyCycles);
     appendField(out, "phase_changes", r.phaseChanges);
     appendField(out, "unanticipated_changes",
                 r.unanticipatedChanges);
@@ -209,15 +133,10 @@ toJson(const AdaptReport &r)
     for (std::size_t i = 0; i < r.perPhase.size(); ++i) {
         const PhaseChoice &pc = r.perPhase[i];
         out += "{";
-        appendField(out, "phase",
-                    static_cast<std::uint64_t>(pc.phase));
-        appendField(out, "intervals",
-                    static_cast<std::uint64_t>(pc.intervals));
-        appendField(out, "policy_config",
-                    static_cast<std::uint64_t>(pc.policyConfig));
-        appendField(out, "oracle_config",
-                    static_cast<std::uint64_t>(pc.oracleConfig),
-                    true);
+        appendField(out, "phase", pc.phase);
+        appendField(out, "intervals", pc.intervals);
+        appendField(out, "policy_config", pc.policyConfig);
+        appendField(out, "oracle_config", pc.oracleConfig, true);
         out += "}";
         if (i + 1 < r.perPhase.size())
             out += ", ";
@@ -229,27 +148,7 @@ toJson(const AdaptReport &r)
 std::string
 toJson(const std::vector<AdaptReport> &reports)
 {
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        out += "  ";
-        out += toJson(reports[i]);
-        if (i + 1 < reports.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "]\n";
-    return out;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<AdaptReport> &reports)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    file << toJson(reports);
-    return static_cast<bool>(file.flush());
+    return toJsonLines(reports);
 }
 
 std::vector<trace::IntervalProfile>

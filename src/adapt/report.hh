@@ -96,10 +96,6 @@ std::string toJson(const AdaptReport &report);
 /** A report list as a JSON array, one object per line. */
 std::string toJson(const std::vector<AdaptReport> &reports);
 
-/** Writes the JSON array to @p path; false on I/O error. */
-bool writeJson(const std::string &path,
-               const std::vector<AdaptReport> &reports);
-
 /**
  * Loads (or simulates and caches) one interval profile per lattice
  * point for @p workload_name. @p base supplies everything but the

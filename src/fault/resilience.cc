@@ -1,10 +1,9 @@
 #include "fault/resilience.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "adapt/report.hh"
+#include "common/json.hh"
 #include "common/state_io.hh"
 #include "common/status.hh"
 #include "pred/phase_tracker.hh"
@@ -330,92 +329,6 @@ runResilience(const trace::IntervalProfile &profile,
     return report;
 }
 
-namespace
-{
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-appendNumber(std::string &out, double v)
-{
-    // Matches the sample/adapt JSON writers: enough digits that
-    // byte-identical runs produce byte-identical JSON.
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    out += buf;
-}
-
-void
-appendField(std::string &out, const char *key,
-            const std::string &value, bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendEscaped(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, double value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNumber(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, std::uint64_t value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += std::to_string(value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, bool value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += value ? "true" : "false";
-    if (!last)
-        out += ", ";
-}
-
-} // namespace
-
 std::string
 toJson(const ResilienceReport &r)
 {
@@ -463,27 +376,7 @@ toJson(const ResilienceReport &r)
 std::string
 toJson(const std::vector<ResilienceReport> &reports)
 {
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        out += "  ";
-        out += toJson(reports[i]);
-        if (i + 1 < reports.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "]\n";
-    return out;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<ResilienceReport> &reports)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    file << toJson(reports);
-    return static_cast<bool>(file.flush());
+    return toJsonLines(reports);
 }
 
 } // namespace tpcp::fault

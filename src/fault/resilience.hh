@@ -139,10 +139,6 @@ std::string toJson(const ResilienceReport &report);
 /** A report list as a JSON array, one object per line. */
 std::string toJson(const std::vector<ResilienceReport> &reports);
 
-/** Writes the JSON array to @p path; false on I/O error. */
-bool writeJson(const std::string &path,
-               const std::vector<ResilienceReport> &reports);
-
 } // namespace tpcp::fault
 
 #endif // TPCP_FAULT_RESILIENCE_HH

@@ -1,8 +1,6 @@
 #include "sample/report.hh"
 
-#include <cstdio>
-#include <fstream>
-
+#include "common/json.hh"
 #include "sample/estimator.hh"
 #include "sample/planner.hh"
 
@@ -26,81 +24,6 @@ SampleReport::speedupEquivalent() const
     return static_cast<double>(totalIntervals) /
            static_cast<double>(sampled);
 }
-
-namespace
-{
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
-appendNumber(std::string &out, double v)
-{
-    // %.10g prints shortest-ish stable decimals; enough digits that
-    // byte-identical runs produce byte-identical JSON without the
-    // noise of full round-trip precision.
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", v);
-    out += buf;
-}
-
-void
-appendField(std::string &out, const char *key,
-            const std::string &value, bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendEscaped(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, double value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    appendNumber(out, value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, std::size_t value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += std::to_string(value);
-    if (!last)
-        out += ", ";
-}
-
-} // namespace
 
 std::string
 toJson(const SampleReport &r)
@@ -132,27 +55,7 @@ toJson(const SampleReport &r)
 std::string
 toJson(const std::vector<SampleReport> &reports)
 {
-    std::string out = "[\n";
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        out += "  ";
-        out += toJson(reports[i]);
-        if (i + 1 < reports.size())
-            out += ',';
-        out += '\n';
-    }
-    out += "]\n";
-    return out;
-}
-
-bool
-writeJson(const std::string &path,
-          const std::vector<SampleReport> &reports)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    file << toJson(reports);
-    return static_cast<bool>(file.flush());
+    return toJsonLines(reports);
 }
 
 SampleReport

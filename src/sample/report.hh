@@ -57,10 +57,6 @@ std::string toJson(const SampleReport &report);
 /** A report list as a JSON array, one object per line. */
 std::string toJson(const std::vector<SampleReport> &reports);
 
-/** Writes the JSON array to @p path; false on I/O error. */
-bool writeJson(const std::string &path,
-               const std::vector<SampleReport> &reports);
-
 /**
  * The end-to-end experiment: derive the phase-ID stream, select
  * @p budget intervals with @p selector, estimate whole-program CPI

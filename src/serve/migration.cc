@@ -24,48 +24,19 @@ installFile(const std::string &path,
         tpcp_raise("cannot write ", path);
 }
 
-// The manifest entry bound in loadMigrationBundle() counts the
-// counters as sizeof(TenantCounters) bytes.
-static_assert(sizeof(TenantCounters) == 14 * sizeof(std::uint64_t),
-              "writeCounters/readCounters must cover every counter");
-
 void
-writeCounters(StateWriter &w, const TenantCounters &c)
+writeCounters(StateWriter &w, const ServeCounters &c)
 {
-    w.u64(c.packets);
-    w.u64(c.phaseSwitches);
-    w.u64(c.evictions);
-    w.u64(c.resumes);
-    w.u64(c.duplicateSeq);
-    w.u64(c.lostUpstream);
-    w.u64(c.malformedPackets);
-    w.u64(c.shedPackets);
-    w.u64(c.parkEvents);
-    w.u64(c.packetsDropped);
-    w.u64(c.quarantines);
-    w.u64(c.quarantineDrops);
-    w.u64(c.readmissions);
-    w.u64(c.resumeFailures);
+    for (const CounterField &f : kTenantCounterFields)
+        w.u64(c.*f.member);
 }
 
-TenantCounters
+ServeCounters
 readCounters(StateReader &r)
 {
-    TenantCounters c;
-    c.packets = r.u64();
-    c.phaseSwitches = r.u64();
-    c.evictions = r.u64();
-    c.resumes = r.u64();
-    c.duplicateSeq = r.u64();
-    c.lostUpstream = r.u64();
-    c.malformedPackets = r.u64();
-    c.shedPackets = r.u64();
-    c.parkEvents = r.u64();
-    c.packetsDropped = r.u64();
-    c.quarantines = r.u64();
-    c.quarantineDrops = r.u64();
-    c.readmissions = r.u64();
-    c.resumeFailures = r.u64();
+    ServeCounters c;
+    for (const CounterField &f : kTenantCounterFields)
+        c.*f.member = r.u64();
     return c;
 }
 
@@ -125,7 +96,7 @@ loadMigrationBundle(const std::string &bundle_dir,
     // Every entry carries at least its id, next sequence number,
     // counters, quarantine state and checkpoint flag.
     const std::uint64_t count =
-        r.count(8 + 8 + sizeof(TenantCounters) + 8 + 1);
+        r.count(8 + 8 + kTenantCounterFields.size() * 8 + 8 + 1);
 
     std::vector<MigratedTenant> tenants;
     tenants.reserve(count);

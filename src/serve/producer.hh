@@ -80,7 +80,7 @@ struct ProducerCounters
     std::uint64_t parkEvents = 0;
     std::uint64_t bytes = 0;
     /** Per-tenant breakdown, parallel to the task's tenant list —
-     * the service attributes these into TenantCounters after the
+     * the service attributes these into ServeCounters after the
      * producer joins. */
     std::vector<std::uint64_t> tenantPushed;
     std::vector<std::uint64_t> tenantDropped;

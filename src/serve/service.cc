@@ -1,11 +1,11 @@
 #include "serve/service.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <thread>
 
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/injector.hh"
 #include "serve/migration.hh"
@@ -255,20 +255,8 @@ ServiceLoop::counters() const
 {
     ServeCounters c;
     for (const auto &part : parts_) {
-        const RegistryCounters &rc = part->registry.counters();
-        c.packets += rc.packets;
+        c += part->registry.counters();
         c.tenants += part->registry.numTenants();
-        c.evictions += rc.evictions;
-        c.resumes += rc.resumes;
-        c.phaseSwitches += rc.phaseSwitches;
-        c.duplicateSeq += rc.duplicateSeq;
-        c.seqGaps += rc.seqGaps;
-        c.lostUpstream += rc.lostUpstream;
-        c.shedPackets += rc.shedPackets;
-        c.quarantines += rc.quarantines;
-        c.quarantineDrops += rc.quarantineDrops;
-        c.readmissions += rc.readmissions;
-        c.resumeFailures += rc.resumeFailures;
         c.malformedPackets += part->malformed;
         c.rejectedPackets += part->rejected;
     }
@@ -297,7 +285,7 @@ ServiceLoop::findTenant(std::uint64_t tenant) const
     return nullptr;
 }
 
-const TenantCounters &
+const ServeCounters &
 ServiceLoop::tenantCounters(std::uint64_t tenant) const
 {
     const TenantRegistry *r = findTenant(tenant);
@@ -330,44 +318,13 @@ ServiceLoop::writePhaseStreams(const std::string &dir) const
     }
 }
 
-namespace
-{
-
-void
-appendField(std::string &out, const char *key, std::uint64_t value,
-            bool last = false)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += std::to_string(value);
-    if (!last)
-        out += ", ";
-}
-
-void
-appendField(std::string &out, const char *key, double value,
-            bool last = false)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    out += '"';
-    out += key;
-    out += "\": ";
-    out += buf;
-    if (!last)
-        out += ", ";
-}
-
-} // namespace
-
 std::string
 toJson(const ServeReport &r)
 {
     std::string out = "{\n  ";
-    appendField(out, "tenants", std::uint64_t{r.tenants});
-    appendField(out, "producers", std::uint64_t{r.producers});
-    appendField(out, "jobs", std::uint64_t{r.jobs});
+    appendField(out, "tenants", r.tenants);
+    appendField(out, "producers", r.producers);
+    appendField(out, "jobs", r.jobs);
     appendField(out, "packets_produced", r.packetsProduced);
     appendField(out, "packets_dropped", r.packetsDropped);
     appendField(out, "park_events", r.parkEvents);
@@ -398,21 +355,9 @@ toJson(const ServeReport &r)
         const ServeTenantReport &t = r.perTenant[i];
         out += "\n    {";
         appendField(out, "tenant", t.tenant);
-        appendField(out, "packets", t.c.packets);
-        appendField(out, "phase_switches", t.c.phaseSwitches);
-        appendField(out, "evictions", t.c.evictions);
-        appendField(out, "resumes", t.c.resumes);
-        appendField(out, "duplicate_seq", t.c.duplicateSeq);
-        appendField(out, "lost_upstream", t.c.lostUpstream);
-        appendField(out, "malformed_packets", t.c.malformedPackets);
-        appendField(out, "shed_packets", t.c.shedPackets);
-        appendField(out, "park_events", t.c.parkEvents);
-        appendField(out, "packets_dropped", t.c.packetsDropped);
-        appendField(out, "quarantines", t.c.quarantines);
-        appendField(out, "quarantine_drops", t.c.quarantineDrops);
-        appendField(out, "readmissions", t.c.readmissions);
-        appendField(out, "resume_failures", t.c.resumeFailures,
-                    true);
+        for (const CounterField &f : kTenantCounterFields)
+            appendField(out, f.name, t.c.*f.member,
+                        &f == &kTenantCounterFields.back());
         out += '}';
         if (i + 1 < r.perTenant.size())
             out += ',';
@@ -440,16 +385,6 @@ batchPhaseStream(const EncodedStream &stream,
                           .classification.phase);
     }
     return out;
-}
-
-bool
-writeJson(const std::string &path, const ServeReport &r)
-{
-    std::ofstream file(path);
-    if (!file)
-        return false;
-    file << toJson(r);
-    return file.good();
 }
 
 } // namespace tpcp::serve

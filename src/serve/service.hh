@@ -76,34 +76,11 @@ struct ServeOptions
     std::size_t drainBatch = 512;
 };
 
-/** Global service counters (aggregated over partitions). */
-struct ServeCounters
-{
-    std::uint64_t packets = 0;
-    std::uint64_t malformedPackets = 0;
-    std::uint64_t rejectedPackets = 0;
-    /** Frames shed by the flow schedulers (per-tenant backlog
-     * bound). */
-    std::uint64_t shedPackets = 0;
-    std::uint64_t tenants = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t resumes = 0;
-    std::uint64_t phaseSwitches = 0;
-    std::uint64_t duplicateSeq = 0;
-    std::uint64_t seqGaps = 0;
-    std::uint64_t lostUpstream = 0;
-    std::uint64_t quarantines = 0;
-    std::uint64_t quarantineDrops = 0;
-    std::uint64_t readmissions = 0;
-    std::uint64_t resumeFailures = 0;
-    std::uint64_t drainCycles = 0;
-};
-
 /** One tenant's row in the service report. */
 struct ServeTenantReport
 {
     std::uint64_t tenant = 0;
-    TenantCounters c;
+    ServeCounters c;
 };
 
 /** Machine-readable run summary (tpcp serve --json). */
@@ -122,7 +99,6 @@ struct ServeReport
 };
 
 std::string toJson(const ServeReport &r);
-bool writeJson(const std::string &path, const ServeReport &r);
 
 /**
  * The batch reference path: decodes @p stream and replays it through
@@ -170,6 +146,9 @@ class ServiceLoop
     /** Pool worker threads actually running. */
     unsigned numWorkers() const { return pool_.numThreads(); }
     const TenantRegistry &registry(unsigned i) const;
+    /** The service totals: every partition's registry totals plus
+     * its malformed and rejected counts, the tenant count and the
+     * drain cycles. */
     ServeCounters counters() const;
 
     /**
@@ -216,7 +195,7 @@ class ServiceLoop
     /** All tenant ids across partitions, ascending. */
     std::vector<std::uint64_t> allTenantIds() const;
     /** Counters for @p tenant, wherever it lives. */
-    const TenantCounters &tenantCounters(std::uint64_t tenant) const;
+    const ServeCounters &tenantCounters(std::uint64_t tenant) const;
     /** Recorded phase stream for @p tenant (requires
      * registry.recordPhases). */
     const std::vector<PhaseId> &

@@ -8,6 +8,14 @@
 namespace tpcp::serve
 {
 
+ServeCounters &
+ServeCounters::operator+=(const ServeCounters &o)
+{
+    for (const CounterField &f : kCounterFields)
+        this->*f.member += o.*f.member;
+    return *this;
+}
+
 TenantRegistry::TenantRegistry(const RegistryConfig &config)
     : cfg(config),
       shards_(config.maxResident,
@@ -69,8 +77,7 @@ TenantRegistry::evict(Tenant &t)
     t.slot = kNoSlot;
     t.tracker.reset();
     --residentCount;
-    ++t.c.evictions;
-    ++counters_.evictions;
+    bump(t, &ServeCounters::evictions);
 }
 
 void
@@ -109,8 +116,7 @@ TenantRegistry::activate(Tenant &t)
                                     kTenantCheckpointMagic,
                                     kTenantCheckpointVersion);
         } catch (const Error &) {
-            ++t.c.resumeFailures;
-            ++counters_.resumeFailures;
+            bump(t, &ServeCounters::resumeFailures);
             offense(t);
             throw;
         }
@@ -142,15 +148,11 @@ TenantRegistry::activate(Tenant &t)
             t.slot = kNoSlot;
             t.tracker.reset();
             --residentCount;
-            ++t.c.resumeFailures;
-            ++counters_.resumeFailures;
+            bump(t, &ServeCounters::resumeFailures);
             offense(t);
             throw;
         }
-        ++t.c.resumes;
-        ++counters_.resumes;
-    } else {
-        ++counters_.tenantsCreated;
+        bump(t, &ServeCounters::resumes);
     }
 }
 
@@ -181,8 +183,7 @@ TenantRegistry::quarantine(Tenant &t)
     if (t.slot != kNoSlot)
         evict(t);
     ++t.quarantineCount;
-    ++t.c.quarantines;
-    ++counters_.quarantines;
+    bump(t, &ServeCounters::quarantines);
     // Exponential backoff: base << (count - 1), saturating at the
     // cap (the shift is clamped so it cannot overflow).
     std::uint64_t backoff = cfg.quarantine.backoffCap;
@@ -216,8 +217,7 @@ TenantRegistry::deliverPacket(const IntervalPacket &pkt)
 
     if (t.quarantinedUntil != 0) {
         if (clock_ < t.quarantinedUntil) {
-            ++t.c.quarantineDrops;
-            ++counters_.quarantineDrops;
+            bump(t, &ServeCounters::quarantineDrops);
             return {DeliverStatus::QuarantineDropped,
                     invalidPhaseId};
         }
@@ -227,8 +227,7 @@ TenantRegistry::deliverPacket(const IntervalPacket &pkt)
         t.quarantinedUntil = 0;
         t.offenses = 0;
         t.offenseWindowStart = clock_;
-        ++t.c.readmissions;
-        ++counters_.readmissions;
+        bump(t, &ServeCounters::readmissions);
     }
 
     if (t.tracker == nullptr)
@@ -237,8 +236,7 @@ TenantRegistry::deliverPacket(const IntervalPacket &pkt)
     // Sequence accounting before the tracker sees anything: a
     // duplicate or reordered packet must not advance phase state.
     if (pkt.seq < t.nextSeq) {
-        ++t.c.duplicateSeq;
-        ++counters_.duplicateSeq;
+        bump(t, &ServeCounters::duplicateSeq);
         offense(t);
         tpcp_raise("tenant ", pkt.tenant, ": duplicate/reordered "
                    "sequence ", pkt.seq, " (expected ", t.nextSeq,
@@ -249,9 +247,7 @@ TenantRegistry::deliverPacket(const IntervalPacket &pkt)
         // the tracker: a producer that counted drops under
         // backpressure, a shed frame, or a quarantine drop. Mirror
         // the count here so the loss is attributable at both ends.
-        const std::uint64_t lost = pkt.seq - t.nextSeq;
-        t.c.lostUpstream += lost;
-        counters_.lostUpstream += lost;
+        bump(t, &ServeCounters::lostUpstream, pkt.seq - t.nextSeq);
         ++counters_.seqGaps;
     }
     t.nextSeq = pkt.seq + 1;
@@ -259,13 +255,10 @@ TenantRegistry::deliverPacket(const IntervalPacket &pkt)
     pred::PhaseTrackerOutput out = t.tracker->onIntervalRaw(
         pkt.counters.data(), pkt.counters.size(), pkt.total, pkt.cpi);
 
-    ++counters_.packets;
-    ++t.c.packets;
+    bump(t, &ServeCounters::packets);
     t.lastActive = counters_.packets;
-    if (out.phaseChanged) {
-        ++t.c.phaseSwitches;
-        ++counters_.phaseSwitches;
-    }
+    if (out.phaseChanged)
+        bump(t, &ServeCounters::phaseSwitches);
     if (cfg.recordPhases)
         t.phases.push_back(out.classification.phase);
     return {DeliverStatus::Delivered, out.classification.phase};
@@ -276,8 +269,7 @@ TenantRegistry::noteShed(std::uint64_t tenant)
 {
     ++clock_;
     Tenant &t = touch(tenant);
-    ++t.c.shedPackets;
-    ++counters_.shedPackets;
+    bump(t, &ServeCounters::shedPackets);
     offense(t);
 }
 
@@ -286,8 +278,9 @@ TenantRegistry::noteMalformed(std::uint64_t tenant)
 {
     ++clock_;
     Tenant &t = touch(tenant);
+    // Per tenant only: the service's malformed total is the
+    // partition's count, which already holds this frame.
     ++t.c.malformedPackets;
-    ++counters_.malformedPackets;
     offense(t);
 }
 
@@ -380,7 +373,7 @@ TenantRegistry::tenantIds() const
     return ids;
 }
 
-const TenantCounters &
+const ServeCounters &
 TenantRegistry::tenantCounters(std::uint64_t tenant) const
 {
     auto it = tenants_.find(tenant);

@@ -43,7 +43,9 @@
 #define TPCP_SERVE_TENANT_REGISTRY_HH
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -104,8 +106,18 @@ struct RegistryConfig
     QuarantineConfig quarantine;
 };
 
-/** Per-tenant observability counters. */
-struct TenantCounters
+/**
+ * The serve layer's one counter set: a tenant's record, a registry's
+ * totals and the service-wide sum (ServiceLoop::counters()).
+ *
+ * Totals count only what this service did; a migrated tenant's
+ * lifetime counters land in its own record (adoptTenant), so totals
+ * are not a sum over tenant records. parkEvents and packetsDropped
+ * are per tenant only. The totals' malformedPackets is the
+ * partition's count, which also holds unattributable frames, so the
+ * registry leaves its own at zero. The last four are totals only.
+ */
+struct ServeCounters
 {
     std::uint64_t packets = 0;
     std::uint64_t phaseSwitches = 0;
@@ -130,26 +142,61 @@ struct TenantCounters
     std::uint64_t readmissions = 0;
     /** Resume attempts that failed on a damaged checkpoint. */
     std::uint64_t resumeFailures = 0;
+    std::uint64_t seqGaps = 0;
+    /** Packets the registry refused (sequence, capacity, resume). */
+    std::uint64_t rejectedPackets = 0;
+    std::uint64_t tenants = 0;
+    std::uint64_t drainCycles = 0;
+
+    ServeCounters &operator+=(const ServeCounters &o);
+
+    /** Frames with a counted end: delivered, malformed, rejected,
+     * shed or quarantine-dropped. Every pushed frame is one of them,
+     * so this equals the frames pushed unless one was lost silently. */
+    std::uint64_t
+    accounted() const
+    {
+        return packets + malformedPackets + rejectedPackets +
+               shedPackets + quarantineDrops;
+    }
 };
 
-/** Registry-wide counters (sums over tenants plus registry events). */
-struct RegistryCounters
+/** One counter: its JSON key and its member. */
+struct CounterField
 {
-    std::uint64_t packets = 0;
-    std::uint64_t tenantsCreated = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t resumes = 0;
-    std::uint64_t phaseSwitches = 0;
-    std::uint64_t duplicateSeq = 0;
-    std::uint64_t seqGaps = 0;
-    std::uint64_t lostUpstream = 0;
-    std::uint64_t malformedPackets = 0;
-    std::uint64_t shedPackets = 0;
-    std::uint64_t quarantines = 0;
-    std::uint64_t quarantineDrops = 0;
-    std::uint64_t readmissions = 0;
-    std::uint64_t resumeFailures = 0;
+    const char *name;
+    std::uint64_t ServeCounters::*member;
 };
+
+/** Every counter. The first 14 are the per-tenant ones. */
+inline constexpr CounterField kCounterFields[] = {
+    {"packets", &ServeCounters::packets},
+    {"phase_switches", &ServeCounters::phaseSwitches},
+    {"evictions", &ServeCounters::evictions},
+    {"resumes", &ServeCounters::resumes},
+    {"duplicate_seq", &ServeCounters::duplicateSeq},
+    {"lost_upstream", &ServeCounters::lostUpstream},
+    {"malformed_packets", &ServeCounters::malformedPackets},
+    {"shed_packets", &ServeCounters::shedPackets},
+    {"park_events", &ServeCounters::parkEvents},
+    {"packets_dropped", &ServeCounters::packetsDropped},
+    {"quarantines", &ServeCounters::quarantines},
+    {"quarantine_drops", &ServeCounters::quarantineDrops},
+    {"readmissions", &ServeCounters::readmissions},
+    {"resume_failures", &ServeCounters::resumeFailures},
+    {"seq_gaps", &ServeCounters::seqGaps},
+    {"rejected_packets", &ServeCounters::rejectedPackets},
+    {"tenants", &ServeCounters::tenants},
+    {"drain_cycles", &ServeCounters::drainCycles},
+};
+static_assert(std::size(kCounterFields) * sizeof(std::uint64_t) ==
+                  sizeof(ServeCounters),
+              "kCounterFields must list every counter");
+
+/** A tenant's counters, in the order both the TMIG migration
+ * manifest and the per-tenant JSON row carry them. */
+inline constexpr std::span<const CounterField, 14>
+    kTenantCounterFields{kCounterFields, 14};
 
 /** What deliverPacket() did with a packet. */
 enum class DeliverStatus
@@ -169,7 +216,7 @@ struct MigratedTenant
 {
     std::uint64_t id = 0;
     std::uint64_t nextSeq = 0;
-    TenantCounters c;
+    ServeCounters c;
     /** Remaining quarantine backoff at migration time (clock
      * ticks); 0 = not quarantined. */
     std::uint64_t quarantineRemaining = 0;
@@ -254,7 +301,9 @@ class TenantRegistry
         injector_ = injector;
     }
 
-    const RegistryCounters &counters() const { return counters_; }
+    /** This registry's totals (see ServeCounters for what they
+     * hold). */
+    const ServeCounters &counters() const { return counters_; }
 
     /** Tenants ever seen (resident + evicted). */
     std::size_t numTenants() const { return tenants_.size(); }
@@ -280,7 +329,7 @@ class TenantRegistry
     bool isQuarantined(std::uint64_t tenant) const;
 
     /** Per-tenant counters; raises tpcp::Error for unknown ids. */
-    const TenantCounters &tenantCounters(std::uint64_t tenant) const;
+    const ServeCounters &tenantCounters(std::uint64_t tenant) const;
 
     /** Recorded phase-ID stream (requires config.recordPhases). */
     const std::vector<PhaseId> &
@@ -307,7 +356,7 @@ class TenantRegistry
         std::uint64_t quarantinedUntil = 0;
         /** Lifetime quarantine count (drives the backoff). */
         std::uint64_t quarantineCount = 0;
-        TenantCounters c;
+        ServeCounters c;
         std::vector<PhaseId> phases;
     };
 
@@ -327,6 +376,16 @@ class TenantRegistry
     /** Finds-or-creates the counter record for @p tenant. */
     Tenant &touch(std::uint64_t tenant);
 
+    /** Adds @p n to counter @p field on @p t's record and on the
+     * registry totals. */
+    void
+    bump(Tenant &t, std::uint64_t ServeCounters::*field,
+         std::uint64_t n = 1)
+    {
+        t.c.*field += n;
+        counters_.*field += n;
+    }
+
     /** Counts one offense for @p t; quarantines on threshold. */
     void offense(Tenant &t);
 
@@ -338,7 +397,7 @@ class TenantRegistry
     phase::SignatureTableShards shards_;
     std::vector<unsigned> freeSlots_;
     std::unordered_map<std::uint64_t, Tenant> tenants_;
-    RegistryCounters counters_;
+    ServeCounters counters_;
     unsigned residentCount = 0;
     /** Monotonic clock: every packet the registry *sees* (delivered,
      * rejected, quarantine-dropped, shed, malformed) advances it, so

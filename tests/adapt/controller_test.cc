@@ -186,6 +186,79 @@ TEST(AdaptReport, JsonCarriesTheHeadlineNumbers)
     EXPECT_EQ(json, toJson(r));
 }
 
+namespace
+{
+
+/** A hand-built report whose every field is distinct: an escaped
+ * workload name, a negative saving (static-best worse than
+ * always-big) and an oracle fraction where %.10g and %g differ. */
+AdaptReport
+pinnedReport()
+{
+    AdaptReport r;
+    r.workload = "we\"ird\\wl\n\t\x01";
+    r.policy = "greedy";
+    r.lattice = "big/3";
+    r.numConfigs = 3;
+    r.intervals = 40;
+    r.numPhases = 2;
+    r.switches.predicted = 3;
+    r.switches.exploration = 2;
+    r.switches.reactive = 1;
+    r.switches.penaltyCycles = 700;
+    r.phaseChanges = 5;
+    r.unanticipatedChanges = 2;
+    r.lengthGateSkips = 1;
+    r.policyTotals = {1200.0, 1.5, 3.0};
+    r.alwaysBig = {1000.0, 2.5, 4.0};
+    r.staticBest = {1100.0, 2.0, 5.0};
+    r.staticBestConfig = "mid";
+    r.oracle = {1000.0, 1.0, 1.0};
+    r.perPhase.push_back({0, 10, 0, 0});
+    r.perPhase.push_back({3, 30, 2, 1});
+    return r;
+}
+
+const char *const kPinnedJson =
+    "{\"workload\": \"we\\\"ird\\\\wl\\n\\t\\u0001\", "
+    "\"policy\": \"greedy\", \"lattice\": \"big/3\", "
+    "\"num_configs\": 3, \"intervals\": 40, \"num_phases\": 2, "
+    "\"switches\": 6, \"switches_predicted\": 3, "
+    "\"switches_exploration\": 2, \"switches_reactive\": 1, "
+    "\"penalty_cycles\": 700, \"phase_changes\": 5, "
+    "\"unanticipated_changes\": 2, \"length_gate_skips\": 1, "
+    "\"policy_totals\": {\"cycles\": 1200, \"energy\": 1.5, "
+    "\"edp\": 3}, "
+    "\"always_big\": {\"cycles\": 1000, \"energy\": 2.5, "
+    "\"edp\": 4}, "
+    "\"static_best\": {\"cycles\": 1100, \"energy\": 2, "
+    "\"edp\": 5}, "
+    "\"static_best_config\": \"mid\", "
+    "\"oracle\": {\"cycles\": 1000, \"energy\": 1, \"edp\": 1}, "
+    "\"edp_savings_policy\": 0.25, \"edp_savings_static\": -0.25, "
+    "\"edp_savings_oracle\": 0.75, "
+    "\"oracle_fraction\": 0.3333333333, \"slowdown\": 0.2, "
+    "\"per_phase\": [{\"phase\": 0, \"intervals\": 10, "
+    "\"policy_config\": 0, \"oracle_config\": 0}, "
+    "{\"phase\": 3, \"intervals\": 30, \"policy_config\": 2, "
+    "\"oracle_config\": 1}]}";
+
+} // namespace
+
+TEST(AdaptReport, JsonIsPinnedByteForByte)
+{
+    EXPECT_EQ(toJson(pinnedReport()), kPinnedJson);
+}
+
+TEST(AdaptReport, JsonArrayIsOneReportPerLine)
+{
+    EXPECT_EQ(toJson(std::vector<AdaptReport>{}), "[\n]\n");
+    EXPECT_EQ(toJson(std::vector<AdaptReport>{pinnedReport(),
+                                              pinnedReport()}),
+              std::string("[\n  ") + kPinnedJson + ",\n  " +
+                  kPinnedJson + "\n]\n");
+}
+
 TEST(AdaptReport, PresetsAreNamedAndValidated)
 {
     EXPECT_EQ(policyPresetByName("greedy").name, "greedy");

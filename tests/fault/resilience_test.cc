@@ -236,3 +236,57 @@ TEST(Resilience, ResumeWithFlipsPendingIsByteIdentical)
     }
     std::remove(ckpt.c_str());
 }
+
+TEST(Resilience, JsonIsPinnedByteForByte)
+{
+    ResilienceReport r;
+    r.workload = "mcf";
+    r.target = "all";
+    r.rate = 0.1;
+    r.mitigated = true;
+    r.intervals = 3;
+    r.faults.accumFlips = 1;
+    r.faults.signatureFlips = 2;
+    r.faults.metadataFaults = 3;
+    r.faults.changeTableFaults = 4;
+    r.faults.lengthTableFaults = 5;
+    r.faults.inputFaults = 6;
+    r.faults.serveCheckpointFaults = 7;
+    r.faults.serveFrameFlips = 8;
+    r.agreeingIntervals = 1;
+    r.nextPhaseAccBase = 0.5;
+    r.nextPhaseAccFaulty = 0.75;
+    r.changeAccBase = 0.9;
+    r.changeAccFaulty = 0.8;
+    r.lengthAccBase = 1.0;
+    r.lengthAccFaulty = 0.125;
+    r.repairs = 9;
+    r.quarantines = 10;
+    r.eccCorrections = 11;
+    r.rejectedCpiSamples = 12;
+    r.adaptOracleFracBase = 0.7;
+    r.adaptOracleFracFaulty = 0.65;
+    r.checkpointed = true;
+    const std::string one =
+        "{\"workload\": \"mcf\", \"target\": \"all\", \"rate\": 0.1, "
+        "\"mitigated\": true, \"intervals\": 3, \"faults_total\": 36, "
+        "\"faults_accum\": 1, \"faults_signature\": 2, "
+        "\"faults_metadata\": 3, \"faults_change_table\": 4, "
+        "\"faults_length_table\": 5, \"faults_input\": 6, "
+        "\"agreeing_intervals\": 1, \"agreement\": 0.3333333333, "
+        "\"next_phase_acc_base\": 0.5, "
+        "\"next_phase_acc_faulty\": 0.75, "
+        "\"next_phase_delta\": -0.25, \"change_acc_base\": 0.9, "
+        "\"change_acc_faulty\": 0.8, \"change_delta\": 0.1, "
+        "\"length_acc_base\": 1, \"length_acc_faulty\": 0.125, "
+        "\"length_delta\": 0.875, \"repairs\": 9, "
+        "\"quarantines\": 10, \"ecc_corrections\": 11, "
+        "\"rejected_cpi_samples\": 12, \"adapt_measured\": false, "
+        "\"adapt_oracle_frac_base\": 0.7, "
+        "\"adapt_oracle_frac_faulty\": 0.65, "
+        "\"adapt_oracle_delta\": 0.05, \"checkpointed\": true}";
+    EXPECT_EQ(toJson(r), one);
+    EXPECT_EQ(toJson(std::vector<ResilienceReport>{}), "[\n]\n");
+    EXPECT_EQ(toJson(std::vector<ResilienceReport>{r, r}),
+              "[\n  " + one + ",\n  " + one + "\n]\n");
+}

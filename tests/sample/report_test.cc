@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "sample/report.hh"
 #include "sample_test_util.hh"
 
@@ -87,9 +88,37 @@ TEST(Report, JsonEscapesStrings)
         << json;
 }
 
+TEST(Report, JsonIsPinnedByteForByte)
+{
+    SampleReport r = sampleReport();
+    r.workload = "a\"b\\c\n";
+    r.standardError = 0.01;
+    r.jackknifeSe = 0.0125;
+    r.ciLow = -0.5;
+    r.ciHigh = 3.5;
+    r.predictedRelError = 1.0 / 3.0;
+    EXPECT_EQ(toJson(r),
+              "{\"workload\": \"a\\\"b\\\\c\\n\", "
+              "\"selector\": \"stratified\", "
+              "\"phase_source\": \"online\", \"budget\": 8, "
+              "\"sampled\": 7, \"total_intervals\": 100, "
+              "\"phases_total\": 5, \"phases_covered\": 4, "
+              "\"true_cpi\": 1.5, \"estimated_cpi\": 1.53, "
+              "\"rel_error\": 0.02, \"standard_error\": 0.01, "
+              "\"jackknife_se\": 0.0125, \"ci_low\": -0.5, "
+              "\"ci_high\": 3.5, "
+              "\"predicted_rel_error\": 0.3333333333, "
+              "\"sampled_fraction\": 0.07, "
+              "\"speedup_equivalent\": 14.28571429}");
+}
+
 TEST(Report, JsonArrayShape)
 {
     EXPECT_EQ(toJson(std::vector<SampleReport>{}), "[\n]\n");
+    const std::string one = toJson(sampleReport());
+    EXPECT_EQ(toJson(std::vector<SampleReport>{sampleReport(),
+                                               sampleReport()}),
+              "[\n  " + one + ",\n  " + one + "\n]\n");
     std::string two =
         toJson(std::vector<SampleReport>{sampleReport(),
                                          sampleReport()});
@@ -104,7 +133,7 @@ TEST(Report, WriteJsonRoundTripsThroughAFile)
 {
     std::vector<SampleReport> reports = {sampleReport()};
     std::string path = "report_test_tmp.json";
-    ASSERT_TRUE(writeJson(path, reports));
+    ASSERT_TRUE(writeJsonFile(path, toJson(reports)));
     std::ifstream in(path);
     std::stringstream buf;
     buf << in.rdbuf();
@@ -114,7 +143,8 @@ TEST(Report, WriteJsonRoundTripsThroughAFile)
 
 TEST(Report, WriteJsonFailsCleanlyOnBadPath)
 {
-    EXPECT_FALSE(writeJson("/nonexistent-dir/x/y.json", {}));
+    EXPECT_FALSE(writeJsonFile("/nonexistent-dir/x/y.json",
+                               toJson(std::vector<SampleReport>{})));
 }
 
 TEST(Report, RunSampledSimulationFillsEveryField)

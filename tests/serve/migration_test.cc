@@ -143,7 +143,10 @@ TEST(Migration, RoundTripPreservesIdentityAndCounters)
         EXPECT_GE(dst.tenantCounters(t).resumes, 1u)
             << "tenant should resume from the bundled checkpoint";
     }
+    // The service totals count only what dst itself delivered: the
+    // adopted lifetime counters live in the tenant records alone.
     const ServeCounters c = dst.counters();
+    EXPECT_EQ(c.packets, std::uint64_t{kTenants} * (kPackets - kHandoff));
     EXPECT_EQ(c.rejectedPackets, 0u);
     EXPECT_EQ(c.lostUpstream, 0u);
 }

@@ -481,3 +481,40 @@ TEST(Injector, ServeFrameTargetFlipsOneBit)
     EXPECT_EQ(diff_bits, 1u);
     EXPECT_EQ(injector.counts().serveFrameFlips, 1u);
 }
+
+TEST(ServiceLoop, MalformedFrameIsCountedOnceWhetherAttributedOrNot)
+{
+    // With fairness on, a frame whose header names a tenant but whose
+    // payload is bad counts at the partition (the service total) and
+    // against that tenant; garbage that names no tenant counts at the
+    // partition only. The service total holds each exactly once, and
+    // the sequence gap the bad frame leaves reaches the totals too.
+    ServeOptions opts;
+    opts.fairness.maxBacklog = 64;
+    ServiceLoop loop(opts);
+    const unsigned dims = opts.registry.tracker.classifier.numCounters;
+    const EncodedStream stream = encodeSyntheticStream(5, 10, dims);
+    SpscRing &ring = loop.ring(0);
+    std::vector<std::uint8_t> frame;
+    // Sequence 10 is the bad frame and 11 is never sent.
+    for (std::uint64_t seq : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12}) {
+        frame = stream[seq % stream.size()];
+        restampPacket(frame.data(), 3, seq);
+        if (seq == 10)
+            frame[28] = 1; // reserved field; the header still reads
+        ASSERT_TRUE(ring.tryPush(
+            frame.data(), static_cast<std::uint32_t>(frame.size())));
+    }
+    const std::uint8_t garbage[32] = {0xBA, 0xD0};
+    ASSERT_TRUE(ring.tryPush(garbage, sizeof(garbage)));
+    loop.producerDone(0);
+    loop.run();
+
+    const ServeCounters c = loop.counters();
+    EXPECT_EQ(c.packets, 11u);
+    EXPECT_EQ(c.malformedPackets, 2u);
+    EXPECT_EQ(loop.tenantCounters(3).malformedPackets, 1u);
+    EXPECT_EQ(c.accounted(), 13u);
+    EXPECT_EQ(c.seqGaps, 1u);
+    EXPECT_EQ(c.lostUpstream, 2u);
+}

@@ -262,6 +262,93 @@ TEST(TenantRegistry, FullRegistryWithoutCheckpointDirRaises)
     EXPECT_EQ(registry.counters().packets, 2u);
 }
 
+TEST(ServeReport, JsonIsPinnedByteForByte)
+{
+    // Every counter distinct, so a field written under the wrong key
+    // or in the wrong order shows. The two wall-clock values are
+    // chosen to print the same at any %g precision.
+    ServeReport rep;
+    rep.tenants = 2;
+    rep.producers = 3;
+    rep.jobs = 4;
+    rep.packetsProduced = 5;
+    rep.packetsDropped = 6;
+    rep.parkEvents = 7;
+    ServeCounters &s = rep.service;
+    s.packets = 101;
+    s.malformedPackets = 102;
+    s.rejectedPackets = 103;
+    s.shedPackets = 104;
+    s.tenants = 105;
+    s.evictions = 106;
+    s.resumes = 107;
+    s.phaseSwitches = 108;
+    s.duplicateSeq = 109;
+    s.seqGaps = 110;
+    s.lostUpstream = 111;
+    s.quarantines = 112;
+    s.quarantineDrops = 113;
+    s.readmissions = 114;
+    s.resumeFailures = 115;
+    s.drainCycles = 116;
+    rep.elapsedSec = 2.5;
+    rep.packetsPerSec = 1600.0;
+    ServeTenantReport t;
+    t.tenant = 7;
+    t.c.packets = 11;
+    t.c.phaseSwitches = 12;
+    t.c.evictions = 13;
+    t.c.resumes = 14;
+    t.c.duplicateSeq = 15;
+    t.c.lostUpstream = 16;
+    t.c.malformedPackets = 17;
+    t.c.shedPackets = 18;
+    t.c.parkEvents = 19;
+    t.c.packetsDropped = 20;
+    t.c.quarantines = 21;
+    t.c.quarantineDrops = 22;
+    t.c.readmissions = 23;
+    t.c.resumeFailures = 24;
+    rep.perTenant.push_back(t);
+    rep.perTenant.push_back({9, {}});
+
+    const std::string head =
+        "{\n  \"tenants\": 2, \"producers\": 3, \"jobs\": 4, "
+        "\"packets_produced\": 5, \"packets_dropped\": 6, "
+        "\"park_events\": 7, \n"
+        "  \"packets_delivered\": 101, \"malformed_packets\": 102, "
+        "\"rejected_packets\": 103, \"shed_packets\": 104, "
+        "\"service_tenants\": 105, \"evictions\": 106, "
+        "\"resumes\": 107, \"phase_switches\": 108, "
+        "\"duplicate_seq\": 109, \"seq_gaps\": 110, "
+        "\"lost_upstream\": 111, \n"
+        "  \"quarantines\": 112, \"quarantine_drops\": 113, "
+        "\"readmissions\": 114, \"resume_failures\": 115, "
+        "\"drain_cycles\": 116, \n"
+        "  \"elapsed_sec\": 2.5, \"packets_per_sec\": 1600, "
+        "\"per_tenant\": [";
+    EXPECT_EQ(toJson(rep),
+              head +
+                  "\n    {\"tenant\": 7, \"packets\": 11, "
+                  "\"phase_switches\": 12, \"evictions\": 13, "
+                  "\"resumes\": 14, \"duplicate_seq\": 15, "
+                  "\"lost_upstream\": 16, \"malformed_packets\": 17, "
+                  "\"shed_packets\": 18, \"park_events\": 19, "
+                  "\"packets_dropped\": 20, \"quarantines\": 21, "
+                  "\"quarantine_drops\": 22, \"readmissions\": 23, "
+                  "\"resume_failures\": 24},"
+                  "\n    {\"tenant\": 9, \"packets\": 0, "
+                  "\"phase_switches\": 0, \"evictions\": 0, "
+                  "\"resumes\": 0, \"duplicate_seq\": 0, "
+                  "\"lost_upstream\": 0, \"malformed_packets\": 0, "
+                  "\"shed_packets\": 0, \"park_events\": 0, "
+                  "\"packets_dropped\": 0, \"quarantines\": 0, "
+                  "\"quarantine_drops\": 0, \"readmissions\": 0, "
+                  "\"resume_failures\": 0}\n  ]\n}\n");
+    rep.perTenant.clear();
+    EXPECT_EQ(toJson(rep), head + "]\n}\n");
+}
+
 TEST(ServeReport, JsonContainsCountersAndTenants)
 {
     ServeReport rep;

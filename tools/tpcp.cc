@@ -181,6 +181,7 @@
 #include "analysis/parallel_runner.hh"
 #include "fault/resilience.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/running_stats.hh"
 #include "common/status.hh"
@@ -276,6 +277,24 @@ usage()
            "on ingested .tpcptrace files instead of workloads\n"
            "see the header of tools/tpcp.cc for all options\n";
     return 2;
+}
+
+/** Writes @p json to --json, if given ('-' disables, as in the bench
+ * harnesses), and says "wrote @p what to <path>"; false, after
+ * printing the error, when the file cannot be written. */
+bool
+emitJson(const Args &args, const std::string &json,
+         const std::string &what)
+{
+    const std::string path = args.get("json", "");
+    if (path.empty() || path == "-")
+        return true;
+    if (!writeJsonFile(path, json)) {
+        std::cerr << "error: cannot write " << path << "\n";
+        return false;
+    }
+    std::cout << "wrote " << what << " to " << path << "\n";
+    return true;
 }
 
 std::optional<std::string>
@@ -727,16 +746,9 @@ cmdSample(const Args &args)
     }
     table.print(std::cout);
 
-    // '-' disables, matching the bench harness convention.
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        if (!sample::writeJson(json, reports)) {
-            std::cerr << "error: cannot write " << json << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << reports.size() << " reports to "
-                  << json << "\n";
-    }
+    if (!emitJson(args, sample::toJson(reports),
+                  std::to_string(reports.size()) + " reports"))
+        return 1;
     if (args.has("max-error")) {
         double limit = args.getDouble("max-error", 0.0);
         if (worst > limit) {
@@ -817,16 +829,9 @@ cmdAdapt(const Args &args)
     }
     table.print(std::cout);
 
-    // '-' disables, matching the bench harness convention.
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        if (!adapt::writeJson(json, reports)) {
-            std::cerr << "error: cannot write " << json << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << reports.size() << " reports to "
-                  << json << "\n";
-    }
+    if (!emitJson(args, adapt::toJson(reports),
+                  std::to_string(reports.size()) + " reports"))
+        return 1;
     if (args.has("min-oracle")) {
         double limit = args.getDouble("min-oracle", 0.0);
         if (worst_fraction < limit) {
@@ -941,16 +946,9 @@ cmdFaults(const Args &args)
     }
     table.print(std::cout);
 
-    // '-' disables, matching the bench harness convention.
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        if (!fault::writeJson(json, reports)) {
-            std::cerr << "error: cannot write " << json << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << reports.size() << " reports to "
-                  << json << "\n";
-    }
+    if (!emitJson(args, fault::toJson(reports),
+                  std::to_string(reports.size()) + " reports"))
+        return 1;
     if (args.has("min-agreement")) {
         double limit = args.getDouble("min-agreement", 0.0);
         if (worst < limit) {
@@ -1190,15 +1188,10 @@ cmdServe(const Args &args)
     // consumer: delivered, malformed, visibly rejected, shed by the
     // flow scheduler, or dropped in quarantine. Anything else is
     // silent loss, which is a bug, not a statistic.
-    const std::uint64_t accounted = rep.service.packets +
-                                    rep.service.malformedPackets +
-                                    rep.service.rejectedPackets +
-                                    rep.service.shedPackets +
-                                    rep.service.quarantineDrops;
-    if (accounted != rep.packetsProduced) {
+    if (rep.service.accounted() != rep.packetsProduced) {
         std::cerr << "error: silent packet loss: "
                   << rep.packetsProduced << " pushed but only "
-                  << accounted << " accounted for\n";
+                  << rep.service.accounted() << " accounted for\n";
         return 1;
     }
 
@@ -1220,14 +1213,8 @@ cmdServe(const Args &args)
         std::cout << "wrote " << loop.allTenantIds().size()
                   << " phase streams to " << phase_out << "\n";
     }
-    std::string json = args.get("json", "");
-    if (!json.empty() && json != "-") {
-        if (!serve::writeJson(json, rep)) {
-            std::cerr << "error: cannot write " << json << "\n";
-            return 1;
-        }
-        std::cout << "wrote report to " << json << "\n";
-    }
+    if (!emitJson(args, serve::toJson(rep), "report"))
+        return 1;
     if (args.has("min-rate")) {
         const double limit = args.getDouble("min-rate", 0.0);
         if (rep.packetsPerSec < limit) {
