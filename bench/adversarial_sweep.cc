@@ -197,21 +197,21 @@ loadFloors(const std::string &path)
 std::string
 toJson(const RowResult &r)
 {
-    std::ostringstream os;
-    os << "{\"name\": \"" << r.name << "\""
-       << ", \"adversarial\": "
-       << (r.adversarial ? "true" : "false");
+    std::string out = "{";
+    appendField(out, "name", r.name);
+    appendField(out, "adversarial", r.adversarial);
     if (r.adversarial)
-        os << ", \"family\": \"" << r.family << "\"";
-    os << ", \"intervals\": " << r.intervals
-       << ", \"behaviors\": " << r.behaviors
-       << ", \"phases\": " << r.phases << ", \"stable_fraction\": "
-       << r.stableFraction << ", \"purity\": " << r.purity
-       << ", \"rle2_correct\": " << r.rle2Correct
-       << ", \"tage_correct\": " << r.tageCorrect
-       << ", \"mit_agree\": " << r.mitAgree
-       << ", \"unmit_agree\": " << r.unmitAgree << "}";
-    return os.str();
+        appendField(out, "family", r.family);
+    appendField(out, "intervals", r.intervals);
+    appendField(out, "behaviors", r.behaviors);
+    appendField(out, "phases", r.phases);
+    appendField(out, "stable_fraction", r.stableFraction);
+    appendField(out, "purity", r.purity);
+    appendField(out, "rle2_correct", r.rle2Correct);
+    appendField(out, "tage_correct", r.tageCorrect);
+    appendField(out, "mit_agree", r.mitAgree);
+    appendField(out, "unmit_agree", r.unmitAgree, true);
+    return out + "}";
 }
 
 } // namespace

@@ -55,6 +55,7 @@
 #include "analysis/parallel_runner.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/injector.hh"
 #include "serve/migration.hh"
@@ -74,6 +75,16 @@ struct Metric
     std::string name;
     double value = 0.0;
 };
+
+std::string
+toJson(const Metric &m)
+{
+    std::string out = "{";
+    appendField(out, "cell", m.cell);
+    appendField(out, "metric", m.name);
+    appendField(out, "value", m.value, true);
+    return out + "}";
+}
 
 /** Jain's fairness index: (sum x)^2 / (n * sum x^2); 1.0 = equal
  * shares, 1/n = one tenant took everything. */
@@ -166,8 +177,6 @@ runFairnessCell(std::size_t cycles, bool resilient,
     ServeOptions opts;
     opts.producers = kPartitions;
     opts.registry.maxResident = 32;
-    opts.registry.checkpointDir =
-        scratchDir(resilient ? "fair_res" : "fair_base");
     if (resilient) {
         opts.fairness.ratePerCycle = 1;
         opts.fairness.burst = 2;
@@ -296,7 +305,6 @@ runQuarantineCell()
     opts.producers = 1;
     opts.registry.maxResident = kTenants;
     opts.registry.recordPhases = true;
-    opts.registry.checkpointDir = scratchDir("quarantine");
     opts.registry.quarantine.offenseThreshold = 4;
     opts.registry.quarantine.offenseWindow = 256;
     opts.registry.quarantine.backoffBase = 64;
@@ -424,7 +432,6 @@ runMigrationCell()
     opts.producers = 2;
     opts.registry.maxResident = kTenants;
     opts.registry.recordPhases = true;
-    opts.registry.checkpointDir = scratchDir("mig_src");
 
     const unsigned dims =
         opts.registry.tracker.classifier.numCounters;
@@ -439,9 +446,7 @@ runMigrationCell()
     src.migrateOut(bundle);
 
     // Round trip: adopt, replay the tail, compare against batch.
-    ServeOptions dopts = opts;
-    dopts.registry.checkpointDir = scratchDir("mig_dst");
-    ServiceLoop dst(dopts);
+    ServiceLoop dst(opts);
     bool identity = dst.migrateIn(bundle) == kTenants;
     pushed += feedRange(dst, streams, kHandoff, kPackets);
     for (std::uint64_t t = 0; t < kTenants; ++t) {
@@ -465,10 +470,7 @@ runMigrationCell()
             bundle, copy,
             std::filesystem::copy_options::overwrite_existing);
         damageBundle(copy, v);
-        ServeOptions vopts = opts;
-        vopts.registry.checkpointDir =
-            scratchDir("mig_dmg_ckpt_" + std::to_string(v));
-        ServiceLoop victim(vopts);
+        ServiceLoop victim(opts);
         try {
             victim.migrateIn(copy);
         } catch (const Error &) {
@@ -487,8 +489,8 @@ runMigrationCell()
 }
 
 /** Eviction churn with the serve fault targets armed: torn, flipped,
- * emptied and deleted checkpoints plus frame bit flips, all counted,
- * none fatal, conservation exact. */
+ * emptied and lost checkpoint images plus frame bit flips, all
+ * counted, none fatal, conservation exact. */
 std::vector<Metric>
 runCheckpointChaosCell()
 {
@@ -498,11 +500,10 @@ runCheckpointChaosCell()
     ServeOptions opts;
     opts.producers = 1;
     opts.registry.maxResident = 3; // three slots, ten tenants: churn
-    opts.registry.checkpointDir = scratchDir("ckpt_chaos");
     ServiceLoop loop(opts);
 
-    // Target::All arms both serve hooks: checkpoint writes may be
-    // torn/flipped/emptied/deleted, popped frames may take bit
+    // Target::All arms both serve hooks: checkpoint images may be
+    // torn/flipped/emptied/lost, popped frames may take bit
     // flips. (The tracker-level targets in All are reached only via
     // beforeInterval, which the serve path never calls.)
     fault::InjectorConfig fcfg;
@@ -619,17 +620,7 @@ main(int argc, char **argv)
                   << " -> resilient jain " << res_jain << "\n";
 
         if (json_path != "-") {
-            std::ofstream out(json_path);
-            if (!out)
-                tpcp_raise("cannot write ", json_path);
-            out << "[\n";
-            for (std::size_t i = 0; i < metrics.size(); ++i)
-                out << "  {\"cell\": \"" << metrics[i].cell
-                    << "\", \"metric\": \"" << metrics[i].name
-                    << "\", \"value\": " << metrics[i].value << "}"
-                    << (i + 1 < metrics.size() ? "," : "") << "\n";
-            out << "]\n";
-            if (!out.flush())
+            if (!writeJsonFile(json_path, toJsonLines(metrics)))
                 tpcp_raise("cannot write ", json_path);
             std::cout << "wrote " << metrics.size()
                       << " metrics to " << json_path << "\n";

@@ -23,7 +23,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "analysis/experiment.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "pred/eval.hh"
 
 using namespace tpcp;
@@ -47,27 +47,19 @@ const std::vector<std::string> kSpecNames = {
     "tage",    "perceptron",
 };
 
-/** Fixed-precision double for bit-identical JSON at any --jobs. */
 std::string
-jnum(double v)
+toJson(const ChangeOutcomeStats &s)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-}
-
-void
-jsonStats(std::ostream &os, const ChangeOutcomeStats &s)
-{
-    os << "{\"changes\": " << s.changes
-       << ", \"correct_rate\": " << jnum(s.correctRate())
-       << ", \"conf_correct_rate\": "
-       << jnum(s.confidentCorrectRate())
-       << ", \"conf_correct\": " << s.confCorrect
-       << ", \"unconf_correct\": " << s.unconfCorrect
-       << ", \"tag_miss\": " << s.tagMiss
-       << ", \"unconf_incorrect\": " << s.unconfIncorrect
-       << ", \"conf_incorrect\": " << s.confIncorrect << "}";
+    std::string out = "{";
+    appendField(out, "changes", s.changes);
+    appendField(out, "correct_rate", s.correctRate());
+    appendField(out, "conf_correct_rate", s.confidentCorrectRate());
+    appendField(out, "conf_correct", s.confCorrect);
+    appendField(out, "unconf_correct", s.unconfCorrect);
+    appendField(out, "tag_miss", s.tagMiss);
+    appendField(out, "unconf_incorrect", s.unconfIncorrect);
+    appendField(out, "conf_incorrect", s.confIncorrect, true);
+    return out + "}";
 }
 
 /** Coverage of the confidence gate: confident fraction of changes.
@@ -91,6 +83,20 @@ confAccuracy(const ChangeOutcomeStats &s)
     return conf ? static_cast<double>(s.confCorrect) /
                       static_cast<double>(conf)
                 : 0.0;
+}
+
+/** One confidence-sweep point: the swept @p knob's value, then the
+ * gate's coverage and accuracy. */
+std::string
+sweepPointJson(const char *knob, unsigned value,
+               const ChangeOutcomeStats &s)
+{
+    std::string out = "{";
+    appendField(out, knob, value);
+    appendField(out, "coverage", coverage(s));
+    appendField(out, "conf_accuracy", confAccuracy(s));
+    appendField(out, "correct_rate", s.correctRate(), true);
+    return out + "}";
 }
 
 } // namespace
@@ -228,50 +234,42 @@ main(int argc, char **argv)
     sweep.print(std::cout);
 
     if (json_path != "-") {
-        std::ofstream os(json_path);
-        if (!os) {
+        std::string json = "{\n  \"workloads\": [\n";
+        for (std::size_t w = 0; w < W; ++w) {
+            json += "    {";
+            appendField(json, "workload", names[w]);
+            appendField(json, "perfect_markov1", perfect[w].coverage());
+            appendKey(json, "predictors");
+            json += "{";
+            for (std::size_t p = 0; p < P; ++p) {
+                appendKey(json, kSpecNames[p].c_str());
+                json += toJson(cells[w * P + p]);
+                json += p + 1 < P ? ", " : "";
+            }
+            json += w + 1 < W ? "}},\n" : "}}\n";
+        }
+        json += "  ],\n  \"sweep\": {\n    \"tage\": [";
+        for (std::size_t i = 0; i < tageThresholds.size(); ++i)
+            json += (i ? ", " : "") +
+                    sweepPointJson("conf_threshold", tageThresholds[i],
+                                   tageSweep[i]);
+        json += "],\n    \"perceptron\": [";
+        for (std::size_t i = 0; i < percMargins.size(); ++i)
+            json += (i ? ", " : "") +
+                    sweepPointJson("conf_margin", percMargins[i],
+                                   percSweep[i]);
+        json += "]\n  },\n  \"aggregate\": {";
+        appendKey(json, "rle2");
+        json += toJson(aggRle2) + ", ";
+        appendKey(json, "tage");
+        json += toJson(aggTage) + ", ";
+        appendKey(json, "perceptron");
+        json += toJson(aggPerc) + "}\n}\n";
+        if (!writeJsonFile(json_path, json)) {
             std::cerr << "error: cannot write " << json_path
                       << "\n";
             return 1;
         }
-        os << "{\n  \"workloads\": [\n";
-        for (std::size_t w = 0; w < W; ++w) {
-            os << "    {\"workload\": \"" << names[w]
-               << "\", \"perfect_markov1\": "
-               << jnum(perfect[w].coverage())
-               << ", \"predictors\": {";
-            for (std::size_t p = 0; p < P; ++p) {
-                os << (p ? ", " : "") << "\"" << kSpecNames[p]
-                   << "\": ";
-                jsonStats(os, cells[w * P + p]);
-            }
-            os << "}}" << (w + 1 < W ? "," : "") << "\n";
-        }
-        os << "  ],\n  \"sweep\": {\n    \"tage\": [";
-        for (std::size_t i = 0; i < tageThresholds.size(); ++i)
-            os << (i ? ", " : "") << "{\"conf_threshold\": "
-               << tageThresholds[i] << ", \"coverage\": "
-               << jnum(coverage(tageSweep[i]))
-               << ", \"conf_accuracy\": "
-               << jnum(confAccuracy(tageSweep[i]))
-               << ", \"correct_rate\": "
-               << jnum(tageSweep[i].correctRate()) << "}";
-        os << "],\n    \"perceptron\": [";
-        for (std::size_t i = 0; i < percMargins.size(); ++i)
-            os << (i ? ", " : "") << "{\"conf_margin\": "
-               << percMargins[i] << ", \"coverage\": "
-               << jnum(coverage(percSweep[i]))
-               << ", \"conf_accuracy\": "
-               << jnum(confAccuracy(percSweep[i]))
-               << ", \"correct_rate\": "
-               << jnum(percSweep[i].correctRate()) << "}";
-        os << "]\n  },\n  \"aggregate\": {\"rle2\": ";
-        jsonStats(os, aggRle2);
-        os << ", \"tage\": ";
-        jsonStats(os, aggTage);
-        os << ", \"perceptron\": ";
-        jsonStats(os, aggPerc);
-        os << "}\n}\n";
         std::cout << "\nwrote " << json_path << "\n";
     }
 
@@ -284,10 +282,10 @@ main(int argc, char **argv)
                 100.0 * aggPerc.correctRate());
     if (args.has("check-improve") &&
         bestNewAgg <= aggRle2.correctRate()) {
-        std::cerr << "FAIL: best new predictor ("
-                  << jnum(bestNewAgg)
-                  << ") does not beat RLE-2 ("
-                  << jnum(aggRle2.correctRate()) << ")\n";
+        std::fprintf(stderr,
+                     "FAIL: best new predictor (%.6f) does not "
+                     "beat RLE-2 (%.6f)\n",
+                     bestNewAgg, aggRle2.correctRate());
         return 1;
     }
     return 0;

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -35,6 +34,7 @@
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
+#include "common/json.hh"
 #include "serve/service.hh"
 
 using namespace tpcp;
@@ -45,6 +45,7 @@ namespace
 struct SweepPoint
 {
     unsigned tenants = 0;
+    unsigned producers = 0;
     std::uint64_t produced = 0;
     std::uint64_t delivered = 0;
     std::uint64_t parkEvents = 0;
@@ -52,6 +53,20 @@ struct SweepPoint
     double elapsedSec = 0.0;
     double packetsPerSec = 0.0;
 };
+
+std::string
+toJson(const SweepPoint &pt)
+{
+    std::string out = "{";
+    appendField(out, "tenants", pt.tenants);
+    appendField(out, "producers", pt.producers);
+    appendField(out, "packets", pt.delivered);
+    appendField(out, "park_events", pt.parkEvents);
+    appendField(out, "evictions", pt.evictions);
+    appendField(out, "elapsed_sec", pt.elapsedSec);
+    appendField(out, "packets_per_sec", pt.packetsPerSec, true);
+    return out + "}";
+}
 
 SweepPoint
 runPoint(unsigned tenants, unsigned producers,
@@ -95,6 +110,7 @@ runPoint(unsigned tenants, unsigned producers,
 
     SweepPoint pt;
     pt.tenants = tenants;
+    pt.producers = producers;
     for (const serve::ProducerCounters &c : pcs) {
         pt.produced += c.pushed;
         pt.parkEvents += c.parkEvents;
@@ -193,7 +209,7 @@ main(int argc, char **argv)
         points.push_back(pt);
         table.row()
             .cell(std::uint64_t{pt.tenants})
-            .cell(std::uint64_t{producers})
+            .cell(std::uint64_t{pt.producers})
             .cell(pt.delivered)
             .cell(pt.parkEvents)
             .cell(pt.evictions)
@@ -204,24 +220,10 @@ main(int argc, char **argv)
 
     std::string json = args.get("json", "");
     if (!json.empty() && json != "-") {
-        std::ofstream out(json);
-        if (!out) {
+        if (!writeJsonFile(json, toJsonLines(points))) {
             std::cerr << "error: cannot write " << json << "\n";
             return 1;
         }
-        out << "[\n";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const SweepPoint &pt = points[i];
-            out << "  {\"tenants\": " << pt.tenants
-                << ", \"producers\": " << producers
-                << ", \"packets\": " << pt.delivered
-                << ", \"park_events\": " << pt.parkEvents
-                << ", \"evictions\": " << pt.evictions
-                << ", \"elapsed_sec\": " << pt.elapsedSec
-                << ", \"packets_per_sec\": " << pt.packetsPerSec
-                << (i + 1 < points.size() ? "},\n" : "}\n");
-        }
-        out << "]\n";
         std::cout << "wrote " << points.size() << " points to "
                   << json << "\n";
     }

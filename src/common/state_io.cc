@@ -139,9 +139,9 @@ writeFileAtomic(const std::string &path,
     return false;
 }
 
-bool
-writeStateFile(const std::string &path, std::uint32_t magic,
-               std::uint32_t version, const StateWriter &payload)
+std::vector<std::uint8_t>
+sealStateFile(std::uint32_t magic, std::uint32_t version,
+              const StateWriter &payload)
 {
     StateWriter file;
     file.reserve(kEnvelopeHeaderBytes + payload.size());
@@ -150,7 +150,14 @@ writeStateFile(const std::string &path, std::uint32_t magic,
     file.u64(payload.size());
     file.u32(crc32(payload.buffer().data(), payload.size()));
     file.raw(payload.buffer().data(), payload.size());
-    return writeFileAtomic(path, file.buffer());
+    return file.take();
+}
+
+bool
+writeStateFile(const std::string &path, std::uint32_t magic,
+               std::uint32_t version, const StateWriter &payload)
+{
+    return writeFileAtomic(path, sealStateFile(magic, version, payload));
 }
 
 std::vector<std::uint8_t>

@@ -17,12 +17,14 @@
  * corrupted image surfaces as a recoverable error, never as UB or an
  * allocation sized by a forged field.
  *
- * writeStateFile()/readStateFile() wrap a payload in a versioned,
+ * sealStateFile()/parseStateFile() wrap a payload in a versioned,
  * CRC-32-checksummed envelope (magic, version, payload length, CRC,
- * payload). Every byte of the file is covered: magic/version/length
- * mismatches and trailing bytes are detected structurally, and any
- * payload corruption fails the checksum — flipping a single bit
- * anywhere in a state file makes the load fail cleanly.
+ * payload) held in memory; writeStateFile()/readStateFile() do the
+ * same through a file. Every byte of the image is covered:
+ * magic/version/length mismatches and trailing bytes are detected
+ * structurally, and any payload corruption fails the checksum —
+ * flipping a single bit anywhere in a state file makes the load fail
+ * cleanly.
  */
 
 #ifndef TPCP_COMMON_STATE_IO_HH
@@ -259,6 +261,13 @@ std::vector<std::uint8_t> readFile(const std::string &path);
  */
 bool writeFileAtomic(const std::string &path,
                      const std::vector<std::uint8_t> &bytes);
+
+/** The state-file image of @p payload: the checksummed envelope
+ * followed by the payload, byte for byte what writeStateFile()
+ * writes. */
+std::vector<std::uint8_t> sealStateFile(std::uint32_t magic,
+                                        std::uint32_t version,
+                                        const StateWriter &payload);
 
 /**
  * Writes @p payload to @p path inside the checksummed envelope,

@@ -1,8 +1,6 @@
 #include "fault/injector.hh"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <limits>
 
@@ -174,48 +172,28 @@ Injector::beforeInterval(pred::PhaseTracker &tracker,
 }
 
 bool
-Injector::corruptCheckpointFile(const std::string &path)
+Injector::corruptCheckpoint(std::vector<std::uint8_t> &image)
 {
     if (!targets(Target::ServeCheckpoint) ||
         cfg.ratePerInterval <= 0.0 ||
         !rng.nextBool(cfg.ratePerInterval))
         return false;
 
-    // Read the freshly written file so the damage is relative to
-    // real bytes (a flip inside the CRC-covered payload, a torn tail
-    // at a real offset).
-    std::vector<std::uint8_t> bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            return false;
-        bytes.assign((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    }
-
     const unsigned mode = rng.nextBounded(4);
-    if (mode == 3) {
-        // The write never happened (crash before the rename).
-        std::remove(path.c_str());
-        ++counts_.serveCheckpointFaults;
-        return true;
-    }
-    if (mode == 0 && !bytes.empty()) {
+    if (mode == 0 && !image.empty()) {
         // Torn write: the tail is gone.
-        bytes.resize(rng.nextBounded(
-            static_cast<std::uint32_t>(bytes.size())));
-    } else if (mode == 1 && !bytes.empty()) {
+        image.resize(rng.nextBounded(
+            static_cast<std::uint32_t>(image.size())));
+    } else if (mode == 1 && !image.empty()) {
         // Media corruption: one flipped bit anywhere.
         const std::uint32_t bit = rng.nextBounded(
-            static_cast<std::uint32_t>(bytes.size() * 8));
-        bytes[bit / 8] ^= std::uint8_t(1) << (bit % 8);
+            static_cast<std::uint32_t>(image.size() * 8));
+        image[bit / 8] ^= std::uint8_t(1) << (bit % 8);
     } else {
-        // Crash right at creation: the file exists but is empty.
-        bytes.clear();
+        // Crash right at creation (empty) or before the image was
+        // kept at all (mode 3, gone): either way no byte survives.
+        image.clear();
     }
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
     ++counts_.serveCheckpointFaults;
     return true;
 }

@@ -59,7 +59,7 @@ enum class Target
     ChangeTable,    ///< Markov/RLE phase-change predictor entries
     LengthTable,    ///< run-length predictor entries
     InputStats,     ///< the interval's measured CPI from the profile
-    ServeCheckpoint,///< tenant checkpoint files (torn/corrupt/missing)
+    ServeCheckpoint,///< tenant checkpoint images (torn/corrupt/missing)
     ServeFrame,     ///< wire frames in the service's ingest rings
     All,            ///< every structure above
 };
@@ -127,15 +127,15 @@ class Injector
                         std::vector<std::uint32_t> &raw, double &cpi);
 
     /**
-     * Serve-layer crash model: called right after a tenant
-     * checkpoint lands on disk. With ServeCheckpoint targeted, one
+     * Serve-layer crash model: called right after a tenant's
+     * checkpoint image is sealed. With ServeCheckpoint targeted, one
      * Bernoulli draw decides whether the "crash window" hit this
-     * write; when it does, the file is torn (truncated mid-payload),
-     * bit-flipped, emptied, or deleted — the four shapes a real
-     * interrupted write leaves behind. Returns true when the file
-     * was damaged.
+     * eviction; when it does, the image is torn (truncated
+     * mid-payload), bit-flipped, emptied, or gone — the four shapes
+     * a real interrupted write leaves behind. Returns true when the
+     * image was damaged.
      */
-    bool corruptCheckpointFile(const std::string &path);
+    bool corruptCheckpoint(std::vector<std::uint8_t> &image);
 
     /**
      * Serve-layer transport model: called on a frame popped from an

@@ -17,14 +17,6 @@ joinPath(const std::string &dir, const std::string &name)
 }
 
 void
-installFile(const std::string &path,
-            const std::vector<std::uint8_t> &bytes)
-{
-    if (!writeFileAtomic(path, bytes))
-        tpcp_raise("cannot write ", path);
-}
-
-void
 writeCounters(StateWriter &w, const ServeCounters &c)
 {
     for (const CounterField &f : kTenantCounterFields)
@@ -50,7 +42,6 @@ tenantCheckpointFile(std::uint64_t tenant)
 
 void
 writeMigrationBundle(const std::string &bundle_dir,
-                     const std::string &checkpoint_dir,
                      const std::vector<MigratedTenant> &tenants)
 {
     std::error_code ec;
@@ -66,18 +57,19 @@ writeMigrationBundle(const std::string &bundle_dir,
         manifest.u64(t.nextSeq);
         writeCounters(manifest, t.c);
         manifest.u64(t.quarantineRemaining);
-        manifest.b(t.hasCheckpoint);
-        if (!t.hasCheckpoint)
+        const std::vector<std::uint8_t> &image = t.checkpoint;
+        manifest.b(!image.empty());
+        if (image.empty())
             continue;
-        const std::string name = tenantCheckpointFile(t.id);
-        // Copy the checkpoint into the bundle first; the copy may
-        // tear on a crash, but without a manifest the bundle is
-        // unimportable, so a torn copy can never be consumed.
-        const std::vector<std::uint8_t> bytes =
-            readFile(joinPath(checkpoint_dir, name));
-        installFile(joinPath(bundle_dir, name), bytes);
-        manifest.u64(bytes.size());
-        manifest.u32(crc32(bytes.data(), bytes.size()));
+        // Write the checkpoint first; it may tear on a crash, but
+        // without a manifest the bundle is unimportable, so a torn
+        // file can never be consumed.
+        const std::string path =
+            joinPath(bundle_dir, tenantCheckpointFile(t.id));
+        if (!writeFileAtomic(path, image))
+            tpcp_raise("cannot write ", path);
+        manifest.u64(image.size());
+        manifest.u32(crc32(image.data(), image.size()));
     }
     // The manifest rename is the bundle's commit point.
     if (!writeStateFile(joinPath(bundle_dir, kMigrationManifest),
@@ -86,8 +78,7 @@ writeMigrationBundle(const std::string &bundle_dir,
 }
 
 std::vector<MigratedTenant>
-loadMigrationBundle(const std::string &bundle_dir,
-                    const std::string &checkpoint_dir)
+loadMigrationBundle(const std::string &bundle_dir)
 {
     const std::vector<std::uint8_t> payload =
         readStateFile(joinPath(bundle_dir, kMigrationManifest),
@@ -100,18 +91,13 @@ loadMigrationBundle(const std::string &bundle_dir,
 
     std::vector<MigratedTenant> tenants;
     tenants.reserve(count);
-    // Pass 1: parse and validate everything before installing
-    // anything, so a damaged bundle leaves the importing service's
-    // checkpoint directory untouched.
-    std::vector<std::vector<std::uint8_t>> files;
     for (std::uint64_t i = 0; i < count; ++i) {
         MigratedTenant t;
         t.id = r.u64();
         t.nextSeq = r.u64();
         t.c = readCounters(r);
         t.quarantineRemaining = r.u64();
-        t.hasCheckpoint = r.b();
-        if (t.hasCheckpoint) {
+        if (r.b()) {
             const std::uint64_t want_size = r.u64();
             const std::uint32_t want_crc = r.u32();
             const std::string path = joinPath(
@@ -129,31 +115,13 @@ loadMigrationBundle(const std::string &bundle_dir,
             // but an invalid TSRV envelope.
             parseStateFile(bytes, kTenantCheckpointMagic,
                            kTenantCheckpointVersion, path);
-            files.push_back(std::move(bytes));
-        } else {
-            files.emplace_back();
+            t.checkpoint = std::move(bytes);
         }
         tenants.push_back(std::move(t));
     }
     if (!r.atEnd())
         tpcp_raise("migration manifest has ", r.remaining(),
                    " trailing bytes");
-
-    // Pass 2: install. Everything is validated; each install is
-    // atomic, and re-running a partially installed import is safe
-    // (same bytes, same names).
-    std::error_code ec;
-    std::filesystem::create_directories(checkpoint_dir, ec);
-    if (ec)
-        tpcp_raise("cannot create checkpoint directory ",
-                   checkpoint_dir, ": ", ec.message());
-    for (std::size_t i = 0; i < tenants.size(); ++i) {
-        if (!tenants[i].hasCheckpoint)
-            continue;
-        installFile(joinPath(checkpoint_dir,
-                             tenantCheckpointFile(tenants[i].id)),
-                    files[i]);
-    }
     return tenants;
 }
 

@@ -1,8 +1,6 @@
 #include "serve/service.hh"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "common/json.hh"
@@ -86,22 +84,27 @@ ServiceLoop::noteProducerStats(unsigned partition,
 }
 
 void
-ServiceLoop::deliverFrame(Partition &p, std::uint64_t tenant,
-                          const std::uint8_t *data, std::size_t size)
+ServiceLoop::deliverFrame(Partition &p, const std::uint8_t *data,
+                          std::size_t size)
 {
     try {
         decodePacket(data, size, p.pkt);
     } catch (const Error &) {
-        // The header peeked fine but the payload is bad: count it at
-        // the partition (the conservation identity's malformed term)
-        // and attribute it to the tenant (observability + offense).
+        // Count it at the partition (the conservation identity's
+        // malformed term) and, when the header still names a tenant,
+        // attribute it there too (observability + offense).
+        // Unattributable garbage stays partition-level.
         ++p.malformed;
-        p.registry.noteMalformed(tenant);
+        std::uint64_t tenant = 0;
+        if (peekPacketTenant(data, size, tenant))
+            p.registry.noteMalformed(tenant);
         return;
     }
     try {
         p.registry.deliverPacket(p.pkt);
     } catch (const Error &) {
+        // Duplicate/reordered sequence or a damaged resume image:
+        // the packet is rejected, the service keeps running.
         ++p.rejected;
     }
 }
@@ -125,22 +128,8 @@ ServiceLoop::drainOne(Partition &p)
             p.injector->maybeCorruptFrame(p.frame.data(),
                                           p.frame.size());
         if (p.sched == nullptr) {
-            // Plain FIFO drain (resilience off): pop-decode-deliver,
-            // byte-identical to the original drain loop.
-            try {
-                decodePacket(p.frame.data(), p.frame.size(), p.pkt);
-            } catch (const Error &) {
-                ++p.malformed;
-                continue;
-            }
-            try {
-                p.registry.deliverPacket(p.pkt);
-            } catch (const Error &) {
-                // Duplicate/reordered sequence, a full registry with
-                // no checkpoint directory, or a failed resume: the
-                // packet is rejected, the service keeps running.
-                ++p.rejected;
-            }
+            // Plain FIFO drain (resilience off): pop-decode-deliver.
+            deliverFrame(p, p.frame.data(), p.frame.size());
             continue;
         }
         // Fairness path: attribute the frame to its tenant and stage
@@ -164,9 +153,9 @@ ServiceLoop::drainOne(Partition &p)
                                        : opts.drainBatch;
         p.drained += p.sched->drain(
             budget,
-            [this, &p](std::uint64_t tenant,
+            [this, &p](std::uint64_t,
                        const std::vector<std::uint8_t> &f) {
-                deliverFrame(p, tenant, f.data(), f.size());
+                deliverFrame(p, f.data(), f.size());
             });
     }
     p.registry.evictIdle();
@@ -221,8 +210,6 @@ ServiceLoop::runCycle()
 void
 ServiceLoop::migrateOut(const std::string &bundle_dir)
 {
-    tpcp_assert(!opts.registry.checkpointDir.empty(),
-                "migration needs a checkpoint directory");
     std::vector<MigratedTenant> tenants;
     for (auto &part : parts_) {
         part->registry.evictAll();
@@ -233,20 +220,17 @@ ServiceLoop::migrateOut(const std::string &bundle_dir)
               [](const MigratedTenant &a, const MigratedTenant &b) {
                   return a.id < b.id;
               });
-    writeMigrationBundle(bundle_dir, opts.registry.checkpointDir,
-                         tenants);
+    writeMigrationBundle(bundle_dir, tenants);
 }
 
 std::size_t
 ServiceLoop::migrateIn(const std::string &bundle_dir)
 {
-    tpcp_assert(!opts.registry.checkpointDir.empty(),
-                "migration needs a checkpoint directory");
-    const std::vector<MigratedTenant> tenants =
-        loadMigrationBundle(bundle_dir,
-                            opts.registry.checkpointDir);
-    for (const MigratedTenant &t : tenants)
-        parts_[t.id % parts_.size()]->registry.adoptTenant(t);
+    std::vector<MigratedTenant> tenants =
+        loadMigrationBundle(bundle_dir);
+    for (MigratedTenant &t : tenants)
+        parts_[t.id % parts_.size()]->registry.adoptTenant(
+            std::move(t));
     return tenants.size();
 }
 
@@ -301,21 +285,6 @@ ServiceLoop::phaseStream(std::uint64_t tenant) const
     if (r == nullptr)
         tpcp_raise("unknown tenant ", tenant);
     return r->phaseStream(tenant);
-}
-
-void
-ServiceLoop::writePhaseStreams(const std::string &dir) const
-{
-    std::filesystem::create_directories(dir);
-    for (std::uint64_t id : allTenantIds()) {
-        const std::string path =
-            dir + "/tenant_" + std::to_string(id) + ".phases";
-        std::ofstream out(path);
-        if (!out)
-            tpcp_raise("cannot write phase stream ", path);
-        for (PhaseId p : phaseStream(id))
-            out << p << '\n';
-    }
 }
 
 std::string

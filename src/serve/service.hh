@@ -164,8 +164,8 @@ class ServiceLoop
 
     /**
      * Arms serve-layer fault injection for partition @p i: frames
-     * popped from the ring may take bit flips, and tenant checkpoint
-     * writes may be torn, corrupted or deleted. One injector per
+     * popped from the ring may take bit flips, and evicted tenants'
+     * checkpoint images may be torn, corrupted or lost. One injector per
      * partition (it is used from that partition's drain task only);
      * must outlive the service loop.
      */
@@ -173,18 +173,17 @@ class ServiceLoop
 
     /**
      * Migrates every tenant out into a crash-consistent bundle at
-     * @p bundle_dir: evicts all resident tenants (checkpointing
-     * them), snapshots every tenant's sequence/counter/quarantine
-     * state, and commits the bundle manifest last, atomically. The
-     * service must be quiescent (run() returned). Requires a
-     * checkpointDir.
+     * @p bundle_dir: evicts all resident tenants (sealing their
+     * checkpoint images), snapshots every tenant's sequence/counter/
+     * quarantine state, and commits the bundle manifest last,
+     * atomically. The service must be quiescent (run() returned).
      */
     void migrateOut(const std::string &bundle_dir);
 
     /**
-     * Validates the bundle at @p bundle_dir end to end, installs its
-     * checkpoints into this service's checkpointDir, and adopts each
-     * tenant into partition (id % numPartitions()) — the same
+     * Validates the bundle at @p bundle_dir end to end and adopts
+     * each tenant, with its checkpoint image, into partition
+     * (id % numPartitions()) — the same
      * mapping the CLI uses to assign tenants to producers. Returns
      * the number of tenants adopted. A damaged bundle raises a
      * recoverable tpcp::Error before any tenant is adopted. Call
@@ -200,13 +199,6 @@ class ServiceLoop
      * registry.recordPhases). */
     const std::vector<PhaseId> &
     phaseStream(std::uint64_t tenant) const;
-
-    /**
-     * Writes each tenant's recorded phase-ID stream as
-     * `<dir>/tenant_<id>.phases` (one decimal phase id per line) —
-     * the byte-level artifact CI diffs against the batch path.
-     */
-    void writePhaseStreams(const std::string &dir) const;
 
   private:
     /** One partition: a ring, its registry, and drain scratch. */
@@ -238,9 +230,11 @@ class ServiceLoop
      * fairness on, serves its flow backlog once. */
     void drainOne(Partition &p);
 
-    /** The scheduler sink: decode + deliver one served frame. */
-    void deliverFrame(Partition &p, std::uint64_t tenant,
-                      const std::uint8_t *data, std::size_t size);
+    /** Decodes and delivers one frame (a FIFO pop or a scheduler
+     * release), counting a malformed one against the tenant its
+     * header names. */
+    void deliverFrame(Partition &p, const std::uint8_t *data,
+                      std::size_t size);
 
     const TenantRegistry *findTenant(std::uint64_t tenant) const;
 

@@ -1,6 +1,7 @@
 #include "serve/tenant_registry.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/state_io.hh"
 #include "fault/injector.hh"
@@ -26,10 +27,6 @@ TenantRegistry::TenantRegistry(const RegistryConfig &config)
     tpcp_assert(cfg.maxResident > 0,
                 "registry needs at least one resident slot");
     tpcp_assert(!cfg.quarantine.enabled() ||
-                    !cfg.checkpointDir.empty(),
-                "quarantine needs a checkpoint directory to park "
-                "tenant state in");
-    tpcp_assert(!cfg.quarantine.enabled() ||
                     cfg.quarantine.backoffBase > 0,
                 "quarantine backoff must be at least one tick");
     freeSlots_.reserve(cfg.maxResident);
@@ -37,13 +34,6 @@ TenantRegistry::TenantRegistry(const RegistryConfig &config)
     // hand them out in ascending order for readable debugging.
     for (unsigned i = cfg.maxResident; i-- > 0;)
         freeSlots_.push_back(i);
-}
-
-std::string
-TenantRegistry::checkpointPath(std::uint64_t tenant) const
-{
-    return cfg.checkpointDir + "/tenant_" + std::to_string(tenant) +
-           ".ckpt";
 }
 
 TenantRegistry::Tenant &
@@ -60,15 +50,13 @@ TenantRegistry::evict(Tenant &t)
     StateWriter w;
     w.u64(t.id);
     t.tracker->saveState(w);
-    const std::string path = checkpointPath(t.id);
-    if (!writeStateFile(path, kTenantCheckpointMagic,
-                        kTenantCheckpointVersion, w))
-        tpcp_raise("cannot write tenant checkpoint ", path);
-    // Serve-layer fault injection: a "crash" between the checkpoint
-    // write and the next resume shows up as a torn, corrupted or
-    // missing file — exactly what the injector plants here.
+    t.checkpoint = sealStateFile(kTenantCheckpointMagic,
+                                 kTenantCheckpointVersion, w);
+    // Serve-layer fault injection: a "crash" between the eviction
+    // and the next resume shows up as a torn, corrupted or missing
+    // image — exactly what the injector plants here.
     if (injector_ != nullptr)
-        injector_->corruptCheckpointFile(path);
+        injector_->corruptCheckpoint(t.checkpoint);
     // Return the slot pristine: clear() fully resets the table
     // (entries, LRU ticks, eviction counts), so the next tenant in
     // this slot classifies exactly as if the slot were newly built.
@@ -94,10 +82,6 @@ TenantRegistry::evictOldest()
     }
     tpcp_assert(oldest != nullptr,
                 "no resident tenant to evict from a full registry");
-    if (cfg.checkpointDir.empty())
-        tpcp_raise("registry is full (", cfg.maxResident,
-                   " resident tenants) and has no checkpoint "
-                   "directory to evict into");
     evict(*oldest);
 }
 
@@ -107,14 +91,15 @@ TenantRegistry::activate(Tenant &t)
     const bool resumed = t.c.evictions > 0;
     std::vector<std::uint8_t> payload;
     if (resumed) {
-        // Read and validate the checkpoint *before* evicting anyone
-        // or claiming a slot, so a corrupt file leaves the registry
-        // unchanged — a tenant stuck on a damaged checkpoint must
-        // not churn healthy residents out on every retry.
+        // Validate the image *before* evicting anyone or claiming a
+        // slot, so a corrupt image leaves the registry unchanged — a
+        // tenant stuck on a damaged checkpoint must not churn healthy
+        // residents out on every retry.
         try {
-            payload = readStateFile(checkpointPath(t.id),
-                                    kTenantCheckpointMagic,
-                                    kTenantCheckpointVersion);
+            payload = parseStateFile(
+                t.checkpoint, kTenantCheckpointMagic,
+                kTenantCheckpointVersion,
+                "tenant " + std::to_string(t.id) + " checkpoint");
         } catch (const Error &) {
             bump(t, &ServeCounters::resumeFailures);
             offense(t);
@@ -152,6 +137,7 @@ TenantRegistry::activate(Tenant &t)
             offense(t);
             throw;
         }
+        t.checkpoint = {};
         bump(t, &ServeCounters::resumes);
     }
 }
@@ -178,7 +164,7 @@ void
 TenantRegistry::quarantine(Tenant &t)
 {
     // Park the tenant's tracker state through the normal eviction
-    // path (checkpoint + slot release); a tenant that was never
+    // path (checkpoint image + slot release); a tenant that was never
     // activated, or is already evicted, has nothing to park.
     if (t.slot != kNoSlot)
         evict(t);
@@ -222,7 +208,7 @@ TenantRegistry::deliverPacket(const IntervalPacket &pkt)
                     invalidPhaseId};
         }
         // Backoff expired: this packet readmits the tenant. The
-        // tracker resumes from the quarantine checkpoint below, so
+        // tracker resumes from its parked image below, so
         // the phase stream continues exactly where it was parked.
         t.quarantinedUntil = 0;
         t.offenses = 0;
@@ -325,7 +311,7 @@ TenantRegistry::evictAll()
 }
 
 void
-TenantRegistry::adoptTenant(const MigratedTenant &m)
+TenantRegistry::adoptTenant(MigratedTenant m)
 {
     if (hasTenant(m.id))
         tpcp_raise("cannot adopt tenant ", m.id,
@@ -338,8 +324,9 @@ TenantRegistry::adoptTenant(const MigratedTenant &m)
         t.quarantinedUntil = clock_ + m.quarantineRemaining;
     t.offenseWindowStart = clock_;
     // The tracker stays parked: activate() resumes it from the
-    // bundled checkpoint on the tenant's first packet, exactly like
-    // a locally evicted tenant.
+    // bundled image on the tenant's first packet, exactly like a
+    // locally evicted tenant.
+    t.checkpoint = std::move(m.checkpoint);
 }
 
 MigratedTenant
@@ -358,8 +345,17 @@ TenantRegistry::migratedState(std::uint64_t tenant) const
     m.quarantineRemaining = t.quarantinedUntil > clock_
                                 ? t.quarantinedUntil - clock_
                                 : 0;
-    m.hasCheckpoint = t.c.evictions > 0;
+    m.checkpoint = t.checkpoint;
     return m;
+}
+
+std::vector<std::uint8_t> &
+TenantRegistry::checkpointImage(std::uint64_t tenant)
+{
+    auto it = tenants_.find(tenant);
+    if (it == tenants_.end())
+        tpcp_raise("unknown tenant ", tenant);
+    return it->second.checkpoint;
 }
 
 std::vector<std::uint64_t>

@@ -14,19 +14,21 @@
  * how many producers or workers are running.
  *
  * Residency is bounded by the shard count. An idle tenant is evicted
- * to a checksummed common/state_io checkpoint, freeing its slot; the
- * next packet for an evicted tenant transparently resumes it (into
- * any free slot — slots are interchangeable because loadState fully
- * restores and clear() fully resets a table). Eviction and resume
- * never change a tenant's phase-ID stream. A resume whose checkpoint
- * is missing, truncated or corrupt raises a recoverable tpcp::Error,
- * is counted (resumeFailures, per tenant and registry-wide), and
- * leaves every other tenant serving.
+ * to a checkpoint image held in memory, freeing its slot: its
+ * saveState bytes sealed in the checksummed common/state_io envelope,
+ * byte for byte what a state file holds. The next packet for an
+ * evicted tenant transparently resumes it (into any free slot —
+ * slots are interchangeable because loadState fully restores and
+ * clear() fully resets a table). Eviction and resume never change a
+ * tenant's phase-ID stream. A resume whose image is missing,
+ * truncated or corrupt raises a recoverable tpcp::Error, is counted
+ * (resumeFailures, per tenant and registry-wide), and leaves every
+ * other tenant serving.
  *
  * Quarantine-and-readmit: a tenant accumulating offenses (duplicate
  * sequences, malformed frames, backlog sheds, resume failures)
  * faster than the configured threshold is quarantined — its state is
- * checkpointed through the normal eviction path and its packets are
+ * parked through the normal eviction path and its packets are
  * dropped (counted, per tenant) until an exponential backoff expires;
  * the first packet after the backoff readmits it, resuming from the
  * checkpoint. A misbehaving producer therefore costs bounded service
@@ -46,7 +48,6 @@
 #include <iterator>
 #include <memory>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -95,10 +96,6 @@ struct RegistryConfig
      * registry without any for it (0 = only forced eviction when a
      * new tenant needs a slot). */
     std::uint64_t evictAfter = 0;
-    /** Where evicted tenants checkpoint to. Required for any
-     * eviction (including quarantine); with it empty a full registry
-     * raises tpcp::Error. */
-    std::string checkpointDir;
     /** Record every tenant's full phase-ID stream (identity
      * verification; keep off for large tenant counts). */
     bool recordPhases = false;
@@ -140,7 +137,7 @@ struct ServeCounters
     std::uint64_t quarantineDrops = 0;
     /** Times the tenant was readmitted after backoff. */
     std::uint64_t readmissions = 0;
-    /** Resume attempts that failed on a damaged checkpoint. */
+    /** Resume attempts that failed on a damaged checkpoint image. */
     std::uint64_t resumeFailures = 0;
     std::uint64_t seqGaps = 0;
     /** Packets the registry refused (sequence, capacity, resume). */
@@ -220,9 +217,9 @@ struct MigratedTenant
     /** Remaining quarantine backoff at migration time (clock
      * ticks); 0 = not quarantined. */
     std::uint64_t quarantineRemaining = 0;
-    /** Whether a checkpoint file rides in the bundle (false for
-     * tenants that were only ever counted, never activated). */
-    bool hasCheckpoint = false;
+    /** The sealed checkpoint image (empty for tenants that were only
+     * ever counted, never activated). */
+    std::vector<std::uint8_t> checkpoint;
 };
 
 /** The tenants of one service partition. */
@@ -234,9 +231,9 @@ class TenantRegistry
     /**
      * Applies one decoded packet to its tenant, creating, resuming
      * or readmitting the tenant first when needed. Raises
-     * tpcp::Error for duplicate/reordered sequence numbers, for a
-     * full registry that cannot evict, and for unreadable resume
-     * checkpoints; the caller counts the rejection and carries on —
+     * tpcp::Error for duplicate/reordered sequence numbers and for
+     * damaged resume images; the caller counts the rejection and
+     * carries on —
      * a bad packet never crashes the service. A quarantined tenant's
      * packet is dropped and counted instead (no throw: quarantine is
      * policy, not failure).
@@ -280,21 +277,21 @@ class TenantRegistry
     /**
      * Seeds a tenant from a migration bundle entry: sequence state,
      * counters and quarantine backoff are restored now; the tracker
-     * itself resumes lazily from its checkpoint (which must already
-     * sit in this registry's checkpointDir) on the tenant's first
-     * packet. Raises tpcp::Error if the tenant already exists.
+     * itself resumes lazily from the entry's checkpoint image on the
+     * tenant's first packet. Raises tpcp::Error if the tenant already
+     * exists.
      */
-    void adoptTenant(const MigratedTenant &t);
+    void adoptTenant(MigratedTenant t);
 
     /** Snapshot of a tenant's migratable state (for the bundle
      * manifest). The tenant must be non-resident (evictAll first). */
     MigratedTenant migratedState(std::uint64_t tenant) const;
 
     /**
-     * Arms serve-layer fault injection: after every checkpoint
-     * write, @p injector may corrupt the file (torn write, bit
-     * flip, deletion). The injector must outlive the registry and
-     * is used only from the thread driving this registry.
+     * Arms serve-layer fault injection: after every eviction,
+     * @p injector may damage the checkpoint image (torn, bit flip,
+     * emptied, gone). The injector must outlive the registry and is
+     * used only from the thread driving this registry.
      */
     void setFaultInjector(fault::Injector *injector)
     {
@@ -335,8 +332,11 @@ class TenantRegistry
     const std::vector<PhaseId> &
     phaseStream(std::uint64_t tenant) const;
 
-    /** The checkpoint path used for @p tenant. */
-    std::string checkpointPath(std::uint64_t tenant) const;
+    /** The checkpoint image parked for @p tenant since its last
+     * eviction (empty while it is resident or if it was never
+     * evicted). Mutable so a fault campaign can damage it in place;
+     * raises tpcp::Error for unknown ids. */
+    std::vector<std::uint8_t> &checkpointImage(std::uint64_t tenant);
 
   private:
     struct Tenant
@@ -358,16 +358,20 @@ class TenantRegistry
         std::uint64_t quarantineCount = 0;
         ServeCounters c;
         std::vector<PhaseId> phases;
+        /** The sealed checkpoint image while evicted; empty once a
+         * resume succeeds. */
+        std::vector<std::uint8_t> checkpoint;
     };
 
     static constexpr unsigned kNoSlot = ~0u;
 
     /** Materializes a tenant's tracker into a free slot (fresh or
-     * resumed from its checkpoint), forcing an eviction if no slot
-     * is free. */
+     * resumed from its checkpoint image), forcing an eviction if no
+     * slot is free. */
     void activate(Tenant &t);
 
-    /** Checkpoints @p t and frees its slot. */
+    /** Seals @p t's tracker state into its checkpoint image and
+     * frees its slot. */
     void evict(Tenant &t);
 
     /** Evicts the least-recently-active resident tenant. */
@@ -389,7 +393,7 @@ class TenantRegistry
     /** Counts one offense for @p t; quarantines on threshold. */
     void offense(Tenant &t);
 
-    /** Puts @p t into quarantine: checkpoint, free the slot, start
+    /** Puts @p t into quarantine: park it, free the slot, start
      * the (exponential) backoff clock. */
     void quarantine(Tenant &t);
 

@@ -161,8 +161,9 @@ TEST(AdaptReport, PolicyApproachesOracleOnStablePhases)
     // Phase 2 is insensitive to the configuration, so its oracle
     // choice is the leakage-minimal small point.
     for (const PhaseChoice &pc : r.perPhase) {
-        if (pc.phase == 2)
+        if (pc.phase == 2) {
             EXPECT_EQ(pc.oracleConfig, lattice.size() - 1);
+        }
     }
 }
 

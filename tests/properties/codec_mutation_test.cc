@@ -127,7 +127,7 @@ campaignOptions(const std::string &ckpt)
 
 /** Writes a two-checkpoint, three-tenant bundle into @p bundle. */
 void
-writeSampleBundle(const std::string &bundle, const std::string &src)
+writeSampleBundle(const std::string &bundle)
 {
     std::vector<serve::MigratedTenant> tenants(3);
     for (std::size_t i = 0; i < tenants.size(); ++i) {
@@ -137,18 +137,15 @@ writeSampleBundle(const std::string &bundle, const std::string &src)
         t.c.packets = 40 + i;
         t.c.phaseSwitches = i;
         t.quarantineRemaining = i == 2 ? 5 : 0;
-        t.hasCheckpoint = i < 2;
-        if (!t.hasCheckpoint)
+        if (i == 2)
             continue;
         StateWriter w;
         w.u64(t.id);
         w.str("tracker state");
-        ASSERT_TRUE(writeStateFile(
-            src + "/" + serve::tenantCheckpointFile(t.id),
-            serve::kTenantCheckpointMagic,
-            serve::kTenantCheckpointVersion, w));
+        t.checkpoint = sealStateFile(serve::kTenantCheckpointMagic,
+                                     serve::kTenantCheckpointVersion, w);
     }
-    serve::writeMigrationBundle(bundle, src, tenants);
+    serve::writeMigrationBundle(bundle, tenants);
 }
 
 void
@@ -376,31 +373,26 @@ checkEnvelope(const Bytes &m, const std::string &dir, Tally &tally)
     EXPECT_EQ(readFile(path), m);
 }
 
-/** A manifest decodes with every checkpoint installed, or raises
- * with nothing installed. */
+/** A manifest decodes with every checkpoint image equal to its
+ * bundle file, or raises. */
 void
-checkManifest(const Bytes &m, const std::string &bundle,
-              const std::string &dir, Tally &tally)
+checkManifest(const Bytes &m, const std::string &bundle, Tally &tally)
 {
     ASSERT_TRUE(writeFileAtomic(
         bundle + "/" + serve::kMigrationManifest, m));
-    const std::string ckpt = dir + "/installed";
-    std::filesystem::remove_all(ckpt);
     std::vector<serve::MigratedTenant> tenants;
     try {
-        tenants = serve::loadMigrationBundle(bundle, ckpt);
+        tenants = serve::loadMigrationBundle(bundle);
     } catch (const Error &) {
         ++tally.rejected;
-        EXPECT_FALSE(std::filesystem::exists(ckpt));
         return;
     }
     ++tally.decoded;
     for (const serve::MigratedTenant &t : tenants) {
-        if (!t.hasCheckpoint)
+        if (t.checkpoint.empty())
             continue;
         const std::string name = serve::tenantCheckpointFile(t.id);
-        EXPECT_EQ(readFile(ckpt + "/" + name),
-                  readFile(bundle + "/" + name));
+        EXPECT_EQ(t.checkpoint, readFile(bundle + "/" + name));
     }
 }
 
@@ -410,9 +402,7 @@ TEST(CodecMutation, MultiFaultMutantsDecodeExactlyOrRaiseCleanly)
 {
     const std::string dir = tempDir("codec_mutation");
     const std::string bundle = dir + "/bundle";
-    const std::string src = dir + "/src";
-    std::filesystem::create_directories(src);
-    writeSampleBundle(bundle, src);
+    writeSampleBundle(bundle);
     const std::string manifestPath =
         bundle + "/" + serve::kMigrationManifest;
 
@@ -470,7 +460,7 @@ TEST(CodecMutation, MultiFaultMutantsDecodeExactlyOrRaiseCleanly)
                 checkEnvelope(m, dir, tally);
                 break;
             case Format::Manifest:
-                checkManifest(m, bundle, dir, tally);
+                checkManifest(m, bundle, tally);
                 break;
             case Format::Checkpoint:
                 // Resumed in ResilienceCheckpointMutantsResumeOrRaise.
@@ -557,7 +547,6 @@ TEST(ForgedCount, MigrationManifestTenantCountRaisesAndInstallsNothing)
 {
     const std::string dir = tempDir("forged_manifest");
     const std::string bundle = dir + "/bundle";
-    const std::string ckpt = dir + "/ckpt";
     std::filesystem::create_directories(bundle);
     for (std::uint64_t forged : {std::uint64_t{1} << 32,
                                  std::uint64_t{2}}) {
@@ -573,9 +562,8 @@ TEST(ForgedCount, MigrationManifestTenantCountRaisesAndInstallsNothing)
         ASSERT_TRUE(writeStateFile(
             bundle + "/" + serve::kMigrationManifest,
             serve::kMigrationMagic, serve::kMigrationVersion, w));
-        EXPECT_THROW(serve::loadMigrationBundle(bundle, ckpt), Error)
+        EXPECT_THROW(serve::loadMigrationBundle(bundle), Error)
             << "count " << forged;
-        EXPECT_FALSE(std::filesystem::exists(ckpt));
     }
     std::filesystem::remove_all(dir);
 }

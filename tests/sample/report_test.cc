@@ -188,7 +188,7 @@ TEST(Report, RunSampledSimulationIsDeterministic)
     auto cells = mixedCells();
     trace::IntervalProfile profile = makeProfile(cells);
     std::vector<PhaseId> phases = phasesOf(cells);
-    for (const std::string &sel :
+    for (const char *sel :
          {"first", "centroid", "stratified", "uniform", "random"}) {
         SampleReport a = runSampledSimulation(
             profile, phases, sel, PhaseSource::Online, 8);

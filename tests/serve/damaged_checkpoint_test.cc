@@ -1,21 +1,21 @@
 /**
  * @file
  * Resume-with-damaged-checkpoint coverage: an evicted tenant whose
- * state file is missing, truncated (at *every* possible length), or
- * CRC-corrupt must fail its resume with a recoverable tpcp::Error —
- * counted per tenant and registry-wide — while every other tenant
- * keeps serving, and a restored checkpoint must resume cleanly
- * afterwards with an unchanged phase stream.
+ * checkpoint image is missing, truncated (at *every* possible
+ * length), CRC-corrupt or another tenant's must fail its resume with
+ * a recoverable tpcp::Error — counted per tenant and registry-wide —
+ * while every other tenant keeps serving, and a restored image must
+ * resume cleanly afterwards with an unchanged phase stream.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/state_io.hh"
 #include "common/status.hh"
 #include "serve/service.hh"
 
@@ -25,34 +25,8 @@ using namespace tpcp::serve;
 namespace
 {
 
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = std::string(::testing::TempDir()) + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-std::vector<std::uint8_t>
-readAll(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in),
-            std::istreambuf_iterator<char>()};
-}
-
-void
-writeAll(const std::string &path,
-         const std::vector<std::uint8_t> &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-/** A registry with tenant 1 evicted (checkpoint on disk) and tenant
- * 2 resident, plus the packet sequence cursor for each. */
+/** A registry with tenant 1 evicted (its image parked) and tenant 2
+ * resident, plus the packet sequence cursor for each. */
 struct Fixture
 {
     RegistryConfig rc;
@@ -61,11 +35,10 @@ struct Fixture
     std::uint64_t seq1 = 0;
     std::uint64_t seq2 = 0;
 
-    explicit Fixture(const std::string &ckpt_dir)
+    Fixture()
     {
         rc.maxResident = 1; // one slot: activations force evictions
         rc.recordPhases = true;
-        rc.checkpointDir = ckpt_dir;
         registry = std::make_unique<TenantRegistry>(rc);
         stream = encodeSyntheticStream(
             9, 60, rc.tracker.classifier.numCounters);
@@ -86,14 +59,14 @@ struct Fixture
 
 } // namespace
 
-TEST(DamagedCheckpoint, MissingFileFailsResumeRecoverably)
+TEST(DamagedCheckpoint, MissingImageFailsResumeRecoverably)
 {
-    Fixture fx(tempDir("dmg_missing"));
+    Fixture fx;
     fx.deliver(1, fx.seq1); // tenant 1 resident
     fx.deliver(2, fx.seq2); // evicts 1 (single slot), 2 resident
 
-    std::filesystem::remove(fx.registry->checkpointPath(1));
-    // Tenant 1's next packet needs a resume; the checkpoint is gone.
+    fx.registry->checkpointImage(1).clear();
+    // Tenant 1's next packet needs a resume; the image is gone.
     EXPECT_THROW(fx.deliver(1, fx.seq1), Error);
     EXPECT_EQ(fx.registry->tenantCounters(1).resumeFailures, 1u);
     EXPECT_EQ(fx.registry->counters().resumeFailures, 1u);
@@ -105,29 +78,28 @@ TEST(DamagedCheckpoint, MissingFileFailsResumeRecoverably)
 
 TEST(DamagedCheckpoint, EveryTruncationLengthFailsRecoverably)
 {
-    Fixture fx(tempDir("dmg_trunc"));
+    Fixture fx;
     for (int i = 0; i < 8; ++i)
         fx.deliver(1, fx.seq1);
     fx.deliver(2, fx.seq2); // evicts tenant 1
 
-    const std::string path = fx.registry->checkpointPath(1);
-    const std::vector<std::uint8_t> good = readAll(path);
+    std::vector<std::uint8_t> &image = fx.registry->checkpointImage(1);
+    const std::vector<std::uint8_t> good = image;
     ASSERT_GT(good.size(), 16u);
 
     // Property: *no* truncation length resumes, crashes, or claims a
-    // slot — every torn write surfaces as a counted, recoverable
+    // slot — every torn image surfaces as a counted, recoverable
     // error, and the resident tenant keeps serving throughout.
     for (std::size_t len = 0; len < good.size(); ++len) {
-        writeAll(path,
-                 {good.begin(),
-                  good.begin() + static_cast<std::ptrdiff_t>(len)});
+        image.assign(good.begin(),
+                     good.begin() + static_cast<std::ptrdiff_t>(len));
         IntervalPacket pkt;
         decodePacket(fx.stream[fx.seq1].data(),
                      fx.stream[fx.seq1].size(), pkt);
         pkt.tenant = 1;
         pkt.seq = fx.seq1;
         EXPECT_THROW(fx.registry->deliverPacket(pkt), Error)
-            << "resumed from a checkpoint truncated to " << len
+            << "resumed from an image truncated to " << len
             << " bytes";
         EXPECT_EQ(fx.registry->numResident(), 1u)
             << "failed resume leaked a slot at length " << len;
@@ -135,9 +107,9 @@ TEST(DamagedCheckpoint, EveryTruncationLengthFailsRecoverably)
     EXPECT_EQ(fx.registry->tenantCounters(1).resumeFailures,
               good.size());
 
-    // Restore the intact checkpoint: the resume succeeds and the
-    // stream continues exactly where it left off.
-    writeAll(path, good);
+    // Restore the intact image: the resume succeeds and the stream
+    // continues exactly where it left off.
+    image = good;
     EXPECT_EQ(fx.deliver(1, fx.seq1).status,
               DeliverStatus::Delivered);
     EXPECT_EQ(fx.registry->tenantCounters(1).resumes, 1u);
@@ -150,50 +122,75 @@ TEST(DamagedCheckpoint, EveryTruncationLengthFailsRecoverably)
 
 TEST(DamagedCheckpoint, BitCorruptionFailsChecksum)
 {
-    Fixture fx(tempDir("dmg_flip"));
+    Fixture fx;
     for (int i = 0; i < 4; ++i)
         fx.deliver(1, fx.seq1);
     fx.deliver(2, fx.seq2);
 
-    const std::string path = fx.registry->checkpointPath(1);
-    const std::vector<std::uint8_t> good = readAll(path);
+    std::vector<std::uint8_t> &image = fx.registry->checkpointImage(1);
+    const std::vector<std::uint8_t> good = image;
 
-    // Sample single-bit flips across the whole file (every 7th byte
+    // Sample single-bit flips across the whole image (every 7th byte
     // keeps the test fast while covering header, payload and CRC).
     for (std::size_t pos = 0; pos < good.size(); pos += 7) {
-        std::vector<std::uint8_t> bad = good;
-        bad[pos] ^= 0x04;
-        writeAll(path, bad);
+        image = good;
+        image[pos] ^= 0x04;
         IntervalPacket pkt;
         decodePacket(fx.stream[fx.seq1].data(),
                      fx.stream[fx.seq1].size(), pkt);
         pkt.tenant = 1;
         pkt.seq = fx.seq1;
         EXPECT_THROW(fx.registry->deliverPacket(pkt), Error)
-            << "accepted a checkpoint with a flipped bit at byte "
-            << pos;
+            << "accepted an image with a flipped bit at byte " << pos;
     }
-    writeAll(path, good);
+    image = good;
     EXPECT_EQ(fx.deliver(1, fx.seq1).status,
               DeliverStatus::Delivered);
 }
 
 TEST(DamagedCheckpoint, WrongTenantCheckpointRejected)
 {
-    Fixture fx(tempDir("dmg_swap"));
+    Fixture fx;
     fx.deliver(1, fx.seq1);
     fx.deliver(2, fx.seq2); // evicts 1
     fx.deliver(1, fx.seq1); // evicts 2, resumes 1
+    const std::vector<std::uint8_t> image2 =
+        fx.registry->checkpointImage(2);
+    ASSERT_FALSE(image2.empty());
 
-    // Swap tenant 2's checkpoint in under tenant 1's name — wait,
-    // tenant 1 is resident now; evict it by touching tenant 2, then
-    // plant 2's (valid, wrong-identity) file as 1's.
+    // Evict tenant 1 again by touching tenant 2, then plant 2's
+    // (valid, wrong-identity) image as 1's.
     fx.deliver(2, fx.seq2); // evicts 1, resumes 2
-    std::filesystem::copy_file(
-        fx.registry->checkpointPath(2),
-        fx.registry->checkpointPath(1),
-        std::filesystem::copy_options::overwrite_existing);
+    fx.registry->checkpointImage(1) = image2;
     EXPECT_THROW(fx.deliver(1, fx.seq1), Error)
         << "accepted a checkpoint recorded for another tenant";
     EXPECT_GE(fx.registry->tenantCounters(1).resumeFailures, 1u);
+}
+
+TEST(DamagedCheckpoint, SealedImageIsTheStateFileBytes)
+{
+    // The parked image is exactly what writeStateFile puts on disk
+    // for the same payload, so bundle checkpoint files stay
+    // interchangeable with those of a file-backed registry.
+    Fixture fx;
+    for (int i = 0; i < 5; ++i)
+        fx.deliver(1, fx.seq1);
+    pred::PhaseTracker tracker(fx.rc.tracker);
+    IntervalPacket pkt;
+    for (std::uint64_t k = 0; k < fx.seq1; ++k) {
+        decodePacket(fx.stream[k].data(), fx.stream[k].size(), pkt);
+        tracker.onIntervalRaw(pkt.counters.data(), pkt.counters.size(),
+                              pkt.total, pkt.cpi);
+    }
+    fx.deliver(2, fx.seq2); // evicts tenant 1
+
+    StateWriter w;
+    w.u64(1);
+    tracker.saveState(w);
+    const std::string path =
+        std::string(::testing::TempDir()) + "sealed_image.ckpt";
+    ASSERT_TRUE(writeStateFile(path, kTenantCheckpointMagic,
+                               kTenantCheckpointVersion, w));
+    EXPECT_EQ(fx.registry->checkpointImage(1), readFile(path));
+    std::remove(path.c_str());
 }

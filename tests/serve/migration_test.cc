@@ -41,13 +41,12 @@ tempDir(const std::string &name)
 }
 
 ServeOptions
-optionsWithDir(const std::string &ckpt)
+migrationOptions()
 {
     ServeOptions opts;
     opts.producers = 2;
     opts.registry.maxResident = kTenants;
     opts.registry.recordPhases = true;
-    opts.registry.checkpointDir = ckpt;
     return opts;
 }
 
@@ -97,10 +96,9 @@ writeAll(const std::string &path,
  * Returns the source loop (for counter comparison). */
 std::unique_ptr<ServiceLoop>
 runFirstHalfAndMigrate(const EncodedStream &stream,
-                       const std::string &ckpt,
                        const std::string &bundle)
 {
-    auto loop = std::make_unique<ServiceLoop>(optionsWithDir(ckpt));
+    auto loop = std::make_unique<ServiceLoop>(migrationOptions());
     feed(*loop, stream, 0, kHandoff);
     loop->migrateOut(bundle);
     return loop;
@@ -110,21 +108,19 @@ runFirstHalfAndMigrate(const EncodedStream &stream,
 
 TEST(Migration, RoundTripPreservesIdentityAndCounters)
 {
-    ServeOptions opts = optionsWithDir(tempDir("mig_src_ckpt"));
+    const ServeOptions opts = migrationOptions();
     const unsigned dims = opts.registry.tracker.classifier.numCounters;
     const EncodedStream stream =
         encodeSyntheticStream(3, kPackets, dims);
     const std::string bundle = tempDir("mig_bundle");
 
-    auto src = runFirstHalfAndMigrate(stream,
-                                      opts.registry.checkpointDir,
-                                      bundle);
+    auto src = runFirstHalfAndMigrate(stream, bundle);
     ASSERT_TRUE(std::filesystem::exists(bundle + "/" +
                                         kMigrationManifest));
 
-    // Destination service: different checkpoint dir, same paper
-    // config. Adopt the bundle, then replay the second half.
-    ServiceLoop dst(optionsWithDir(tempDir("mig_dst_ckpt")));
+    // Destination service, same paper config: adopt the bundle,
+    // then replay the second half.
+    ServiceLoop dst(opts);
     EXPECT_EQ(dst.migrateIn(bundle), std::size_t{kTenants});
     feed(dst, stream, kHandoff, kPackets);
 
@@ -153,13 +149,12 @@ TEST(Migration, RoundTripPreservesIdentityAndCounters)
 
 TEST(Migration, TruncatedManifestRejectedBeforeAnythingApplied)
 {
-    ServeOptions opts = optionsWithDir(tempDir("mig_t_src"));
+    const ServeOptions opts = migrationOptions();
     const unsigned dims = opts.registry.tracker.classifier.numCounters;
     const EncodedStream stream =
         encodeSyntheticStream(4, kPackets, dims);
     const std::string bundle = tempDir("mig_t_bundle");
-    runFirstHalfAndMigrate(stream, opts.registry.checkpointDir,
-                           bundle);
+    runFirstHalfAndMigrate(stream, bundle);
 
     const std::string manifest = bundle + "/" + kMigrationManifest;
     const std::vector<std::uint8_t> good = readAll(manifest);
@@ -173,29 +168,22 @@ TEST(Migration, TruncatedManifestRejectedBeforeAnythingApplied)
         writeAll(manifest,
                  {good.begin(),
                   good.begin() + static_cast<std::ptrdiff_t>(len)});
-        const std::string dst_ckpt =
-            tempDir("mig_t_dst_" + std::to_string(len));
-        ServiceLoop dst(optionsWithDir(dst_ckpt));
+        ServiceLoop dst(opts);
         EXPECT_THROW(dst.migrateIn(bundle), Error)
             << "manifest truncated to " << len << " bytes";
-        // Nothing installed: the destination checkpoint dir stays
-        // empty, and the service still works from scratch.
-        EXPECT_TRUE(
-            std::filesystem::is_empty(dst_ckpt))
-            << "partial install after rejected bundle";
+        // Nothing applied: the service still works from scratch.
         EXPECT_EQ(dst.allTenantIds().size(), 0u);
     }
 }
 
 TEST(Migration, BitFlippedCheckpointRejected)
 {
-    ServeOptions opts = optionsWithDir(tempDir("mig_f_src"));
+    const ServeOptions opts = migrationOptions();
     const unsigned dims = opts.registry.tracker.classifier.numCounters;
     const EncodedStream stream =
         encodeSyntheticStream(5, kPackets, dims);
     const std::string bundle = tempDir("mig_f_bundle");
-    runFirstHalfAndMigrate(stream, opts.registry.checkpointDir,
-                           bundle);
+    runFirstHalfAndMigrate(stream, bundle);
 
     const std::string victim =
         bundle + "/" + tenantCheckpointFile(2);
@@ -204,23 +192,22 @@ TEST(Migration, BitFlippedCheckpointRejected)
     bytes[bytes.size() / 2] ^= 0x10;
     writeAll(victim, bytes);
 
-    ServiceLoop dst(optionsWithDir(tempDir("mig_f_dst")));
+    ServiceLoop dst(opts);
     EXPECT_THROW(dst.migrateIn(bundle), Error);
     EXPECT_EQ(dst.allTenantIds().size(), 0u);
 }
 
 TEST(Migration, MissingCheckpointRejected)
 {
-    ServeOptions opts = optionsWithDir(tempDir("mig_m_src"));
+    const ServeOptions opts = migrationOptions();
     const unsigned dims = opts.registry.tracker.classifier.numCounters;
     const EncodedStream stream =
         encodeSyntheticStream(6, kPackets, dims);
     const std::string bundle = tempDir("mig_m_bundle");
-    runFirstHalfAndMigrate(stream, opts.registry.checkpointDir,
-                           bundle);
+    runFirstHalfAndMigrate(stream, bundle);
 
     std::filesystem::remove(bundle + "/" + tenantCheckpointFile(1));
-    ServiceLoop dst(optionsWithDir(tempDir("mig_m_dst")));
+    ServiceLoop dst(opts);
     EXPECT_THROW(dst.migrateIn(bundle), Error);
 }
 
@@ -228,16 +215,15 @@ TEST(Migration, MissingManifestMeansNoBundle)
 {
     // The crash-before-rename shape: checkpoint copies exist but the
     // manifest never committed. The bundle must be unimportable.
-    ServeOptions opts = optionsWithDir(tempDir("mig_n_src"));
+    const ServeOptions opts = migrationOptions();
     const unsigned dims = opts.registry.tracker.classifier.numCounters;
     const EncodedStream stream =
         encodeSyntheticStream(7, kPackets, dims);
     const std::string bundle = tempDir("mig_n_bundle");
-    runFirstHalfAndMigrate(stream, opts.registry.checkpointDir,
-                           bundle);
+    runFirstHalfAndMigrate(stream, bundle);
 
     std::filesystem::remove(bundle + "/" + kMigrationManifest);
-    ServiceLoop dst(optionsWithDir(tempDir("mig_n_dst")));
+    ServiceLoop dst(opts);
     EXPECT_THROW(dst.migrateIn(bundle), Error);
 }
 

@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,15 +26,6 @@ using namespace tpcp::serve;
 
 namespace
 {
-
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = std::string(::testing::TempDir()) + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
 
 /** A tiny distinguishable frame for scheduler-only tests. */
 std::vector<std::uint8_t>
@@ -170,7 +159,6 @@ TEST(TenantRegistry, QuarantineReadmitPreservesIdentity)
     RegistryConfig rc;
     rc.maxResident = 4;
     rc.recordPhases = true;
-    rc.checkpointDir = tempDir("quarantine_ckpt");
     rc.quarantine.offenseThreshold = 3;
     rc.quarantine.offenseWindow = 1024;
     rc.quarantine.backoffBase = 8;
@@ -230,7 +218,6 @@ TEST(TenantRegistry, RepeatQuarantineBackoffDoubles)
 {
     RegistryConfig rc;
     rc.maxResident = 4;
-    rc.checkpointDir = tempDir("backoff_ckpt");
     rc.quarantine.offenseThreshold = 2;
     rc.quarantine.offenseWindow = 1024;
     rc.quarantine.backoffBase = 4;
@@ -380,7 +367,6 @@ TEST(ServiceLoop, LockstepRunCycleIsDeterministic)
     auto runOnce = [] {
         ServeOptions opts;
         opts.registry.maxResident = 4;
-        opts.registry.checkpointDir = tempDir("lockstep_ckpt");
         opts.registry.quarantine.offenseThreshold = 4;
         opts.registry.quarantine.backoffBase = 16;
         opts.fairness.ratePerCycle = 3;
@@ -422,39 +408,27 @@ TEST(ServiceLoop, LockstepRunCycleIsDeterministic)
     EXPECT_EQ(a.lostUpstream, b.lostUpstream);
 }
 
-TEST(Injector, ServeCheckpointTargetDamagesFiles)
+TEST(Injector, ServeCheckpointTargetDamagesImages)
 {
-    const std::string dir = tempDir("inj_ckpt");
     fault::InjectorConfig fcfg;
     fcfg.target = fault::Target::ServeCheckpoint;
-    fcfg.ratePerInterval = 1.0; // every write takes the fault
+    fcfg.ratePerInterval = 1.0; // every eviction takes the fault
     fault::Injector injector(fcfg, "serve-ckpt-test");
 
-    // Across repeated writes the injector must hit every damage
-    // mode; each hit leaves the file either absent or different.
+    // Across repeated evictions the injector must hit every damage
+    // mode; each hit leaves the image either empty or different.
     unsigned damaged = 0;
     for (int i = 0; i < 16; ++i) {
-        const std::string path =
-            dir + "/f" + std::to_string(i) + ".bin";
-        {
-            std::ofstream out(path, std::ios::binary);
-            for (int b = 0; b < 256; ++b)
-                out.put(static_cast<char>(b));
-        }
-        if (injector.corruptCheckpointFile(path)) {
+        std::vector<std::uint8_t> image(256);
+        for (int b = 0; b < 256; ++b)
+            image[b] = static_cast<std::uint8_t>(b);
+        if (injector.corruptCheckpoint(image)) {
             ++damaged;
-            std::ifstream in(path, std::ios::binary);
-            if (in) {
-                std::vector<char> bytes(
-                    (std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-                bool differs = bytes.size() != 256;
-                for (std::size_t b = 0;
-                     !differs && b < bytes.size(); ++b)
-                    differs = bytes[b] != static_cast<char>(b);
-                EXPECT_TRUE(differs)
-                    << "reported damage but file unchanged";
-            }
+            bool differs = image.size() != 256;
+            for (std::size_t b = 0; !differs && b < image.size(); ++b)
+                differs = image[b] != static_cast<std::uint8_t>(b);
+            EXPECT_TRUE(differs)
+                << "reported damage but image unchanged";
         }
     }
     EXPECT_EQ(damaged, 16u);
@@ -482,15 +456,15 @@ TEST(Injector, ServeFrameTargetFlipsOneBit)
     EXPECT_EQ(injector.counts().serveFrameFlips, 1u);
 }
 
-TEST(ServiceLoop, MalformedFrameIsCountedOnceWhetherAttributedOrNot)
+namespace
 {
-    // With fairness on, a frame whose header names a tenant but whose
-    // payload is bad counts at the partition (the service total) and
-    // against that tenant; garbage that names no tenant counts at the
-    // partition only. The service total holds each exactly once, and
-    // the sequence gap the bad frame leaves reaches the totals too.
-    ServeOptions opts;
-    opts.fairness.maxBacklog = 64;
+
+/** Pushes ten good frames of tenant 3, a bad-payload frame with a
+ * readable header, one more good frame after a gap and a header-less
+ * garbage frame, drains them, and checks where each is counted. */
+void
+expectMalformedCountedOnce(const ServeOptions &opts)
+{
     ServiceLoop loop(opts);
     const unsigned dims = opts.registry.tracker.classifier.numCounters;
     const EncodedStream stream = encodeSyntheticStream(5, 10, dims);
@@ -517,4 +491,22 @@ TEST(ServiceLoop, MalformedFrameIsCountedOnceWhetherAttributedOrNot)
     EXPECT_EQ(c.accounted(), 13u);
     EXPECT_EQ(c.seqGaps, 1u);
     EXPECT_EQ(c.lostUpstream, 2u);
+}
+
+} // namespace
+
+TEST(ServiceLoop, MalformedFrameIsCountedOnceWhetherAttributedOrNot)
+{
+    // On the FIFO drain and on the fairness path alike, a frame whose
+    // header names a tenant but whose payload is bad counts at the
+    // partition (the service total) and against that tenant; garbage
+    // that names no tenant counts at the partition only. The service
+    // total holds each exactly once, and the sequence gap the bad
+    // frame leaves reaches the totals too.
+    for (bool fairness : {false, true}) {
+        SCOPED_TRACE(fairness ? "fairness on" : "FIFO drain");
+        ServeOptions opts;
+        opts.fairness.maxBacklog = fairness ? 64 : 0;
+        expectMalformedCountedOnce(opts);
+    }
 }

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,15 +25,6 @@ namespace
 
 constexpr unsigned kTenants = 6;
 constexpr std::size_t kPackets = 120;
-
-std::string
-tempDir(const std::string &name)
-{
-    std::string dir = std::string(::testing::TempDir()) + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
 
 std::vector<EncodedStream>
 testStreams(const pred::PhaseTrackerConfig &tcfg)
@@ -142,7 +132,6 @@ TEST(ServiceLoop, EvictResumePreservesIdentity)
     // resumes mid-stream.
     opts.registry.maxResident = 2;
     opts.registry.evictAfter = 16;
-    opts.registry.checkpointDir = tempDir("serve_evict_ckpt");
     auto streams = testStreams(opts.registry.tracker);
     auto loop = runService(streams, opts);
 
@@ -236,7 +225,7 @@ TEST(TenantRegistry, ForwardGapCountedAsUpstreamLoss)
     EXPECT_EQ(registry.counters().packets, 2u);
 }
 
-TEST(TenantRegistry, FullRegistryWithoutCheckpointDirRaises)
+TEST(TenantRegistry, FullRegistryParksOldestTenantInMemory)
 {
     RegistryConfig rc;
     rc.maxResident = 1;
@@ -250,16 +239,20 @@ TEST(TenantRegistry, FullRegistryWithoutCheckpointDirRaises)
     pkt.tenant = 1;
     pkt.seq = 0;
     registry.deliver(pkt);
-    // No checkpoint directory: the second tenant cannot evict the
-    // first, and must be rejected recoverably instead of crashing.
+    // The second tenant needs the only slot: the first is parked as
+    // an in-memory checkpoint image, with nothing to configure.
     pkt.tenant = 2;
-    EXPECT_THROW(registry.deliver(pkt), Error);
+    registry.deliver(pkt);
     EXPECT_EQ(registry.numResident(), 1u);
-    // The first tenant keeps working.
+    EXPECT_EQ(registry.tenantCounters(1).evictions, 1u);
+    EXPECT_FALSE(registry.checkpointImage(1).empty());
+    // The first tenant resumes from its image and keeps working.
     pkt.tenant = 1;
     pkt.seq = 1;
     registry.deliver(pkt);
-    EXPECT_EQ(registry.counters().packets, 2u);
+    EXPECT_EQ(registry.tenantCounters(1).resumes, 1u);
+    EXPECT_TRUE(registry.checkpointImage(1).empty());
+    EXPECT_EQ(registry.counters().packets, 3u);
 }
 
 TEST(ServeReport, JsonIsPinnedByteForByte)

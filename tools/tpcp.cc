@@ -118,9 +118,9 @@
  *   --resident N     resident tenants per partition (0 = fit all
  *                    assigned tenants; default 0)
  *   --evict-after N  evict a tenant idle for N delivered packets
- *                    (default 0 = no idle eviction)
- *   --checkpoint-dir D  eviction checkpoint directory
- *                    (default serve_ckpt)
+ *                    (default 0 = no idle eviction); an evicted
+ *                    tenant's state is kept in memory until it
+ *                    resumes
  *   --ring-bytes B   per-producer ring capacity   (default 1 MiB)
  *   --drop           drop packets on a full ring (counted, visible
  *                    as sequence gaps) instead of parking
@@ -964,6 +964,27 @@ cmdFaults(const Args &args)
     return 0;
 }
 
+/** Writes one tenant_<id>.phases file per tenant in @p ids into
+ * @p dir, one decimal phase ID per line: the byte-level artifact CI
+ * diffs between the service and the batch path. */
+template <typename StreamOf>
+void
+writePhaseFiles(const std::string &dir,
+                const std::vector<std::uint64_t> &ids,
+                StreamOf stream_of)
+{
+    std::filesystem::create_directories(dir);
+    for (std::uint64_t t : ids) {
+        const std::string path =
+            dir + "/tenant_" + std::to_string(t) + ".phases";
+        std::ofstream out(path);
+        if (!out)
+            tpcp_raise("cannot write phase stream ", path);
+        for (PhaseId p : stream_of(t))
+            out << p << '\n';
+    }
+}
+
 int
 cmdServe(const Args &args)
 {
@@ -1034,19 +1055,12 @@ cmdServe(const Args &args)
             std::cerr << "error: --batch needs --phase-out DIR\n";
             return 2;
         }
-        std::filesystem::create_directories(phase_out);
-        for (std::uint64_t t = 0; t < tenants; ++t) {
-            const std::string path = phase_out + "/tenant_" +
-                                     std::to_string(t) + ".phases";
-            std::ofstream out(path);
-            if (!out) {
-                std::cerr << "error: cannot write " << path << "\n";
-                return 1;
-            }
-            for (PhaseId p :
-                 serve::batchPhaseStream(streamOf(t), tcfg))
-                out << p << '\n';
-        }
+        std::vector<std::uint64_t> ids(tenants);
+        for (std::uint64_t t = 0; t < tenants; ++t)
+            ids[t] = t;
+        writePhaseFiles(phase_out, ids, [&](std::uint64_t t) {
+            return serve::batchPhaseStream(streamOf(t), tcfg);
+        });
         std::cout << "wrote " << tenants
                   << " batch phase streams to " << phase_out
                   << "\n";
@@ -1079,11 +1093,7 @@ cmdServe(const Args &args)
     sopts.registry.maxResident =
         resident == 0 ? std::max(1u, per_part) : resident;
     sopts.registry.evictAfter = args.getU64("evict-after", 0);
-    sopts.registry.checkpointDir =
-        args.get("checkpoint-dir", "serve_ckpt");
     sopts.registry.recordPhases = !phase_out.empty();
-    std::filesystem::create_directories(
-        sopts.registry.checkpointDir);
 
     serve::ServiceLoop loop(sopts);
     if (args.has("migrate-in")) {
@@ -1209,7 +1219,10 @@ cmdServe(const Args &args)
     }
 
     if (!phase_out.empty()) {
-        loop.writePhaseStreams(phase_out);
+        writePhaseFiles(phase_out, loop.allTenantIds(),
+                        [&](std::uint64_t t) -> const auto & {
+                            return loop.phaseStream(t);
+                        });
         std::cout << "wrote " << loop.allTenantIds().size()
                   << " phase streams to " << phase_out << "\n";
     }
