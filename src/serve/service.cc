@@ -91,9 +91,9 @@ ServiceLoop::deliverFrame(Partition &p, const std::uint8_t *data,
         decodePacket(data, size, p.pkt);
     } catch (const Error &) {
         // Count it at the partition (the conservation identity's
-        // malformed term) and, when the header still names a tenant,
-        // attribute it there too (observability + offense).
-        // Unattributable garbage stays partition-level.
+        // malformed term) and, when the header still names a known
+        // tenant, attribute it there too (observability + offense).
+        // Anything else stays partition-level.
         ++p.malformed;
         std::uint64_t tenant = 0;
         if (peekPacketTenant(data, size, tenant))

@@ -263,11 +263,15 @@ void
 TenantRegistry::noteMalformed(std::uint64_t tenant)
 {
     ++clock_;
-    Tenant &t = touch(tenant);
-    // Per tenant only: the service's malformed total is the
-    // partition's count, which already holds this frame.
-    ++t.c.malformedPackets;
-    offense(t);
+    // The header of a rejected frame is untrusted: an id nobody has
+    // used yet gets no record, or garbage could grow the tenant map
+    // without bound. Per tenant only: the service's malformed total
+    // is the partition's count, which already holds this frame.
+    auto it = tenants_.find(tenant);
+    if (it == tenants_.end())
+        return;
+    ++it->second.c.malformedPackets;
+    offense(it->second);
 }
 
 void

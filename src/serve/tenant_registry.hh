@@ -255,8 +255,10 @@ class TenantRegistry
      */
     void noteShed(std::uint64_t tenant);
 
-    /** Counts a malformed frame attributed to @p tenant (and as an
-     * offense). Unattributable garbage stays partition-level. */
+    /** Counts a malformed frame against @p tenant (and as an
+     * offense) when the registry already knows that tenant; a frame
+     * naming an unknown id creates no record and stays a
+     * partition-level count. */
     void noteMalformed(std::uint64_t tenant);
 
     /** Merges producer-side backpressure counters for @p tenant

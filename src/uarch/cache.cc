@@ -1,5 +1,7 @@
 #include "uarch/cache.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -16,77 +18,59 @@ Cache::Cache(const CacheConfig &config, std::string name)
     tpcp_assert(sets >= 1 && isPowerOf2(sets),
                 "cache geometry must give a power-of-two set count");
     blockShift = floorLog2(config_.blockBytes);
+    tagShift = blockShift + floorLog2(sets);
+    tpcp_assert(tagShift >= 1,
+                "a one-set cache of one-byte blocks leaves no tag bit "
+                "free for the dirty flag");
     setMask = sets - 1;
-    lines.resize(sets * config_.assoc);
-}
-
-std::uint64_t
-Cache::setIndex(Addr addr) const
-{
-    return (addr >> blockShift) & setMask;
-}
-
-std::uint64_t
-Cache::tagOf(Addr addr) const
-{
-    return addr >> blockShift;
+    ways.resize(sets * config_.assoc);
+    valid.resize(sets);
 }
 
 CacheAccessResult
 Cache::access(Addr addr, bool write)
 {
     ++stats_.accesses;
-    std::uint64_t set = setIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    Line *base = &lines[set * config_.assoc];
+    const std::uint64_t set = (addr >> blockShift) & setMask;
+    const std::uint64_t key = (addr >> tagShift) << 1;
+    const std::uint64_t dirty = write;
+    std::uint64_t *base = &ways[set * config_.assoc];
+    unsigned &n = valid[set];
 
-    Line *victim = nullptr;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lastUse = ++tick;
-            line.dirty = line.dirty || write;
+    for (unsigned w = 0; w < n; ++w) {
+        if ((base[w] & ~std::uint64_t(1)) == key) {
+            const std::uint64_t word = base[w] | dirty;
+            std::copy_backward(base, base + w, base + w + 1);
+            base[0] = word;
             return {true, false};
-        }
-        if (!line.valid) {
-            if (!victim || victim->valid)
-                victim = &line;
-        } else if (!victim ||
-                   (victim->valid && line.lastUse < victim->lastUse)) {
-            victim = &line;
         }
     }
 
     ++stats_.misses;
-    bool writeback = victim->valid && victim->dirty;
-    if (writeback)
-        ++stats_.writebacks;
-    victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = write;
-    victim->lastUse = ++tick;
+    const bool full = n == config_.assoc;
+    const unsigned slot = full ? n - 1 : n++;
+    const bool writeback = full && (base[slot] & 1);
+    stats_.writebacks += writeback;
+    std::copy_backward(base, base + slot, base + slot + 1);
+    base[0] = key | dirty;
     return {false, writeback};
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    std::uint64_t set = setIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    const Line *base = &lines[set * config_.assoc];
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return true;
-    }
-    return false;
+    const std::uint64_t set = (addr >> blockShift) & setMask;
+    const std::uint64_t key = (addr >> tagShift) << 1;
+    const std::uint64_t *base = &ways[set * config_.assoc];
+    return std::any_of(base, base + valid[set], [key](std::uint64_t w) {
+        return (w & ~std::uint64_t(1)) == key;
+    });
 }
 
 void
 Cache::reset()
 {
-    for (auto &line : lines)
-        line = Line{};
-    tick = 0;
+    std::fill(valid.begin(), valid.end(), 0);
     stats_ = CacheStats{};
 }
 

@@ -43,7 +43,9 @@ struct CacheStats
 
 /**
  * Tag-only set-associative cache (no data storage is needed for
- * timing). LRU is tracked with per-line use ticks.
+ * timing). Each set keeps its valid blocks in recency order, most
+ * recently used first, so true LRU needs no per-line use stamp: a hit
+ * moves its block to the front and a miss evicts the last valid way.
  */
 class Cache
 {
@@ -78,23 +80,19 @@ class Cache
     const std::string &name() const { return name_; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
-
-    std::uint64_t setIndex(Addr addr) const;
-    std::uint64_t tagOf(Addr addr) const;
-
     CacheConfig config_;
     std::string name_;
     unsigned blockShift;
+    unsigned tagShift; ///< block plus set-index bits
     std::uint64_t setMask;
-    std::vector<Line> lines;
-    std::uint64_t tick = 0;
+    /**
+     * config_.assoc words per set, `tag << 1 | dirty`, most recently
+     * used first. Blocks fill ways in order and are invalidated only
+     * by reset(), so the valid ways of a set are always its first
+     * valid[set].
+     */
+    std::vector<std::uint64_t> ways;
+    std::vector<unsigned> valid;
     CacheStats stats_;
 };
 

@@ -65,12 +65,9 @@ OooCore::consume(const DynInst &inst)
 
     // ROB occupancy: fetch of instruction i stalls until instruction
     // i - robEntries has committed and freed its entry.
-    if (seq >= cc.robEntries) {
-        Cycles free_at = robCommit[seq % cc.robEntries];
-        if (fetchCycle < free_at) {
-            fetchCycle = free_at;
-            fetchedThisCycle = 0;
-        }
+    if (fetchCycle < robCommit[robSlot]) {
+        fetchCycle = robCommit[robSlot];
+        fetchedThisCycle = 0;
     }
 
     if (fetchedThisCycle >= cc.fetchWidth) {
@@ -91,12 +88,8 @@ OooCore::consume(const DynInst &inst)
         ready = std::max(ready, regReady[si.src2]);
 
     // ---- LSQ occupancy for memory ops ----
-    if (inst.isMem()) {
-        if (memSeq >= cc.lsqEntries) {
-            Cycles free_at = lsqComplete[memSeq % cc.lsqEntries];
-            ready = std::max(ready, free_at);
-        }
-    }
+    if (inst.isMem())
+        ready = std::max(ready, lsqComplete[lsqSlot]);
 
     // ---- Issue to a functional unit ----
     // Divides occupy their unit for the full latency (unpipelined);
@@ -120,8 +113,9 @@ OooCore::consume(const DynInst &inst)
             // update above models their footprint.
             complete = issue + 1;
         }
-        lsqComplete[memSeq % cc.lsqEntries] = complete;
-        ++memSeq;
+        lsqComplete[lsqSlot] = complete;
+        if (++lsqSlot == cc.lsqEntries)
+            lsqSlot = 0;
     } else {
         complete = issue + traits.latency;
     }
@@ -160,9 +154,10 @@ OooCore::consume(const DynInst &inst)
         commitsThisCycle = 1;
     }
 
-    robCommit[seq % cc.robEntries] = commit;
+    robCommit[robSlot] = commit;
+    if (++robSlot == cc.robEntries)
+        robSlot = 0;
     lastCommit = commit;
-    ++seq;
 }
 
 Cycles
@@ -181,8 +176,8 @@ OooCore::reset()
         std::fill(units.begin(), units.end(), 0);
     std::fill(robCommit.begin(), robCommit.end(), 0);
     std::fill(lsqComplete.begin(), lsqComplete.end(), 0);
-    seq = 0;
-    memSeq = 0;
+    robSlot = 0;
+    lsqSlot = 0;
     fetchCycle = 0;
     fetchedThisCycle = 0;
     curFetchLine = ~Addr(0);

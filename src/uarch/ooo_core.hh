@@ -31,7 +31,7 @@ namespace tpcp::uarch
 {
 
 /** Table-1 out-of-order core model. */
-class OooCore : public TimingCore
+class OooCore final : public TimingCore
 {
   public:
     explicit OooCore(const MachineConfig &config);
@@ -69,13 +69,15 @@ class OooCore : public TimingCore
     std::vector<Cycles> regReady;
     /** Next-free cycle per functional unit, grouped by class. */
     std::array<std::vector<Cycles>, isa::numFuClasses> fuFree;
-    /** Commit cycle of the last robEntries instructions (circular). */
+    /** Commit cycle of the last robEntries instructions (circular;
+     * 0 until the slot is first written, which never stalls). */
     std::vector<Cycles> robCommit;
-    /** Completion cycle of the last lsqEntries memory ops (circular). */
+    /** Completion cycle of the last lsqEntries memory ops (circular,
+     * 0 until first written). */
     std::vector<Cycles> lsqComplete;
 
-    std::uint64_t seq = 0;     ///< dynamic instruction index
-    std::uint64_t memSeq = 0;  ///< dynamic memory-op index
+    unsigned robSlot = 0;      ///< ROB entry of the next instruction
+    unsigned lsqSlot = 0;      ///< LSQ entry of the next memory op
     Cycles fetchCycle = 0;
     unsigned fetchedThisCycle = 0;
     Addr curFetchLine = ~Addr(0);

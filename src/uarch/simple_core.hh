@@ -31,7 +31,7 @@ namespace tpcp::uarch
  * between code regions, which is the signal phase classification
  * consumes.
  */
-class SimpleCore : public TimingCore
+class SimpleCore final : public TimingCore
 {
   public:
     explicit SimpleCore(const MachineConfig &config);

@@ -1,6 +1,8 @@
 #include "uarch/simulator.hh"
 
 #include "common/logging.hh"
+#include "uarch/ooo_core.hh"
+#include "uarch/simple_core.hh"
 
 namespace tpcp::uarch
 {
@@ -23,6 +25,19 @@ Simulator::addSink(TraceSink *sink)
 InstCount
 Simulator::run(InstCount max_insts)
 {
+    // Dispatch once per run, not once per instruction. Any other core
+    // runs the same loop through the virtual interface.
+    if (auto *ooo = dynamic_cast<OooCore *>(&core_))
+        return runOn(*ooo, max_insts);
+    if (auto *simple = dynamic_cast<SimpleCore *>(&core_))
+        return runOn(*simple, max_insts);
+    return runOn(core_, max_insts);
+}
+
+template <typename Core>
+InstCount
+Simulator::runOn(Core &core, InstCount max_insts)
+{
     InstCount done = 0;
     for (;;) {
         std::optional<Segment> seg = schedule.next();
@@ -38,7 +53,7 @@ Simulator::run(InstCount max_insts)
         InstCount budget = seg->insts;
         while (budget > 0) {
             const DynInst &inst = engine_.next();
-            core_.consume(inst);
+            core.consume(inst);
             for (TraceSink *sink : sinks)
                 sink->onCommit(inst);
             --budget;

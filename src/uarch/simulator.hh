@@ -67,6 +67,11 @@ class Simulator
     const ExecEngine &engine() const { return engine_; }
 
   private:
+    /** run() on @p core's concrete type: a final core's consume() is
+     * a direct, inlinable call. */
+    template <typename Core>
+    InstCount runOn(Core &core, InstCount max_insts);
+
     const isa::Program &program;
     RegionSchedule &schedule;
     TimingCore &core_;

@@ -1,5 +1,7 @@
 #include "uarch/tlb.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -13,49 +15,41 @@ Tlb::Tlb(const TlbConfig &config)
     tpcp_assert(config_.assoc >= 1);
     tpcp_assert(config_.entries % config_.assoc == 0);
     pageShift = floorLog2(config_.pageBytes);
-    numSets = config_.entries / config_.assoc;
-    tpcp_assert(isPowerOf2(numSets));
-    setMask = numSets - 1;
-    entries.resize(config_.entries);
+    unsigned sets = config_.entries / config_.assoc;
+    tpcp_assert(isPowerOf2(sets));
+    setMask = sets - 1;
+    vpns.resize(config_.entries);
+    valid.resize(sets);
 }
 
 bool
 Tlb::access(Addr addr)
 {
     ++stats_.accesses;
-    std::uint64_t vpn = addr >> pageShift;
-    std::uint64_t set = vpn & setMask;
-    Entry *base = &entries[set * config_.assoc];
+    const std::uint64_t vpn = addr >> pageShift;
+    const std::uint64_t set = vpn & setMask;
+    std::uint64_t *base = &vpns[set * config_.assoc];
+    unsigned &n = valid[set];
 
-    Entry *victim = nullptr;
-    for (unsigned w = 0; w < config_.assoc; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.vpn == vpn) {
-            e.lastUse = ++tick;
+    for (unsigned w = 0; w < n; ++w) {
+        if (base[w] == vpn) {
+            std::copy_backward(base, base + w, base + w + 1);
+            base[0] = vpn;
             return true;
-        }
-        if (!e.valid) {
-            if (!victim || victim->valid)
-                victim = &e;
-        } else if (!victim ||
-                   (victim->valid && e.lastUse < victim->lastUse)) {
-            victim = &e;
         }
     }
 
     ++stats_.misses;
-    victim->vpn = vpn;
-    victim->valid = true;
-    victim->lastUse = ++tick;
+    const unsigned slot = n == config_.assoc ? n - 1 : n++;
+    std::copy_backward(base, base + slot, base + slot + 1);
+    base[0] = vpn;
     return false;
 }
 
 void
 Tlb::reset()
 {
-    for (auto &e : entries)
-        e = Entry{};
-    tick = 0;
+    std::fill(valid.begin(), valid.end(), 0);
     stats_ = TlbStats{};
 }
 

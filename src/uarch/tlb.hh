@@ -33,8 +33,9 @@ struct TlbStats
 
 /**
  * Translation lookaside buffer: a set-associative LRU array of page
- * numbers. Translation itself is the identity (the synthetic ISA uses
- * flat addresses); only the hit/miss timing matters.
+ * numbers, each set kept in recency order like Cache's. Translation
+ * itself is the identity (the synthetic ISA uses flat addresses);
+ * only the hit/miss timing matters.
  */
 class Tlb
 {
@@ -53,19 +54,13 @@ class Tlb
     const TlbStats &stats() const { return stats_; }
 
   private:
-    struct Entry
-    {
-        std::uint64_t vpn = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
-
     TlbConfig config_;
     unsigned pageShift;
     std::uint64_t setMask;
-    unsigned numSets;
-    std::vector<Entry> entries;
-    std::uint64_t tick = 0;
+    /** config_.assoc page numbers per set, most recently used first;
+     * the first valid[set] are valid. */
+    std::vector<std::uint64_t> vpns;
+    std::vector<unsigned> valid;
     TlbStats stats_;
 };
 

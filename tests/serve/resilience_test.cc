@@ -234,6 +234,9 @@ TEST(TenantRegistry, RepeatQuarantineBackoffDoubles)
         }
     };
 
+    // Offenses count only against a tenant the registry knows.
+    IntervalPacket first = packetFor(rc, 5, 0);
+    registry.deliverPacket(first);
     registry.noteMalformed(5);
     registry.noteMalformed(5);
     EXPECT_TRUE(registry.isQuarantined(5));
@@ -508,5 +511,50 @@ TEST(ServiceLoop, MalformedFrameIsCountedOnceWhetherAttributedOrNot)
         ServeOptions opts;
         opts.fairness.maxBacklog = fairness ? 64 : 0;
         expectMalformedCountedOnce(opts);
+    }
+}
+
+TEST(ServiceLoop, MalformedFramesNeverCreateTenants)
+{
+    // A rejected frame's header id is untrusted: 1000 bad frames
+    // naming 1000 distinct unknown ids add no tenant record, while a
+    // bad frame naming a known tenant is still charged to it.
+    for (bool fairness : {false, true}) {
+        SCOPED_TRACE(fairness ? "fairness on" : "FIFO drain");
+        ServeOptions opts;
+        opts.fairness.maxBacklog = fairness ? 2048 : 0;
+        opts.ringBytes = 1u << 22;
+        ServiceLoop loop(opts);
+        const unsigned dims =
+            opts.registry.tracker.classifier.numCounters;
+        const EncodedStream stream = encodeSyntheticStream(5, 2, dims);
+        SpscRing &ring = loop.ring(0);
+        std::vector<std::uint8_t> frame = stream[0];
+        restampPacket(frame.data(), 3, 0);
+        ASSERT_TRUE(ring.tryPush(
+            frame.data(), static_cast<std::uint32_t>(frame.size())));
+        for (std::uint64_t id = 1000; id < 2000; ++id) {
+            frame = stream[1];
+            restampPacket(frame.data(), id, 0);
+            frame[28] = 1; // reserved field; the header still reads
+            ASSERT_TRUE(ring.tryPush(
+                frame.data(),
+                static_cast<std::uint32_t>(frame.size())));
+        }
+        frame = stream[1];
+        restampPacket(frame.data(), 3, 1);
+        frame[28] = 1;
+        ASSERT_TRUE(ring.tryPush(
+            frame.data(), static_cast<std::uint32_t>(frame.size())));
+        loop.producerDone(0);
+        loop.run();
+
+        const ServeCounters c = loop.counters();
+        EXPECT_EQ(loop.registry(0).numTenants(), 1u);
+        EXPECT_FALSE(loop.registry(0).hasTenant(1000));
+        EXPECT_EQ(c.packets, 1u);
+        EXPECT_EQ(c.malformedPackets, 1001u);
+        EXPECT_EQ(loop.tenantCounters(3).malformedPackets, 1u);
+        EXPECT_EQ(c.accounted(), 1002u);
     }
 }
