@@ -1,6 +1,5 @@
 #include "common/simd.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) && !defined(TPCP_SIMD_DISABLED)
@@ -62,24 +61,12 @@ detectBest()
 #endif
 }
 
-Level
-initLevel()
-{
-    Level level = detectBest();
-    if (const char *env = std::getenv("TPCP_SIMD")) {
-        Level parsed;
-        if (parseLevel(env, parsed) && levelAvailable(parsed))
-            level = parsed;
-    }
-    return level;
-}
-
 /** Function-local static avoids any static-init-order hazard; the
  * guard branch is one predictable test per kernel dispatch. */
 Level &
 activeRef()
 {
-    static Level level = initLevel();
+    static Level level = detectBest();
     return level;
 }
 
@@ -459,42 +446,6 @@ forceLevel(Level level)
     if (levelAvailable(level))
         activeRef() = level;
     return activeRef();
-}
-
-bool
-parseLevel(const char *name, Level &out)
-{
-    auto eq = [&](const char *want) {
-        const char *a = name;
-        const char *b = want;
-        while (*a && *b) {
-            char ca = *a >= 'A' && *a <= 'Z'
-                          ? static_cast<char>(*a - 'A' + 'a')
-                          : *a;
-            if (ca != *b)
-                return false;
-            ++a;
-            ++b;
-        }
-        return *a == '\0' && *b == '\0';
-    };
-    if (eq("scalar") || eq("off") || eq("0")) {
-        out = Level::Scalar;
-        return true;
-    }
-    if (eq("sse2")) {
-        out = Level::Sse2;
-        return true;
-    }
-    if (eq("avx2")) {
-        out = Level::Avx2;
-        return true;
-    }
-    if (eq("neon")) {
-        out = Level::Neon;
-        return true;
-    }
-    return false;
 }
 
 std::uint64_t

@@ -19,10 +19,9 @@
  *    `target("avx2")` function attribute so the rest of the build
  *    keeps the default ISA);
  *  - the active level is chosen once at first use from the CPU
- *    (`__builtin_cpu_supports`) and may be lowered via the
- *    `TPCP_SIMD` environment variable (`scalar`, `sse2`, `avx2`,
- *    `neon`) or forceLevel() — used by the scalar-vs-SIMD
- *    equivalence tests to run every level on one machine.
+ *    (`__builtin_cpu_supports`); forceLevel() lowers it so the
+ *    scalar-vs-SIMD equivalence tests run every level on one
+ *    machine.
  */
 
 #ifndef TPCP_COMMON_SIMD_HH
@@ -49,8 +48,7 @@ const char *levelName(Level level);
 /** Best level compiled into this binary and supported by this CPU. */
 Level bestSupported();
 
-/** Currently active level (init: bestSupported(), lowered by the
- * TPCP_SIMD environment variable when set). */
+/** Currently active level (init: bestSupported()). */
 Level active();
 
 /**
@@ -59,9 +57,6 @@ Level active();
  * concurrent kernel calls.
  */
 Level forceLevel(Level level);
-
-/** Parses a level name; returns false when @p name is unknown. */
-bool parseLevel(const char *name, Level &out);
 
 /**
  * Rows in the signature table (and padded queries against them) are

@@ -99,8 +99,8 @@ class PhaseClassifier
 
     /**
      * Constructs a classifier whose past-signature table lives
-     * outside the classifier — a shard of a SignatureTableShards in
-     * the streaming service, where per-tenant tables are partitioned
+     * outside the classifier — a resident slot's table in the
+     * streaming service, where per-tenant tables are partitioned
      * across preallocated slots. @p external_table must match the
      * geometry the classifier would build itself (capacity ==
      * config.tableEntries, min-counter width == config.minCounterBits)

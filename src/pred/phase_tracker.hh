@@ -71,7 +71,7 @@ class PhaseTracker
 
     /**
      * Constructs a tracker whose classifier uses an external
-     * past-signature table (a SignatureTableShards slot in the
+     * past-signature table (a resident slot's table in the
      * streaming service). The table must match the classifier
      * config's geometry and outlive the tracker; outputs are
      * identical to a tracker owning its table.

@@ -14,9 +14,9 @@
  * budget regardless of who shouted loudest into the ring.
  *
  * Invariants the service's conservation identity leans on:
- *  - a staged frame is eventually either drained (handed to the
- *    sink exactly once) or shed (counted, per tenant) — never both,
- *    never neither;
+ *  - an arriving frame is either drained (handed to the sink
+ *    exactly once) or shed (stage() returns false and the service
+ *    counts it against the tenant) — never both, never neither;
  *  - per-tenant frame order is FIFO end to end, so a tenant whose
  *    frames are all drained produces a phase-ID stream byte-identical
  *    to the batch path (fairness reorders *between* tenants only);
@@ -68,18 +68,14 @@ struct FairnessConfig
     }
 };
 
-/** What one flow (tenant) did inside the scheduler. */
-struct FlowCounters
-{
-    std::uint64_t staged = 0;
-    std::uint64_t drained = 0;
-    /** Frames shed because the tenant's backlog was full. */
-    std::uint64_t shed = 0;
-};
-
 /**
  * The per-partition flow scheduler. Single-threaded by design (each
  * partition's drain task owns one), like the registry it feeds.
+ *
+ * A flow record exists only while its tenant has staged frames or a
+ * token bucket below `burst`; a new flow starts with a full bucket.
+ * Frame headers are untrusted, so a record that outlived both would
+ * let every id ever peeked grow the scheduler without bound.
  */
 class FlowScheduler
 {
@@ -95,40 +91,42 @@ class FlowScheduler
     /**
      * Stages one arriving frame for @p tenant. Returns true when the
      * frame was queued; false when the tenant's backlog was full and
-     * the frame was shed (counted — the caller mirrors the shed into
-     * the tenant's service counters).
+     * the frame was shed (the caller counts the shed against the
+     * tenant).
      */
     bool
     stage(std::uint64_t tenant, const std::uint8_t *frame,
           std::size_t len)
     {
-        Flow &f = flows_[tenant];
-        ++f.c.staged;
+        auto [it, created] = flows_.try_emplace(tenant);
+        Flow &f = it->second;
+        if (created)
+            f.tokens = cfg.burst;
         if (cfg.maxBacklog != 0 &&
-            f.queue.size() >= cfg.maxBacklog) {
-            ++f.c.shed;
-            ++totalShed_;
+            f.queue.size() >= cfg.maxBacklog)
             return false;
-        }
         f.queue.emplace_back(frame, frame + len);
         ++backlog_;
-        if (!f.active) {
-            f.active = true;
+        if (f.queue.size() == 1)
             active_.push_back(tenant);
-        }
         return true;
     }
 
-    /** Starts a drain cycle: refills every flow's token bucket. */
+    /** Starts a drain cycle: refills every flow's token bucket and
+     * drops the records of idle flows whose bucket is full again. */
     void
     beginCycle()
     {
         if (cfg.ratePerCycle == 0)
             return;
-        for (auto &kv : flows_) {
-            Flow &f = kv.second;
+        for (auto it = flows_.begin(); it != flows_.end();) {
+            Flow &f = it->second;
             f.tokens = std::min<std::uint64_t>(
                 cfg.burst, f.tokens + cfg.ratePerCycle);
+            if (f.queue.empty() && f.tokens == cfg.burst)
+                it = flows_.erase(it);
+            else
+                ++it;
         }
     }
 
@@ -154,7 +152,8 @@ class FlowScheduler
                  ++i) {
                 const std::uint64_t tenant = active_.front();
                 active_.pop_front();
-                Flow &f = flows_[tenant];
+                auto it = flows_.find(tenant);
+                Flow &f = it->second;
                 f.deficit += cfg.drrQuantum;
                 while (!f.queue.empty() && f.deficit >= 1 &&
                        served < budget &&
@@ -165,15 +164,17 @@ class FlowScheduler
                     --f.deficit;
                     if (cfg.ratePerCycle != 0)
                         --f.tokens;
-                    ++f.c.drained;
                     ++served;
                     progress = true;
                 }
                 if (f.queue.empty()) {
                     // Empty flows leave the rotation (and forfeit
-                    // their deficit: DRR's anti-hoarding rule).
-                    f.active = false;
+                    // their deficit: DRR's anti-hoarding rule); with
+                    // a full bucket (always, without rate limiting)
+                    // nothing is left to remember.
                     f.deficit = 0;
+                    if (f.tokens == cfg.burst)
+                        flows_.erase(it);
                 } else {
                     active_.push_back(tenant);
                 }
@@ -190,16 +191,8 @@ class FlowScheduler
     /** Staged frames currently pending across all flows. */
     std::size_t backlog() const { return backlog_; }
 
-    /** Frames shed across all flows so far. */
-    std::uint64_t totalShed() const { return totalShed_; }
-
-    /** Per-flow counters for @p tenant (zeros when never seen). */
-    FlowCounters
-    flowCounters(std::uint64_t tenant) const
-    {
-        auto it = flows_.find(tenant);
-        return it == flows_.end() ? FlowCounters{} : it->second.c;
-    }
+    /** Flow records currently held (backlogged or refilling). */
+    std::size_t trackedFlows() const { return flows_.size(); }
 
     const FairnessConfig &config() const { return cfg; }
 
@@ -209,16 +202,13 @@ class FlowScheduler
         std::deque<std::vector<std::uint8_t>> queue;
         std::uint64_t tokens = 0;
         std::uint64_t deficit = 0;
-        bool active = false;
-        FlowCounters c;
     };
 
     FairnessConfig cfg;
     std::unordered_map<std::uint64_t, Flow> flows_;
-    /** Active (backlogged) flows in activation order. */
+    /** Backlogged flows in activation order. */
     std::deque<std::uint64_t> active_;
     std::size_t backlog_ = 0;
-    std::uint64_t totalShed_ = 0;
 };
 
 } // namespace tpcp::serve

@@ -54,8 +54,8 @@ EncodedStream encodeProfileStream(const trace::IntervalProfile &prof,
 /**
  * Generates a deterministic synthetic stream of @p packets intervals
  * at @p num_counters counters: dwelling phase shapes with occasional
- * moves, the same model micro_throughput uses. Depends only on the
- * arguments, so any producer layout replays identical streams.
+ * moves. Depends only on the arguments, so any producer layout
+ * replays identical streams.
  */
 EncodedStream encodeSyntheticStream(std::uint64_t stream_seed,
                                     std::size_t packets,

@@ -18,17 +18,18 @@ ServeCounters::operator+=(const ServeCounters &o)
 }
 
 TenantRegistry::TenantRegistry(const RegistryConfig &config)
-    : cfg(config),
-      shards_(config.maxResident,
-              config.tracker.classifier.tableEntries,
-              config.tracker.classifier.minCounterBits,
-              config.tracker.classifier.parityProtect)
+    : cfg(config)
 {
     tpcp_assert(cfg.maxResident > 0,
                 "registry needs at least one resident slot");
     tpcp_assert(!cfg.quarantine.enabled() ||
                     cfg.quarantine.backoffBase > 0,
                 "quarantine backoff must be at least one tick");
+    const phase::ClassifierConfig &cc = cfg.tracker.classifier;
+    slots_.reserve(cfg.maxResident);
+    for (unsigned i = 0; i < cfg.maxResident; ++i)
+        slots_.emplace_back(cc.tableEntries, cc.minCounterBits,
+                            cc.parityProtect);
     freeSlots_.reserve(cfg.maxResident);
     // Pop order never affects results (slots are interchangeable);
     // hand them out in ascending order for readable debugging.
@@ -60,7 +61,7 @@ TenantRegistry::evict(Tenant &t)
     // Return the slot pristine: clear() fully resets the table
     // (entries, LRU ticks, eviction counts), so the next tenant in
     // this slot classifies exactly as if the slot were newly built.
-    shards_.shard(t.slot).clear();
+    slots_[t.slot].clear();
     freeSlots_.push_back(t.slot);
     t.slot = kNoSlot;
     t.tracker.reset();
@@ -112,7 +113,7 @@ TenantRegistry::activate(Tenant &t)
     freeSlots_.pop_back();
     t.slot = slot;
     t.tracker = std::make_unique<pred::PhaseTracker>(
-        cfg.tracker, &shards_.shard(slot));
+        cfg.tracker, &slots_[slot]);
     ++residentCount;
     if (resumed) {
         try {
@@ -128,7 +129,7 @@ TenantRegistry::activate(Tenant &t)
         } catch (const Error &) {
             // Roll the claim back so the failed resume cannot leak
             // the slot or leave a half-restored tracker resident.
-            shards_.shard(slot).clear();
+            slots_[slot].clear();
             freeSlots_.push_back(slot);
             t.slot = kNoSlot;
             t.tracker.reset();

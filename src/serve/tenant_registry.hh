@@ -4,16 +4,16 @@
  *
  * Each tenant owns an independent PhaseTracker (classifier +
  * next-phase + run-length predictors) whose past-signature table is
- * a slot of a preallocated SignatureTableShards — table memory for
- * every resident tenant is partitioned at construction, and a worker
- * thread driving one registry shares no classifier state with any
- * other. A registry is deliberately single-threaded: the service
+ * one of a preallocated set of SignatureTable slots — table memory
+ * for every resident tenant is partitioned at construction, and a
+ * worker thread driving one registry shares no classifier state with
+ * any other. A registry is deliberately single-threaded: the service
  * assigns each tenant to exactly one producer ring and each ring to
  * one registry, so per-tenant packet order — and therefore every
  * phase-ID stream — is identical to the batch path regardless of
  * how many producers or workers are running.
  *
- * Residency is bounded by the shard count. An idle tenant is evicted
+ * Residency is bounded by the slot count. An idle tenant is evicted
  * to a checkpoint image held in memory, freeing its slot: its
  * saveState bytes sealed in the checksummed common/state_io envelope,
  * byte for byte what a state file holds. The next packet for an
@@ -51,7 +51,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "phase/table_shards.hh"
+#include "phase/signature_table.hh"
 #include "pred/phase_tracker.hh"
 #include "serve/packet.hh"
 
@@ -90,7 +90,7 @@ struct RegistryConfig
 {
     /** Per-tenant tracker (classifier + predictor) configuration. */
     pred::PhaseTrackerConfig tracker;
-    /** Resident-tenant capacity (= shard slots preallocated). */
+    /** Resident-tenant capacity (= table slots preallocated). */
     unsigned maxResident = 64;
     /** Evict a tenant once this many packets were delivered to the
      * registry without any for it (0 = only forced eviction when a
@@ -344,7 +344,7 @@ class TenantRegistry
     struct Tenant
     {
         std::uint64_t id = 0;
-        /** Slot in the shard set; npos when evicted. */
+        /** Index into slots_; kNoSlot when evicted. */
         unsigned slot = kNoSlot;
         std::unique_ptr<pred::PhaseTracker> tracker;
         std::uint64_t nextSeq = 0;
@@ -400,7 +400,8 @@ class TenantRegistry
     void quarantine(Tenant &t);
 
     RegistryConfig cfg;
-    phase::SignatureTableShards shards_;
+    /** One past-signature table per resident slot. */
+    std::vector<phase::SignatureTable> slots_;
     std::vector<unsigned> freeSlots_;
     std::unordered_map<std::uint64_t, Tenant> tenants_;
     ServeCounters counters_;

@@ -71,27 +71,6 @@ refCompress(const std::uint32_t *raw, std::size_t n, unsigned shift,
 
 } // namespace
 
-TEST(SimdDispatch, LevelNamesRoundTripThroughParse)
-{
-    for (simd::Level l :
-         {simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2,
-          simd::Level::Neon}) {
-        simd::Level parsed;
-        ASSERT_TRUE(simd::parseLevel(simd::levelName(l), parsed));
-        EXPECT_EQ(parsed, l);
-    }
-    simd::Level parsed;
-    EXPECT_TRUE(simd::parseLevel("off", parsed));
-    EXPECT_EQ(parsed, simd::Level::Scalar);
-    EXPECT_TRUE(simd::parseLevel("0", parsed));
-    EXPECT_EQ(parsed, simd::Level::Scalar);
-    EXPECT_TRUE(simd::parseLevel("AVX2", parsed)); // case-insensitive
-    EXPECT_EQ(parsed, simd::Level::Avx2);
-    EXPECT_FALSE(simd::parseLevel("avx512", parsed));
-    EXPECT_FALSE(simd::parseLevel("", parsed));
-    EXPECT_FALSE(simd::parseLevel("avx", parsed));
-}
-
 TEST(SimdDispatch, ScalarAlwaysAvailableAndForceRestores)
 {
     LevelGuard guard;

@@ -5,7 +5,7 @@
  * across dispatch levels (both policies, quarantined entries,
  * weight-0 signatures), the batched classifyIntervals() against
  * per-interval classifyRaw(), the O(1) LRU eviction order against a
- * reference min-lastUse rescan, and the per-tenant table shards.
+ * reference min-lastUse rescan.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "common/state_io.hh"
 #include "phase/classifier.hh"
 #include "phase/signature_table.hh"
-#include "phase/table_shards.hh"
 
 using namespace tpcp;
 using namespace tpcp::phase;
@@ -303,63 +302,4 @@ TEST(LruEviction, SurvivesSaveLoadRoundTrip)
     table.saveState(wA);
     loaded.saveState(wB);
     EXPECT_EQ(wA.buffer(), wB.buffer());
-}
-
-TEST(TableShards, TenantsMapStablyAndShardsAreIndependent)
-{
-    SignatureTableShards shards(4, 32, 6);
-    EXPECT_EQ(shards.numShards(), 4u);
-    // Stable mapping.
-    for (std::uint64_t t : {1ull, 42ull, 0xdeadbeefull}) {
-        unsigned s = shards.shardOf(t);
-        EXPECT_EQ(shards.shardOf(t), s);
-        EXPECT_LT(s, 4u);
-        EXPECT_EQ(&shards.tableFor(t), &shards.shard(s));
-    }
-    // Inserting into one tenant's shard is invisible to a tenant on
-    // a different shard.
-    std::uint64_t a = 1;
-    std::uint64_t b = 2;
-    while (shards.shardOf(b) == shards.shardOf(a))
-        ++b;
-    Rng rng(std::uint64_t{0x5eed});
-    auto row = randomRow(rng, 16, 64);
-    shards.tableFor(a).insert(row.data(), 16, 100, 0.25, 6);
-    EXPECT_EQ(shards.tableFor(a).size(), 1u);
-    EXPECT_EQ(shards.tableFor(b).size(), 0u);
-    EXPECT_EQ(shards.size(), 1u);
-    // The other tenant's matches can never see tenant a's signature.
-    std::uint32_t weight = 0;
-    for (std::uint8_t v : row)
-        weight += v;
-    auto m = shards.tableFor(b).match(row.data(), 16, weight,
-                                      MatchPolicy::BestMatch);
-    EXPECT_FALSE(m);
-    auto hit = shards.tableFor(a).match(row.data(), 16, weight,
-                                        MatchPolicy::BestMatch);
-    EXPECT_TRUE(hit);
-
-    shards.clear();
-    EXPECT_EQ(shards.size(), 0u);
-}
-
-TEST(TableShards, SaveLoadRoundTripsEveryShard)
-{
-    Rng rng(std::uint64_t{0x404});
-    SignatureTableShards shards(3, 8, 6);
-    for (std::uint64_t t = 0; t < 24; ++t) {
-        auto row = randomRow(rng, 16, 64);
-        shards.tableFor(t).insert(row.data(), 16, 100, 0.25, 6);
-    }
-    StateWriter saved;
-    shards.saveState(saved);
-    SignatureTableShards loaded(3, 8, 6);
-    {
-        StateReader r(saved.buffer());
-        loaded.loadState(r);
-    }
-    EXPECT_EQ(loaded.size(), shards.size());
-    StateWriter saved2;
-    loaded.saveState(saved2);
-    EXPECT_EQ(saved2.buffer(), saved.buffer());
 }

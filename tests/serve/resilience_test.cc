@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,11 +65,14 @@ TEST(FlowScheduler, DrrSharesBudgetAcrossBackloggedFlows)
 
     // A budget of 20 must split evenly: the deep backlog cannot buy
     // tenant 1 more than its round-robin share.
+    std::map<std::uint64_t, int> drained;
     std::size_t served = sched.drain(
-        20, [](std::uint64_t, const std::vector<std::uint8_t> &) {});
+        20, [&](std::uint64_t tenant, const std::vector<std::uint8_t> &) {
+            ++drained[tenant];
+        });
     EXPECT_EQ(served, 20u);
-    EXPECT_EQ(sched.flowCounters(1).drained, 10u);
-    EXPECT_EQ(sched.flowCounters(2).drained, 10u);
+    EXPECT_EQ(drained[1], 10);
+    EXPECT_EQ(drained[2], 10);
 }
 
 TEST(FlowScheduler, TokenBucketBoundsPerCycleService)
@@ -83,17 +87,42 @@ TEST(FlowScheduler, TokenBucketBoundsPerCycleService)
 
     // Each cycle refills 2 tokens, so a huge budget still serves
     // exactly 2 frames per cycle: 5 cycles to empty.
+    int drained = 0;
     for (int cycle = 0; cycle < 5; ++cycle) {
         sched.beginCycle();
-        EXPECT_EQ(
-            sched.drain(1000, [](std::uint64_t,
-                                 const std::vector<std::uint8_t> &) {
-            }),
-            2u)
+        EXPECT_EQ(sched.drain(1000,
+                              [&](std::uint64_t tenant,
+                                  const std::vector<std::uint8_t> &) {
+                                  EXPECT_EQ(tenant, 7u);
+                                  ++drained;
+                              }),
+                  2u)
             << "cycle " << cycle;
     }
     EXPECT_TRUE(sched.idle());
-    EXPECT_EQ(sched.flowCounters(7).drained, 10u);
+    EXPECT_EQ(drained, 10);
+}
+
+TEST(FlowScheduler, NewFlowStartsWithFullBucket)
+{
+    FairnessConfig fc;
+    fc.ratePerCycle = 1;
+    fc.burst = 3;
+    FlowScheduler sched(fc);
+
+    const auto frame = markerFrame(4);
+    for (int i = 0; i < 5; ++i)
+        ASSERT_TRUE(sched.stage(5, frame.data(), frame.size()));
+    auto none = [](std::uint64_t, const std::vector<std::uint8_t> &) {};
+    // A tenant never seen before may use its whole burst at once;
+    // after that the refill rate bounds it.
+    sched.beginCycle();
+    EXPECT_EQ(sched.drain(1000, none), 3u);
+    sched.beginCycle();
+    EXPECT_EQ(sched.drain(1000, none), 1u);
+    sched.beginCycle();
+    EXPECT_EQ(sched.drain(1000, none), 1u);
+    EXPECT_TRUE(sched.idle());
 }
 
 TEST(FlowScheduler, FullBacklogShedsCounted)
@@ -103,15 +132,57 @@ TEST(FlowScheduler, FullBacklogShedsCounted)
     FlowScheduler sched(fc);
 
     const auto frame = markerFrame(3);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(sched.stage(9, frame.data(), frame.size()));
-    for (int i = 0; i < 3; ++i)
-        EXPECT_FALSE(sched.stage(9, frame.data(), frame.size()));
-    EXPECT_EQ(sched.flowCounters(9).shed, 3u);
-    EXPECT_EQ(sched.totalShed(), 3u);
+    std::uint64_t queued = 0, shed = 0;
+    for (int i = 0; i < 7; ++i) {
+        if (sched.stage(9, frame.data(), frame.size()))
+            ++queued;
+        else
+            ++shed;
+    }
+    EXPECT_EQ(queued, 4u);
+    EXPECT_EQ(shed, 3u);
     EXPECT_EQ(sched.backlog(), 4u);
-    // staged counts arrivals, drained + shed must reconcile later.
-    EXPECT_EQ(sched.flowCounters(9).staged, 7u);
+    // Every arrival is drained or shed, never both.
+    std::uint64_t drained = 0;
+    sched.drain(1000, [&](std::uint64_t,
+                          const std::vector<std::uint8_t> &) {
+        ++drained;
+    });
+    EXPECT_EQ(drained + shed, 7u);
+    EXPECT_TRUE(sched.idle());
+}
+
+TEST(FlowScheduler, DrainedFlowsLeaveNoRecord)
+{
+    // Header ids are untrusted: staging 1000 distinct ids and
+    // draining them must not leave 1000 records behind.
+    const auto frame = markerFrame(6);
+    auto none = [](std::uint64_t, const std::vector<std::uint8_t> &) {};
+    {
+        FlowScheduler sched(FairnessConfig{});
+        for (std::uint64_t id = 0; id < 1000; ++id)
+            ASSERT_TRUE(sched.stage(id, frame.data(), frame.size()));
+        EXPECT_EQ(sched.trackedFlows(), 1000u);
+        sched.beginCycle();
+        EXPECT_EQ(sched.drain(1000, none), 1000u);
+        EXPECT_TRUE(sched.idle());
+        EXPECT_EQ(sched.trackedFlows(), 0u);
+    }
+    {
+        // With rate limiting a drained flow is remembered until its
+        // bucket has refilled, then dropped.
+        FairnessConfig fc;
+        fc.ratePerCycle = 1;
+        fc.burst = 2;
+        FlowScheduler sched(fc);
+        for (std::uint64_t id = 0; id < 1000; ++id)
+            ASSERT_TRUE(sched.stage(id, frame.data(), frame.size()));
+        sched.beginCycle();
+        EXPECT_EQ(sched.drain(1000, none), 1000u);
+        EXPECT_EQ(sched.trackedFlows(), 1000u);
+        sched.beginCycle();
+        EXPECT_EQ(sched.trackedFlows(), 0u);
+    }
 }
 
 TEST(FlowScheduler, PerTenantOrderIsFifo)

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "uarch/cache_hierarchy.hh"
@@ -48,6 +49,13 @@ struct Pinned
     const char *core;
     Counters counters;
 };
+
+/** Keeps pointer bytes out of the listed test name. */
+void
+PrintTo(const Pinned &p, std::ostream *os)
+{
+    *os << p.workload << ' ' << p.core;
+}
 
 Counters
 run(const std::string &name, const std::string &core_name)
