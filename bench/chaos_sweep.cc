@@ -18,10 +18,10 @@
  *                and the conservation identity pushed == delivered +
  *                malformed + rejected + shed + quarantine-drops holds
  *                exactly at every multiplier.
- *  - quarantine: a malformed-frame flood trips quarantine; the
- *                backoff expires and the tenant is readmitted; every
- *                co-tenant's phase-ID stream stays byte-identical to
- *                the batch path throughout.
+ *  - quarantine: after one valid frame, a malformed-frame flood
+ *                trips quarantine; the backoff expires and the tenant
+ *                is readmitted; every co-tenant's phase-ID stream
+ *                stays byte-identical to the batch path throughout.
  *  - migration:  a mid-run migrate-out / migrate-in handoff replays
  *                to the exact batch phase streams, and a campaign of
  *                damaged bundles (torn manifest, flipped or missing
@@ -292,7 +292,10 @@ runOverloadCell(std::size_t cycles)
 }
 
 /** Malformed-flood quarantine: trip it, serve the backoff, readmit —
- * with every co-tenant's phase stream staying batch-identical. */
+ * with every co-tenant's phase stream staying batch-identical. The
+ * aggressor's first frame is valid: the registry counts malformed
+ * frames only against a tenant it already knows, so header garbage
+ * from an unknown id can never grow its tenant map. */
 std::vector<Metric>
 runQuarantineCell()
 {
@@ -321,12 +324,12 @@ runQuarantineCell()
     std::uint64_t pushed = 0;
     std::vector<std::uint8_t> scratch;
     for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
-        // The aggressor floods malformed frames (readable header,
-        // truncated payload) first, then behaves; co-tenants are
-        // clean throughout.
+        // The aggressor sends one valid frame, floods malformed
+        // frames (readable header, truncated payload), then behaves;
+        // co-tenants are clean throughout.
         scratch = streams[kAggressor][cycle];
         restampPacket(scratch.data(), kAggressor, cycle);
-        if (cycle < kMalformedCycles)
+        if (cycle >= 1 && cycle <= kMalformedCycles)
             scratch.resize(kPacketHeaderBytes + 12);
         if (loop.ring(0).tryPush(
                 scratch.data(),

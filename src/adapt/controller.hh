@@ -107,7 +107,6 @@ class AdaptController
         const std::vector<trace::IntervalProfile> &profiles,
         const std::vector<PhaseId> &phases) const;
 
-    const ConfigLattice &configLattice() const { return lattice; }
     const ControllerOptions &options() const { return opts; }
 
   private:

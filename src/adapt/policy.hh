@@ -1,12 +1,12 @@
 /**
  * @file
- * Exploration policies: learn, per phase, which lattice
+ * The exploration policy: learns, per phase, which lattice
  * configuration minimizes the measured energy-delay product.
  *
  * The controller consults the policy at every interval boundary
  * (choose) and feeds back each interval's measured cycles and energy
- * under the configuration that actually ran (record). Policies are
- * deterministic functions of that feedback stream, which is what
+ * under the configuration that actually ran (record). The policy is
+ * a deterministic function of that feedback stream, which is what
  * keeps `tpcp adapt --jobs=N` byte-identical for every N.
  *
  * GreedyHillClimbPolicy implements per-phase greedy hill climbing
@@ -31,7 +31,6 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <string>
 
 #include "adapt/lattice.hh"
 #include "common/running_stats.hh"
@@ -65,48 +64,29 @@ struct PolicyConfig
 };
 
 /**
- * Strategy interface: per-phase configuration choice with measured
- * feedback.
+ * Per-phase greedy hill climbing over the lattice (see file
+ * comment).
  */
-class ExplorationPolicy
+class GreedyHillClimbPolicy
 {
   public:
-    virtual ~ExplorationPolicy() = default;
-
-    /** Stable identifier used in tables and JSON. */
-    virtual std::string name() const = 0;
+    GreedyHillClimbPolicy(const ConfigLattice &lattice,
+                          const PolicyConfig &config = {});
 
     /** The configuration to run while in @p phase. */
-    virtual std::size_t choose(PhaseId phase) = 0;
+    std::size_t choose(PhaseId phase);
 
     /**
      * Feedback for one interval of @p phase that ran on @p cfg with
      * measured @p cycles and @p energy (penalty-free: switch costs
      * are accounted by the controller, not fed to the learner).
      */
-    virtual void record(PhaseId phase, std::size_t cfg,
-                        double cycles, double energy) = 0;
+    void record(PhaseId phase, std::size_t cfg, double cycles,
+                double energy);
 
     /** The configuration the policy currently believes is best for
      * @p phase (for reporting). */
-    virtual std::size_t bestChoice(PhaseId phase) const = 0;
-};
-
-/**
- * Per-phase greedy hill climbing over the lattice (see file
- * comment).
- */
-class GreedyHillClimbPolicy : public ExplorationPolicy
-{
-  public:
-    GreedyHillClimbPolicy(const ConfigLattice &lattice,
-                          const PolicyConfig &config = {});
-
-    std::string name() const override { return "greedy"; }
-    std::size_t choose(PhaseId phase) override;
-    void record(PhaseId phase, std::size_t cfg, double cycles,
-                double energy) override;
-    std::size_t bestChoice(PhaseId phase) const override;
+    std::size_t bestChoice(PhaseId phase) const;
 
     /** True once @p phase has exhausted its exploration budget. */
     bool settled(PhaseId phase) const;

@@ -103,16 +103,6 @@ class AccumulatorTable
     /** Clears all counters for the next interval. */
     void reset();
 
-    /** Fault hook: flips bit @p bit of counter @p idx. The result is
-     * clamped to the counter width — a flip can corrupt the value but
-     * never widen the physical counter. */
-    void
-    flipCounterBit(unsigned idx, unsigned bit)
-    {
-        std::uint32_t v = ctrs[idx] ^ (std::uint32_t(1) << bit);
-        ctrs[idx] = v > maxVal ? maxVal : v;
-    }
-
     /** Appends counter state to a checkpoint snapshot. */
     void saveState(StateWriter &w) const;
 

@@ -20,23 +20,6 @@ PhaseClassifier::PhaseClassifier(const ClassifierConfig &config)
                 "similarity threshold must be in (0, 1]");
 }
 
-PhaseClassifier::PhaseClassifier(const ClassifierConfig &config,
-                                 SignatureTable *external_table)
-    // The owned table stays an empty shell: capacity 1, no parity
-    // tracking, never inserted into.
-    : cfg(config), accum(config.numCounters, config.counterBits),
-      sigTable(1, config.minCounterBits, false),
-      extTable(external_table), scratch(config.numCounters, 0)
-{
-    tpcp_assert(cfg.similarityThreshold > 0.0 &&
-                cfg.similarityThreshold <= 1.0,
-                "similarity threshold must be in (0, 1]");
-    tpcp_assert(external_table != nullptr,
-                "external-table construction needs a table");
-    tpcp_assert(external_table->capacity() == cfg.tableEntries,
-                "external table capacity mismatches the config");
-}
-
 void
 PhaseClassifier::recordBranch(Addr pc, InstCount insts)
 {
@@ -107,7 +90,7 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
 
     if (cfg.parityProtect && cfg.scrubEvery != 0 &&
         stats_.intervals % cfg.scrubEvery == 0)
-        stats_.quarantines += tbl().scrubParity();
+        stats_.quarantines += sigTable.scrubParity();
 
     // Compress into the reusable scratch row: the hot path allocates
     // nothing and the table works on raw signature bytes.
@@ -115,15 +98,15 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
         raw, cfg.numCounters, total, cfg.bitsPerDim, cfg.bitSelection,
         cfg.staticShift, scratch.data());
 
-    SignatureTable::MatchResult m = tbl().match(
+    SignatureTable::MatchResult m = sigTable.match(
         scratch.data(), scratch.size(), weight, cfg.matchPolicy);
-    while (m && cfg.parityProtect && !tbl().checkParityAt(m.index)) {
+    while (m && cfg.parityProtect && !sigTable.checkParityAt(m.index)) {
         // Read-detected parity failure: the match was computed over
         // corrupt signature bytes, so it cannot be trusted. The entry
         // is now quarantined (match() skips it); rematch against the
         // remaining clean entries.
         ++stats_.quarantines;
-        m = tbl().match(scratch.data(), scratch.size(), weight,
+        m = sigTable.match(scratch.data(), scratch.size(), weight,
                            cfg.matchPolicy);
     }
     bool repaired = false;
@@ -142,13 +125,12 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
         // sequence — and therefore every future phase-ID allocation —
         // in lockstep with a fault-free run.
         if (!m) // misses are rare: a demand scrub is affordable
-            stats_.quarantines += tbl().scrubParity();
-        if (tbl().numQuarantined() != 0) {
-            SignatureTable::MatchResult q = tbl().matchQuarantined(
-                scratch.data(), scratch.size(), weight,
-                cfg.repairSlack);
+            stats_.quarantines += sigTable.scrubParity();
+        if (sigTable.numQuarantined() != 0) {
+            SignatureTable::MatchResult q = sigTable.matchQuarantined(
+                scratch.data(), scratch.size(), weight);
             if (q && (!m || q.distance < m.distance)) {
-                tbl().repairEntry(q.index, scratch.data(),
+                sigTable.repairEntry(q.index, scratch.data(),
                                      scratch.size(), weight);
                 repaired = true;
                 ++stats_.repairs;
@@ -157,7 +139,7 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
         }
     }
     if (m) {
-        SigEntryMeta &meta = tbl().meta(m.index);
+        SigEntryMeta &meta = sigTable.meta(m.index);
         res.matched = !repaired;
         res.repaired = repaired;
         res.distance = m.distance;
@@ -166,9 +148,9 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
             // so the entry tracks the phase's most recent code
             // profile. (A repair already rewrote the row, bumping the
             // LRU tick exactly once like touch() does.)
-            tbl().replaceSignature(m.index, scratch.data(),
+            sigTable.replaceSignature(m.index, scratch.data(),
                                       scratch.size(), weight);
-            tbl().touch(m.index);
+            sigTable.touch(m.index);
         }
         meta.minCounter.increment();
 
@@ -188,10 +170,10 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
             double avg = meta.cpi.mean();
             if (avg > 0.0 &&
                 std::abs(cpi - avg) / avg > cfg.cpiDeviationThreshold) {
-                tbl().setThreshold(
+                sigTable.setThreshold(
                     m.index,
                     std::max(cfg.thresholdFloor,
-                             tbl().threshold(m.index) / 2.0));
+                             sigTable.threshold(m.index) / 2.0));
                 meta.cpi.clear();
                 res.thresholdHalved = true;
                 ++stats_.thresholdHalvings;
@@ -200,13 +182,13 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
         if (cpiOk)
             meta.cpi.push(cpi);
     } else {
-        std::uint32_t idx = tbl().insert(
+        std::uint32_t idx = sigTable.insert(
             scratch.data(), scratch.size(), weight,
             cfg.similarityThreshold, cfg.bitsPerDim);
-        SigEntryMeta &meta = tbl().meta(idx);
+        SigEntryMeta &meta = sigTable.meta(idx);
         res.inserted = true;
         ++stats_.insertions;
-        stats_.evictions = tbl().evictions();
+        stats_.evictions = sigTable.evictions();
         if (cfg.minCountThreshold == 0) {
             // No transition phase: every new signature immediately
             // represents a new phase (prior work [25]).
@@ -229,14 +211,14 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
 void
 PhaseClassifier::flushPerformanceFeedback()
 {
-    tbl().clearPerformanceStats();
+    sigTable.clearPerformanceStats();
 }
 
 void
 PhaseClassifier::saveState(StateWriter &w) const
 {
     accum.saveState(w);
-    tbl().saveState(w);
+    sigTable.saveState(w);
     w.u32(nextPhase);
     w.u64(stats_.intervals);
     w.u64(stats_.transitionIntervals);
@@ -252,11 +234,11 @@ void
 PhaseClassifier::loadState(StateReader &r)
 {
     accum.loadState(r);
-    tbl().loadState(r);
+    sigTable.loadState(r);
     // Rows of another width would trip the match-scan assertion on
     // the next interval.
-    const std::size_t width = tbl().rowSize();
-    if ((width != 0 || tbl().size() != 0) && width != cfg.numCounters)
+    const std::size_t width = sigTable.rowSize();
+    if ((width != 0 || sigTable.size() != 0) && width != cfg.numCounters)
         tpcp_raise("signature-table snapshot rows are ", width,
                    " bytes, the classifier compresses to ",
                    cfg.numCounters);

@@ -5,6 +5,10 @@
  * the paper's classification algorithm (section 4) including the
  * transition phase (4.4), best-match selection (4.1) and adaptive
  * per-phase similarity thresholds (4.6).
+ *
+ * A classifier owns its accumulator and past-signature tables: a
+ * serve tenant's tracker is built, evicted and resumed as one unit,
+ * exactly like the batch path's.
  */
 
 #ifndef TPCP_PHASE_CLASSIFIER_HH
@@ -97,19 +101,6 @@ class PhaseClassifier
   public:
     explicit PhaseClassifier(const ClassifierConfig &config);
 
-    /**
-     * Constructs a classifier whose past-signature table lives
-     * outside the classifier — a resident slot's table in the
-     * streaming service, where per-tenant tables are partitioned
-     * across preallocated slots. @p external_table must match the
-     * geometry the classifier would build itself (capacity ==
-     * config.tableEntries, min-counter width == config.minCounterBits)
-     * and must outlive the classifier; classification results are
-     * identical to an owning classifier with the same config.
-     */
-    PhaseClassifier(const ClassifierConfig &config,
-                    SignatureTable *external_table);
-
     /** Online use: records one committed branch. */
     void recordBranch(Addr pc, InstCount insts);
 
@@ -158,15 +149,12 @@ class PhaseClassifier
     std::uint32_t numStablePhases() const { return nextPhase - 1; }
 
     const ClassifierConfig &config() const { return cfg; }
-    const SignatureTable &table() const { return tbl(); }
+    const SignatureTable &table() const { return sigTable; }
     const ClassifierStats &stats() const { return stats_; }
 
     /** Mutable table access for the fault injector: soft errors are
      * injected directly into live table state. */
-    SignatureTable &mutableTable() { return tbl(); }
-
-    /** Mutable accumulator access for the fault injector. */
-    AccumulatorTable &mutableAccumulator() { return accum; }
+    SignatureTable &mutableTable() { return sigTable; }
 
     /** Appends full classifier state to a checkpoint snapshot. */
     void saveState(StateWriter &w) const;
@@ -179,29 +167,9 @@ class PhaseClassifier
     ClassifyResult classifyOne(const std::uint32_t *raw,
                                InstCount total, double cpi);
 
-    /** The past-signature table in use: the owned one, or the
-     * external shard the classifier was constructed over. Stored as
-     * a flag + pointer (not a pointer into ourselves) so the
-     * compiler-generated copy/move of an owning classifier stays
-     * correct. */
-    SignatureTable &
-    tbl()
-    {
-        return extTable ? *extTable : sigTable;
-    }
-
-    const SignatureTable &
-    tbl() const
-    {
-        return extTable ? *extTable : sigTable;
-    }
-
     ClassifierConfig cfg;
     AccumulatorTable accum;
-    /** Owned table (empty, capacity-0 shell when extTable is set). */
     SignatureTable sigTable;
-    /** Borrowed table; nullptr for the owning construction. */
-    SignatureTable *extTable = nullptr;
     /** Reusable compressed-signature row (hot path, no allocation). */
     std::vector<std::uint8_t> scratch;
     PhaseId nextPhase = firstStablePhaseId;

@@ -75,14 +75,6 @@ struct ClassifierConfig
      * row disagreeing with its check bits; otherwise it is provably a
      * no-op and costs one flag test (SignatureTable::scrubParity). */
     unsigned scrubEvery = 0;
-    /** Extra Manhattan distance (pre-normalization) tolerated on top
-     * of the syndrome-corrected distance when re-matching a query
-     * against *quarantined* rows. The correction already recovers a
-     * single-event flip exactly, so the default adds no slack; raise
-     * it only to absorb multi-event corruption that single-byte
-     * correction cannot fully undo. Too much slack risks binding a
-     * genuinely new phase to a damaged entry instead of inserting. */
-    double repairSlack = 0.0;
 
     /** Paper baseline reproducing [25]: 32 counters, static 12.5%
      * threshold, no transition phase, first match. */

@@ -551,25 +551,10 @@ SignatureTable::scrubParity()
     return newlyQuarantined;
 }
 
-std::uint32_t
-SignatureTable::mruQuarantined() const
-{
-    std::uint32_t best = npos;
-    if (numQuarantined_ == 0)
-        return best;
-    for (std::uint32_t i = 0; i < metas.size(); ++i) {
-        if (quarantined[i] &&
-            (best == npos || metas[i].lastUse > metas[best].lastUse))
-            best = i;
-    }
-    return best;
-}
-
 SignatureTable::MatchResult
 SignatureTable::matchQuarantined(const std::uint8_t *qdims,
                                  std::size_t ndims,
-                                 std::uint32_t qweight,
-                                 double slack) const
+                                 std::uint32_t qweight) const
 {
     tpcp_assert(metas.empty() || ndims == rowDims,
                 "signature dimensionality mismatch");
@@ -634,10 +619,7 @@ SignatureTable::matchQuarantined(const std::uint8_t *qdims,
             diff = static_cast<double>(dist) /
                    static_cast<double>(denom);
         }
-        const double cutoff =
-            thresholds[i] +
-            slack / static_cast<double>(denom == 0 ? 1 : denom);
-        if (diff >= cutoff)
+        if (diff >= thresholds[i])
             continue;
         if (!best || diff < best.distance) {
             best.index = static_cast<std::uint32_t>(i);

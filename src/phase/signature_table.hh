@@ -264,22 +264,16 @@ class SignatureTable
     /** Number of currently quarantined entries. */
     std::uint32_t numQuarantined() const { return numQuarantined_; }
 
-    /** Most-recently-used quarantined entry, or npos when none. */
-    std::uint32_t mruQuarantined() const;
-
     /**
-     * Relaxed best-match over the *quarantined* entries only: each
-     * entry's cutoff is its threshold plus @p slack extra Manhattan
-     * distance (normalized by the same weight denominator), sized for
-     * the inflation a few flipped bits can cause. Used by the
-     * classifier's miss path to decide between repairing a damaged
-     * entry and inserting a genuinely new one. Returns index == npos
-     * when nothing is close enough.
+     * Best-match over the *quarantined* entries only: each entry's
+     * syndrome-corrected distance is compared against its own
+     * threshold. Used by the classifier's miss path to decide
+     * between repairing a damaged entry and inserting a genuinely
+     * new one. Returns index == npos when nothing is close enough.
      */
     MatchResult matchQuarantined(const std::uint8_t *dims,
                                  std::size_t ndims,
-                                 std::uint32_t weight,
-                                 double slack) const;
+                                 std::uint32_t weight) const;
 
     /**
      * Repairs a quarantined entry in place with a fresh signature:
@@ -298,10 +292,6 @@ class SignatureTable
     /** Restores table state from a checkpoint snapshot; counters and
      * thresholds are clamped to their representable ranges. */
     void loadState(StateReader &r);
-
-    /** Padded bytes per stored row (multiple of simd::kRowPad; 0
-     * before the first insert). Tests/benchmarks only. */
-    std::size_t rowStride() const { return rowStride_; }
 
   private:
     /** Appends or recycles a slot and returns its index. */

@@ -102,12 +102,6 @@ class NextPhasePredictor
         return change.get();
     }
 
-    /** The last-value component. */
-    const LastValuePredictor &lastValuePredictor() const
-    {
-        return lastValue;
-    }
-
     /** Appends predictor state to a checkpoint snapshot. */
     void saveState(StateWriter &w) const;
 

@@ -12,14 +12,6 @@ PhaseTracker::PhaseTracker(const PhaseTrackerConfig &config)
 {
 }
 
-PhaseTracker::PhaseTracker(const PhaseTrackerConfig &config,
-                           phase::SignatureTable *external_table)
-    : classifier_(config.classifier, external_table),
-      nextPhase(config.changeTable.make(), config.lastValue),
-      lengthPred(config.length)
-{
-}
-
 void
 PhaseTracker::onBranch(Addr pc, InstCount insts_since_last_branch)
 {

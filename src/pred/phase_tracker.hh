@@ -69,16 +69,6 @@ class PhaseTracker
   public:
     explicit PhaseTracker(const PhaseTrackerConfig &config = {});
 
-    /**
-     * Constructs a tracker whose classifier uses an external
-     * past-signature table (a resident slot's table in the
-     * streaming service). The table must match the classifier
-     * config's geometry and outlive the tracker; outputs are
-     * identical to a tracker owning its table.
-     */
-    PhaseTracker(const PhaseTrackerConfig &config,
-                 phase::SignatureTable *external_table);
-
     /** Commit-path tap: one committed branch. */
     void onBranch(Addr pc, InstCount insts_since_last_branch);
 

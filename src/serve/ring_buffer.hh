@@ -58,13 +58,6 @@ class SpscRing
 
     std::size_t capacity() const { return buf.size(); }
 
-    /** Largest frame payload a ring of this capacity can carry. */
-    std::size_t
-    maxFrameBytes() const
-    {
-        return capacity() - kFrameOverhead;
-    }
-
     /**
      * Producer side: appends one frame of @p len bytes. Returns
      * false when the ring lacks space (backpressure) — the frame is

@@ -21,20 +21,10 @@ TenantRegistry::TenantRegistry(const RegistryConfig &config)
     : cfg(config)
 {
     tpcp_assert(cfg.maxResident > 0,
-                "registry needs at least one resident slot");
+                "registry needs room for at least one resident tenant");
     tpcp_assert(!cfg.quarantine.enabled() ||
                     cfg.quarantine.backoffBase > 0,
                 "quarantine backoff must be at least one tick");
-    const phase::ClassifierConfig &cc = cfg.tracker.classifier;
-    slots_.reserve(cfg.maxResident);
-    for (unsigned i = 0; i < cfg.maxResident; ++i)
-        slots_.emplace_back(cc.tableEntries, cc.minCounterBits,
-                            cc.parityProtect);
-    freeSlots_.reserve(cfg.maxResident);
-    // Pop order never affects results (slots are interchangeable);
-    // hand them out in ascending order for readable debugging.
-    for (unsigned i = cfg.maxResident; i-- > 0;)
-        freeSlots_.push_back(i);
 }
 
 TenantRegistry::Tenant &
@@ -58,12 +48,6 @@ TenantRegistry::evict(Tenant &t)
     // image — exactly what the injector plants here.
     if (injector_ != nullptr)
         injector_->corruptCheckpoint(t.checkpoint);
-    // Return the slot pristine: clear() fully resets the table
-    // (entries, LRU ticks, eviction counts), so the next tenant in
-    // this slot classifies exactly as if the slot were newly built.
-    slots_[t.slot].clear();
-    freeSlots_.push_back(t.slot);
-    t.slot = kNoSlot;
     t.tracker.reset();
     --residentCount;
     bump(t, &ServeCounters::evictions);
@@ -75,7 +59,7 @@ TenantRegistry::evictOldest()
     Tenant *oldest = nullptr;
     for (auto &kv : tenants_) {
         Tenant &t = kv.second;
-        if (t.slot == kNoSlot)
+        if (t.tracker == nullptr)
             continue;
         if (!oldest || t.lastActive < oldest->lastActive ||
             (t.lastActive == oldest->lastActive && t.id < oldest->id))
@@ -92,10 +76,10 @@ TenantRegistry::activate(Tenant &t)
     const bool resumed = t.c.evictions > 0;
     std::vector<std::uint8_t> payload;
     if (resumed) {
-        // Validate the image *before* evicting anyone or claiming a
-        // slot, so a corrupt image leaves the registry unchanged — a
-        // tenant stuck on a damaged checkpoint must not churn healthy
-        // residents out on every retry.
+        // Validate the image *before* evicting anyone, so a corrupt
+        // image leaves the registry unchanged — a tenant stuck on a
+        // damaged checkpoint must not churn healthy residents out on
+        // every retry.
         try {
             payload = parseStateFile(
                 t.checkpoint, kTenantCheckpointMagic,
@@ -107,13 +91,9 @@ TenantRegistry::activate(Tenant &t)
             throw;
         }
     }
-    if (freeSlots_.empty())
+    if (residentCount == cfg.maxResident)
         evictOldest();
-    const unsigned slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    t.slot = slot;
-    t.tracker = std::make_unique<pred::PhaseTracker>(
-        cfg.tracker, &slots_[slot]);
+    t.tracker = std::make_unique<pred::PhaseTracker>(cfg.tracker);
     ++residentCount;
     if (resumed) {
         try {
@@ -127,11 +107,8 @@ TenantRegistry::activate(Tenant &t)
                 tpcp_raise("tenant checkpoint has ", r.remaining(),
                            " trailing bytes");
         } catch (const Error &) {
-            // Roll the claim back so the failed resume cannot leak
-            // the slot or leave a half-restored tracker resident.
-            slots_[slot].clear();
-            freeSlots_.push_back(slot);
-            t.slot = kNoSlot;
+            // Roll back so a half-restored tracker never stays
+            // resident.
             t.tracker.reset();
             --residentCount;
             bump(t, &ServeCounters::resumeFailures);
@@ -165,9 +142,9 @@ void
 TenantRegistry::quarantine(Tenant &t)
 {
     // Park the tenant's tracker state through the normal eviction
-    // path (checkpoint image + slot release); a tenant that was never
-    // activated, or is already evicted, has nothing to park.
-    if (t.slot != kNoSlot)
+    // path (checkpoint image); a tenant that was never activated, or
+    // is already evicted, has nothing to park.
+    if (t.tracker != nullptr)
         evict(t);
     ++t.quarantineCount;
     bump(t, &ServeCounters::quarantines);
@@ -293,7 +270,7 @@ TenantRegistry::evictIdle()
     std::vector<Tenant *> idle;
     for (auto &kv : tenants_) {
         Tenant &t = kv.second;
-        if (t.slot != kNoSlot &&
+        if (t.tracker != nullptr &&
             counters_.packets - t.lastActive >= cfg.evictAfter)
             idle.push_back(&t);
     }
@@ -307,7 +284,7 @@ TenantRegistry::evictAll()
 {
     std::size_t n = 0;
     for (auto &kv : tenants_) {
-        if (kv.second.slot != kNoSlot) {
+        if (kv.second.tracker != nullptr) {
             evict(kv.second);
             ++n;
         }
@@ -341,7 +318,7 @@ TenantRegistry::migratedState(std::uint64_t tenant) const
     if (it == tenants_.end())
         tpcp_raise("unknown tenant ", tenant);
     const Tenant &t = it->second;
-    tpcp_assert(t.slot == kNoSlot,
+    tpcp_assert(t.tracker == nullptr,
                 "migratedState needs the tenant evicted first");
     MigratedTenant m;
     m.id = t.id;

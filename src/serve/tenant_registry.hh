@@ -2,28 +2,26 @@
  * @file
  * Per-tenant phase-tracking state for the streaming service.
  *
- * Each tenant owns an independent PhaseTracker (classifier +
- * next-phase + run-length predictors) whose past-signature table is
- * one of a preallocated set of SignatureTable slots — table memory
- * for every resident tenant is partitioned at construction, and a
- * worker thread driving one registry shares no classifier state with
- * any other. A registry is deliberately single-threaded: the service
- * assigns each tenant to exactly one producer ring and each ring to
- * one registry, so per-tenant packet order — and therefore every
+ * Each resident tenant owns an independent PhaseTracker (classifier
+ * with its own tables + next-phase + run-length predictors), the
+ * same unit batchPhaseStream() builds, so a worker thread driving
+ * one registry shares no classifier state with any other. A
+ * registry is deliberately single-threaded: the service assigns
+ * each tenant to exactly one producer ring and each ring to one
+ * registry, so per-tenant packet order — and therefore every
  * phase-ID stream — is identical to the batch path regardless of
  * how many producers or workers are running.
  *
- * Residency is bounded by the slot count. An idle tenant is evicted
- * to a checkpoint image held in memory, freeing its slot: its
- * saveState bytes sealed in the checksummed common/state_io envelope,
- * byte for byte what a state file holds. The next packet for an
- * evicted tenant transparently resumes it (into any free slot —
- * slots are interchangeable because loadState fully restores and
- * clear() fully resets a table). Eviction and resume never change a
- * tenant's phase-ID stream. A resume whose image is missing,
- * truncated or corrupt raises a recoverable tpcp::Error, is counted
- * (resumeFailures, per tenant and registry-wide), and leaves every
- * other tenant serving.
+ * At most maxResident trackers are resident at once. An idle tenant
+ * is evicted to a checkpoint image held in memory and its tracker is
+ * destroyed: the image holds its saveState bytes sealed in the
+ * checksummed common/state_io envelope, byte for byte what a state
+ * file holds. The next packet for an evicted tenant transparently
+ * resumes it into a newly built tracker (loadState fully restores
+ * one). Eviction and resume never change a tenant's phase-ID stream.
+ * A resume whose image is missing, truncated or corrupt raises a
+ * recoverable tpcp::Error, is counted (resumeFailures, per tenant
+ * and registry-wide), and leaves every other tenant serving.
  *
  * Quarantine-and-readmit: a tenant accumulating offenses (duplicate
  * sequences, malformed frames, backlog sheds, resume failures)
@@ -51,7 +49,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "phase/signature_table.hh"
 #include "pred/phase_tracker.hh"
 #include "serve/packet.hh"
 
@@ -90,11 +87,11 @@ struct RegistryConfig
 {
     /** Per-tenant tracker (classifier + predictor) configuration. */
     pred::PhaseTrackerConfig tracker;
-    /** Resident-tenant capacity (= table slots preallocated). */
+    /** Most trackers resident at once. */
     unsigned maxResident = 64;
     /** Evict a tenant once this many packets were delivered to the
      * registry without any for it (0 = only forced eviction when a
-     * new tenant needs a slot). */
+     * new tenant finds maxResident trackers resident). */
     std::uint64_t evictAfter = 0;
     /** Record every tenant's full phase-ID stream (identity
      * verification; keep off for large tenant counts). */
@@ -240,14 +237,6 @@ class TenantRegistry
      */
     DeliverResult deliverPacket(const IntervalPacket &pkt);
 
-    /** Compatibility shim for callers that never enable quarantine:
-     * returns the assigned phase ID. */
-    PhaseId
-    deliver(const IntervalPacket &pkt)
-    {
-        return deliverPacket(pkt).phase;
-    }
-
     /**
      * Counts a flow-scheduler shed against @p tenant (and as an
      * offense), creating the tenant's counter record if needed —
@@ -344,8 +333,7 @@ class TenantRegistry
     struct Tenant
     {
         std::uint64_t id = 0;
-        /** Index into slots_; kNoSlot when evicted. */
-        unsigned slot = kNoSlot;
+        /** Non-null exactly while the tenant is resident. */
         std::unique_ptr<pred::PhaseTracker> tracker;
         std::uint64_t nextSeq = 0;
         /** Registry packet clock at the last delivered packet. */
@@ -365,15 +353,13 @@ class TenantRegistry
         std::vector<std::uint8_t> checkpoint;
     };
 
-    static constexpr unsigned kNoSlot = ~0u;
-
-    /** Materializes a tenant's tracker into a free slot (fresh or
-     * resumed from its checkpoint image), forcing an eviction if no
-     * slot is free. */
+    /** Builds a tenant's tracker (fresh or resumed from its
+     * checkpoint image), first evicting the least-recently-active
+     * tenant when maxResident trackers are resident. */
     void activate(Tenant &t);
 
     /** Seals @p t's tracker state into its checkpoint image and
-     * frees its slot. */
+     * destroys the tracker. */
     void evict(Tenant &t);
 
     /** Evicts the least-recently-active resident tenant. */
@@ -395,14 +381,11 @@ class TenantRegistry
     /** Counts one offense for @p t; quarantines on threshold. */
     void offense(Tenant &t);
 
-    /** Puts @p t into quarantine: park it, free the slot, start
-     * the (exponential) backoff clock. */
+    /** Puts @p t into quarantine: park it, start the (exponential)
+     * backoff clock. */
     void quarantine(Tenant &t);
 
     RegistryConfig cfg;
-    /** One past-signature table per resident slot. */
-    std::vector<phase::SignatureTable> slots_;
-    std::vector<unsigned> freeSlots_;
     std::unordered_map<std::uint64_t, Tenant> tenants_;
     ServeCounters counters_;
     unsigned residentCount = 0;

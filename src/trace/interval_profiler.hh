@@ -50,9 +50,6 @@ class IntervalProfiler : public uarch::TraceSink
     /** Moves the profile out (profiler is done afterwards). */
     IntervalProfile takeProfile() { return std::move(profile_); }
 
-    /** Instructions dropped from the final partial interval. */
-    InstCount droppedTailInsts() const { return instsInInterval; }
-
   private:
     void endInterval();
     /** Replays the buffered branch events into every accumulator

@@ -359,7 +359,7 @@ TEST(SignatureTableEcc, MultiBitDamageQuarantines)
     // ...but the syndrome-corrected quarantine matcher recovers the
     // true distance (0 for the original query) from the damaged row.
     Signature q = sig({40, 20});
-    auto m = t.matchQuarantined(q.data(), q.size(), q.weight(), 0.0);
+    auto m = t.matchQuarantined(q.data(), q.size(), q.weight());
     ASSERT_TRUE(m);
     EXPECT_EQ(m.index, e);
     EXPECT_DOUBLE_EQ(m.distance, 0.0);
@@ -487,7 +487,7 @@ TEST(SignatureTableEcc, StateRoundTripPreservesEccAndQuarantine)
     // The quarantined entry's damaged bytes and syndrome survive the
     // round trip: the quarantine matcher still recovers it.
     Signature q = sig({40, 20});
-    auto m = u.matchQuarantined(q.data(), q.size(), q.weight(), 0.0);
+    auto m = u.matchQuarantined(q.data(), q.size(), q.weight());
     ASSERT_TRUE(m);
     EXPECT_EQ(m.index, a);
 

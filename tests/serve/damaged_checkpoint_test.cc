@@ -37,7 +37,7 @@ struct Fixture
 
     Fixture()
     {
-        rc.maxResident = 1; // one slot: activations force evictions
+        rc.maxResident = 1; // one resident: activations force evictions
         rc.recordPhases = true;
         registry = std::make_unique<TenantRegistry>(rc);
         stream = encodeSyntheticStream(
@@ -63,7 +63,7 @@ TEST(DamagedCheckpoint, MissingImageFailsResumeRecoverably)
 {
     Fixture fx;
     fx.deliver(1, fx.seq1); // tenant 1 resident
-    fx.deliver(2, fx.seq2); // evicts 1 (single slot), 2 resident
+    fx.deliver(2, fx.seq2); // evicts 1 (one resident), 2 resident
 
     fx.registry->checkpointImage(1).clear();
     // Tenant 1's next packet needs a resume; the image is gone.
@@ -87,8 +87,8 @@ TEST(DamagedCheckpoint, EveryTruncationLengthFailsRecoverably)
     const std::vector<std::uint8_t> good = image;
     ASSERT_GT(good.size(), 16u);
 
-    // Property: *no* truncation length resumes, crashes, or claims a
-    // slot — every torn image surfaces as a counted, recoverable
+    // Property: *no* truncation length resumes, crashes, or stays
+    // resident — every torn image surfaces as a counted, recoverable
     // error, and the resident tenant keeps serving throughout.
     for (std::size_t len = 0; len < good.size(); ++len) {
         image.assign(good.begin(),
@@ -102,7 +102,7 @@ TEST(DamagedCheckpoint, EveryTruncationLengthFailsRecoverably)
             << "resumed from an image truncated to " << len
             << " bytes";
         EXPECT_EQ(fx.registry->numResident(), 1u)
-            << "failed resume leaked a slot at length " << len;
+            << "failed resume left a tracker resident at length " << len;
     }
     EXPECT_EQ(fx.registry->tenantCounters(1).resumeFailures,
               good.size());

@@ -127,7 +127,7 @@ TEST(ServiceLoop, EvictResumePreservesIdentity)
 {
     ServeOptions opts = baseOptions();
     opts.producers = 2;
-    // Only 2 resident slots per partition for 3 tenants each: every
+    // Only 2 resident trackers per partition for 3 tenants each: every
     // drain cycle forces checkpointed evictions and transparent
     // resumes mid-stream.
     opts.registry.maxResident = 2;
@@ -187,17 +187,17 @@ TEST(TenantRegistry, DuplicateSequenceRejectedWithoutStateChange)
     pkt.cpi = 1.0;
 
     pkt.seq = 0;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     pkt.seq = 1;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     // Replay of seq 1: rejected, and the phase stream must not grow.
-    EXPECT_THROW(registry.deliver(pkt), Error);
+    EXPECT_THROW(registry.deliverPacket(pkt), Error);
     EXPECT_EQ(registry.phaseStream(9).size(), 2u);
     EXPECT_EQ(registry.counters().duplicateSeq, 1u);
     EXPECT_EQ(registry.tenantCounters(9).duplicateSeq, 1u);
     // The stream continues normally after the rejected replay.
     pkt.seq = 2;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     EXPECT_EQ(registry.phaseStream(9).size(), 3u);
 }
 
@@ -214,11 +214,11 @@ TEST(TenantRegistry, ForwardGapCountedAsUpstreamLoss)
     pkt.cpi = 1.0;
 
     pkt.seq = 0;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     // Seqs 1..4 were dropped by a backpressured producer: the
     // consumer mirrors the loss so both sides agree on the count.
     pkt.seq = 5;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     EXPECT_EQ(registry.counters().lostUpstream, 4u);
     EXPECT_EQ(registry.counters().seqGaps, 1u);
     EXPECT_EQ(registry.tenantCounters(4).lostUpstream, 4u);
@@ -238,18 +238,19 @@ TEST(TenantRegistry, FullRegistryParksOldestTenantInMemory)
 
     pkt.tenant = 1;
     pkt.seq = 0;
-    registry.deliver(pkt);
-    // The second tenant needs the only slot: the first is parked as
-    // an in-memory checkpoint image, with nothing to configure.
+    registry.deliverPacket(pkt);
+    // The second tenant needs the only resident tracker: the first
+    // is parked as an in-memory checkpoint image, with nothing to
+    // configure.
     pkt.tenant = 2;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     EXPECT_EQ(registry.numResident(), 1u);
     EXPECT_EQ(registry.tenantCounters(1).evictions, 1u);
     EXPECT_FALSE(registry.checkpointImage(1).empty());
     // The first tenant resumes from its image and keeps working.
     pkt.tenant = 1;
     pkt.seq = 1;
-    registry.deliver(pkt);
+    registry.deliverPacket(pkt);
     EXPECT_EQ(registry.tenantCounters(1).resumes, 1u);
     EXPECT_TRUE(registry.checkpointImage(1).empty());
     EXPECT_EQ(registry.counters().packets, 3u);
