@@ -1,5 +1,7 @@
 #include "uarch/branch_pred.hh"
 
+#include <algorithm>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -38,7 +40,7 @@ BimodalPredictor::index(Addr pc) const
 }
 
 bool
-BimodalPredictor::predict(Addr pc)
+BimodalPredictor::predict(Addr pc) const
 {
     return table[index(pc)] >= 2;
 }
@@ -53,7 +55,6 @@ void
 BimodalPredictor::reset()
 {
     std::fill(table.begin(), table.end(), 2);
-    clearStats();
 }
 
 GsharePredictor::GsharePredictor(unsigned entries, unsigned history_bits)
@@ -71,7 +72,7 @@ GsharePredictor::index(Addr pc) const
 }
 
 bool
-GsharePredictor::predict(Addr pc)
+GsharePredictor::predict(Addr pc) const
 {
     return table[index(pc)] >= 2;
 }
@@ -88,7 +89,6 @@ GsharePredictor::reset()
 {
     std::fill(table.begin(), table.end(), 2);
     history = 0;
-    clearStats();
 }
 
 HybridPredictor::HybridPredictor(const BranchPredConfig &config)
@@ -132,13 +132,6 @@ HybridPredictor::reset()
     gshare.reset();
     bimodal.reset();
     std::fill(chooser.begin(), chooser.end(), 2);
-    clearStats();
-}
-
-std::unique_ptr<BranchPredictor>
-makeHybridPredictor(const BranchPredConfig &config)
-{
-    return std::make_unique<HybridPredictor>(config);
 }
 
 } // namespace tpcp::uarch

@@ -1,15 +1,15 @@
 /**
  * @file
- * Conditional-branch direction predictors: bimodal, gshare and the
- * Table-1 hybrid (8-bit-history gshare with 2k 2-bit counters plus an
- * 8k bimodal predictor, combined by a chooser).
+ * The Table-1 conditional-branch direction predictor: an 8-bit-history
+ * gshare with 2k 2-bit counters plus an 8k bimodal predictor, combined
+ * by a chooser. Both timing cores hold one HybridPredictor by value;
+ * the bimodal and gshare components are plain classes of their own.
  */
 
 #ifndef TPCP_UARCH_BRANCH_PRED_HH
 #define TPCP_UARCH_BRANCH_PRED_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -18,70 +18,17 @@
 namespace tpcp::uarch
 {
 
-/** Aggregate direction-prediction statistics. */
-struct BranchPredStats
-{
-    std::uint64_t lookups = 0;
-    std::uint64_t mispredicts = 0;
-
-    double
-    mispredictRate() const
-    {
-        return lookups ? static_cast<double>(mispredicts) /
-                             static_cast<double>(lookups)
-                       : 0.0;
-    }
-};
-
-/** Abstract direction predictor. */
-class BranchPredictor
-{
-  public:
-    virtual ~BranchPredictor() = default;
-
-    /** Predicts the direction of the branch at @p pc. */
-    virtual bool predict(Addr pc) = 0;
-
-    /** Trains the predictor with the resolved direction. */
-    virtual void update(Addr pc, bool taken) = 0;
-
-    /**
-     * Convenience: predict, compare against @p taken, train, track
-     * statistics. Returns true when the prediction was wrong.
-     */
-    bool
-    predictAndTrain(Addr pc, bool taken)
-    {
-        bool pred = predict(pc);
-        update(pc, taken);
-        ++stats_.lookups;
-        bool wrong = pred != taken;
-        if (wrong)
-            ++stats_.mispredicts;
-        return wrong;
-    }
-
-    const BranchPredStats &stats() const { return stats_; }
-
-    /** Clears predictor state and statistics. */
-    virtual void reset() = 0;
-
-  protected:
-    void clearStats() { stats_ = BranchPredStats{}; }
-
-  private:
-    BranchPredStats stats_;
-};
-
 /** PC-indexed table of 2-bit counters. */
-class BimodalPredictor : public BranchPredictor
+class BimodalPredictor
 {
   public:
     explicit BimodalPredictor(unsigned entries);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void reset() override;
+    /** Predicts the direction of the branch at @p pc. */
+    bool predict(Addr pc) const;
+    /** Trains the predictor with the resolved direction. */
+    void update(Addr pc, bool taken);
+    void reset();
 
   private:
     unsigned index(Addr pc) const;
@@ -91,14 +38,14 @@ class BimodalPredictor : public BranchPredictor
 };
 
 /** Global-history XOR PC indexed table of 2-bit counters. */
-class GsharePredictor : public BranchPredictor
+class GsharePredictor
 {
   public:
     GsharePredictor(unsigned entries, unsigned history_bits);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void reset() override;
+    bool predict(Addr pc) const;
+    void update(Addr pc, bool taken);
+    void reset();
 
   private:
     unsigned index(Addr pc) const;
@@ -115,14 +62,14 @@ class GsharePredictor : public BranchPredictor
  * components always train, and the chooser trains toward whichever
  * component was correct when they disagree.
  */
-class HybridPredictor : public BranchPredictor
+class HybridPredictor
 {
   public:
     explicit HybridPredictor(const BranchPredConfig &config);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    void reset() override;
+    bool predict(Addr pc);
+    void update(Addr pc, bool taken);
+    void reset();
 
   private:
     unsigned chooserIndex(Addr pc) const;
@@ -136,9 +83,19 @@ class HybridPredictor : public BranchPredictor
     bool lastBimodal = false;
 };
 
-/** Factory for the configured hybrid predictor. */
-std::unique_ptr<BranchPredictor>
-makeHybridPredictor(const BranchPredConfig &config);
+/**
+ * Predicts the branch at @p pc with @p predictor, trains it with the
+ * resolved direction @p taken, and returns true when the prediction
+ * was wrong.
+ */
+template <typename Predictor>
+bool
+predictAndTrain(Predictor &predictor, Addr pc, bool taken)
+{
+    bool pred = predictor.predict(pc);
+    predictor.update(pc, taken);
+    return pred != taken;
+}
 
 } // namespace tpcp::uarch
 

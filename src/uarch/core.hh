@@ -1,8 +1,11 @@
 /**
  * @file
- * Abstract timing-core interface. A core consumes the committed
+ * The timing-core interface. A core consumes the committed
  * dynamic-instruction stream and accounts cycles; the interval
  * profiler samples cycles() at interval boundaries to compute CPI.
+ * Both cores model the Table-1 machine, so the base owns what they
+ * share: the machine configuration, the cache hierarchy, the hybrid
+ * branch predictor and the fetch-line and branch-resolution steps.
  */
 
 #ifndef TPCP_UARCH_CORE_HH
@@ -11,14 +14,15 @@
 #include <cstdint>
 #include <string>
 
+#include "common/bitops.hh"
 #include "common/types.hh"
+#include "uarch/branch_pred.hh"
+#include "uarch/cache_hierarchy.hh"
 #include "uarch/dyn_inst.hh"
+#include "uarch/machine_config.hh"
 
 namespace tpcp::uarch
 {
-
-class CacheHierarchy;
-class BranchPredictor;
 
 /** Aggregate core statistics (beyond cycle count). */
 struct CoreStats
@@ -48,6 +52,12 @@ struct CoreStats
 class TimingCore
 {
   public:
+    explicit TimingCore(const MachineConfig &config)
+        : config(config), hier(config), bp(config.branchPred),
+          fetchLineShift(floorLog2(config.icache.blockBytes))
+    {
+    }
+
     virtual ~TimingCore() = default;
 
     /** Accounts one committed instruction. */
@@ -65,22 +75,61 @@ class TimingCore
     /** Aggregate statistics. */
     const CoreStats &stats() const { return stats_; }
 
-    /** The core's memory hierarchy, when it models one (for
-     * reporting; may be null). */
-    virtual const CacheHierarchy *memoryHierarchy() const
-    {
-        return nullptr;
-    }
-
-    /** The core's branch predictor, when it models one (for
-     * reporting; may be null). */
-    virtual const BranchPredictor *directionPredictor() const
-    {
-        return nullptr;
-    }
+    /** The core's memory hierarchy (for reporting). */
+    const CacheHierarchy &memoryHierarchy() const { return hier; }
 
   protected:
+    /**
+     * Fetches @p pc: when it starts a new fetch line, accesses the
+     * I-cache for that line. Returns the stall beyond the L1 hit time
+     * (0 on the current line or on an L1 hit; accessInst() never
+     * returns less than the hit time).
+     */
+    Cycles
+    fetchLineStall(Addr pc)
+    {
+        Addr line = pc >> fetchLineShift;
+        if (line == curFetchLine)
+            return 0;
+        curFetchLine = line;
+        return hier.accessInst(pc) - config.icache.hitLatency;
+    }
+
+    /** Makes the next fetch start a new line (a redirected fetch
+     * refills). */
+    void redirectFetch() { curFetchLine = ~Addr(0); }
+
+    /** Predicts, trains and counts the conditional branch @p inst;
+     * returns true when it was mispredicted. */
+    bool
+    branchMispredicted(const DynInst &inst)
+    {
+        ++stats_.branches;
+        bool wrong = predictAndTrain(bp, inst.pc, inst.taken);
+        if (wrong)
+            ++stats_.branchMispredicts;
+        return wrong;
+    }
+
+    /** Clears the shared state: hierarchy, predictor, fetch line and
+     * statistics. */
+    void
+    resetShared()
+    {
+        hier.reset();
+        bp.reset();
+        redirectFetch();
+        stats_ = CoreStats{};
+    }
+
+    MachineConfig config;
+    CacheHierarchy hier;
     CoreStats stats_;
+
+  private:
+    HybridPredictor bp;
+    Addr curFetchLine = ~Addr(0);
+    unsigned fetchLineShift;
 };
 
 } // namespace tpcp::uarch

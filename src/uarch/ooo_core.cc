@@ -2,16 +2,13 @@
 
 #include <algorithm>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace tpcp::uarch
 {
 
 OooCore::OooCore(const MachineConfig &config)
-    : config(config), hier(config),
-      bp(makeHybridPredictor(config.branchPred)),
-      regReady(isa::numArchRegs, 0),
+    : TimingCore(config), regReady(isa::numArchRegs, 0),
       robCommit(config.core.robEntries, 0),
       lsqComplete(config.core.lsqEntries, 0)
 {
@@ -28,7 +25,6 @@ OooCore::OooCore(const MachineConfig &config)
     fuFree[fu_of(isa::FuClass::IntMultDiv)].resize(c.intMultDivUnits,
                                                    0);
     fuFree[fu_of(isa::FuClass::FpMultDiv)].resize(c.fpMultDivUnits, 0);
-    fetchLineShift = floorLog2(config.icache.blockBytes);
 }
 
 Cycles
@@ -52,15 +48,10 @@ OooCore::consume(const DynInst &inst)
     ++stats_.insts;
 
     // ---- Fetch ----
-    Addr line = inst.pc >> fetchLineShift;
-    if (line != curFetchLine) {
-        curFetchLine = line;
-        Cycles lat = hier.accessInst(inst.pc);
-        if (lat > config.icache.hitLatency) {
-            // Fetch bubbles for the beyond-L1 portion of the access.
-            fetchCycle += lat - config.icache.hitLatency;
-            fetchedThisCycle = 0;
-        }
+    if (Cycles stall = fetchLineStall(inst.pc)) {
+        // Fetch bubbles for the beyond-L1 portion of the access.
+        fetchCycle += stall;
+        fetchedThisCycle = 0;
     }
 
     // ROB occupancy: fetch of instruction i stalls until instruction
@@ -124,19 +115,14 @@ OooCore::consume(const DynInst &inst)
         regReady[si.dest] = complete;
 
     // ---- Branch resolution ----
-    if (inst.isConditional()) {
-        ++stats_.branches;
-        bool wrong = bp->predictAndTrain(inst.pc, inst.taken);
-        if (wrong) {
-            ++stats_.branchMispredicts;
-            // Fetch redirects when the branch resolves; everything
-            // younger refetches from the correct path.
-            if (fetchCycle < complete + 1) {
-                fetchCycle = complete + 1;
-                fetchedThisCycle = 0;
-            }
-            curFetchLine = ~Addr(0);
+    if (inst.isConditional() && branchMispredicted(inst)) {
+        // Fetch redirects when the branch resolves; everything
+        // younger refetches from the correct path.
+        if (fetchCycle < complete + 1) {
+            fetchCycle = complete + 1;
+            fetchedThisCycle = 0;
         }
+        redirectFetch();
     }
 
     // ---- In-order commit, commitWidth per cycle ----
@@ -169,8 +155,7 @@ OooCore::cycles() const
 void
 OooCore::reset()
 {
-    hier.reset();
-    bp->reset();
+    resetShared();
     std::fill(regReady.begin(), regReady.end(), 0);
     for (auto &units : fuFree)
         std::fill(units.begin(), units.end(), 0);
@@ -180,11 +165,9 @@ OooCore::reset()
     lsqSlot = 0;
     fetchCycle = 0;
     fetchedThisCycle = 0;
-    curFetchLine = ~Addr(0);
     lastCommit = 0;
     commitCycleOpen = 0;
     commitsThisCycle = 0;
-    stats_ = CoreStats{};
 }
 
 } // namespace tpcp::uarch

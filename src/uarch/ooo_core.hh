@@ -19,13 +19,9 @@
 #define TPCP_UARCH_OOO_CORE_HH
 
 #include <array>
-#include <memory>
 #include <vector>
 
-#include "uarch/branch_pred.hh"
-#include "uarch/cache_hierarchy.hh"
 #include "uarch/core.hh"
-#include "uarch/machine_config.hh"
 
 namespace tpcp::uarch
 {
@@ -41,29 +37,10 @@ class OooCore final : public TimingCore
     void reset() override;
     std::string name() const override { return "ooo"; }
 
-    const CacheHierarchy &hierarchy() const { return hier; }
-    const BranchPredictor &branchPredictor() const { return *bp; }
-
-    const CacheHierarchy *
-    memoryHierarchy() const override
-    {
-        return &hier;
-    }
-
-    const BranchPredictor *
-    directionPredictor() const override
-    {
-        return bp.get();
-    }
-
   private:
     /** Earliest-available functional unit of class @p fu; reserves it
      * from @p ready for @p occupancy cycles and returns issue time. */
     Cycles allocFu(isa::FuClass fu, Cycles ready, Cycles occupancy);
-
-    MachineConfig config;
-    CacheHierarchy hier;
-    std::unique_ptr<BranchPredictor> bp;
 
     /** Cycle each architectural register's value becomes available. */
     std::vector<Cycles> regReady;
@@ -80,8 +57,6 @@ class OooCore final : public TimingCore
     unsigned lsqSlot = 0;      ///< LSQ entry of the next memory op
     Cycles fetchCycle = 0;
     unsigned fetchedThisCycle = 0;
-    Addr curFetchLine = ~Addr(0);
-    unsigned fetchLineShift = 0;
     Cycles lastCommit = 0;
     Cycles commitCycleOpen = 0;   ///< cycle commits are filling
     unsigned commitsThisCycle = 0;

@@ -1,15 +1,10 @@
 #include "uarch/simple_core.hh"
 
-#include "common/bitops.hh"
-
 namespace tpcp::uarch
 {
 
-SimpleCore::SimpleCore(const MachineConfig &config)
-    : config(config), hier(config),
-      bp(makeHybridPredictor(config.branchPred))
+SimpleCore::SimpleCore(const MachineConfig &config) : TimingCore(config)
 {
-    fetchLineShift = floorLog2(config.icache.blockBytes);
 }
 
 void
@@ -20,12 +15,7 @@ SimpleCore::consume(const DynInst &inst)
 
     // Instruction fetch: one I-cache access per line, as a sequential
     // fetch unit would perform.
-    Addr line = inst.pc >> fetchLineShift;
-    if (line != curFetchLine) {
-        curFetchLine = line;
-        Cycles lat = hier.accessInst(inst.pc);
-        stallCycles += lat - config.icache.hitLatency;
-    }
+    stallCycles += fetchLineStall(inst.pc);
 
     const isa::OpTraits traits = inst.staticInst->traits();
 
@@ -48,16 +38,12 @@ SimpleCore::consume(const DynInst &inst)
     }
 
     if (inst.isConditional()) {
-        ++stats_.branches;
-        bool wrong = bp->predictAndTrain(inst.pc, inst.taken);
-        if (wrong) {
-            ++stats_.branchMispredicts;
+        if (branchMispredicted(inst))
             stallCycles += config.branchPred.mispredictPenalty;
-        }
         if (inst.taken)
-            curFetchLine = ~Addr(0); // redirected fetch refills
+            redirectFetch();
     } else if (inst.staticInst->op == isa::OpClass::Jump) {
-        curFetchLine = ~Addr(0);
+        redirectFetch();
     }
 }
 
@@ -70,12 +56,9 @@ SimpleCore::cycles() const
 void
 SimpleCore::reset()
 {
-    hier.reset();
-    bp->reset();
+    resetShared();
     slots = 0;
     stallCycles = 0;
-    curFetchLine = ~Addr(0);
-    stats_ = CoreStats{};
 }
 
 } // namespace tpcp::uarch

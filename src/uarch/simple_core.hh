@@ -10,12 +10,7 @@
 #ifndef TPCP_UARCH_SIMPLE_CORE_HH
 #define TPCP_UARCH_SIMPLE_CORE_HH
 
-#include <memory>
-
-#include "uarch/branch_pred.hh"
-#include "uarch/cache_hierarchy.hh"
 #include "uarch/core.hh"
-#include "uarch/machine_config.hh"
 
 namespace tpcp::uarch
 {
@@ -41,30 +36,9 @@ class SimpleCore final : public TimingCore
     void reset() override;
     std::string name() const override { return "simple"; }
 
-    const CacheHierarchy &hierarchy() const { return hier; }
-    const BranchPredictor &branchPredictor() const { return *bp; }
-
-    const CacheHierarchy *
-    memoryHierarchy() const override
-    {
-        return &hier;
-    }
-
-    const BranchPredictor *
-    directionPredictor() const override
-    {
-        return bp.get();
-    }
-
   private:
-    MachineConfig config;
-    CacheHierarchy hier;
-    std::unique_ptr<BranchPredictor> bp;
-
     std::uint64_t slots = 0;     ///< issue slots consumed
     Cycles stallCycles = 0;      ///< accumulated penalty cycles
-    Addr curFetchLine = ~Addr(0);
-    unsigned fetchLineShift;
 };
 
 } // namespace tpcp::uarch

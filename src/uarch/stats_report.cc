@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "common/ascii_table.hh"
-#include "uarch/branch_pred.hh"
-#include "uarch/cache_hierarchy.hh"
 
 namespace tpcp::uarch
 {
@@ -15,13 +13,12 @@ collectAccessCounts(const TimingCore &core)
     AccessCounts counts;
     counts.cycles = core.cycles();
     counts.insts = core.stats().insts;
-    if (const CacheHierarchy *h = core.memoryHierarchy()) {
-        counts.icacheAccesses = h->icache().stats().accesses;
-        counts.dcacheAccesses = h->dcache().stats().accesses;
-        counts.l2Accesses = h->l2cache().stats().accesses;
-        counts.itlbAccesses = h->itlb().stats().accesses;
-        counts.dtlbAccesses = h->dtlb().stats().accesses;
-    }
+    const CacheHierarchy &h = core.memoryHierarchy();
+    counts.icacheAccesses = h.icache().stats().accesses;
+    counts.dcacheAccesses = h.dcache().stats().accesses;
+    counts.l2Accesses = h.l2cache().stats().accesses;
+    counts.itlbAccesses = h.itlb().stats().accesses;
+    counts.dtlbAccesses = h.dtlb().stats().accesses;
     return counts;
 }
 
@@ -46,34 +43,27 @@ formatCoreStats(const TimingCore &core)
             static_cast<double>(s.branches));
     }
 
-    if (const CacheHierarchy *h = core.memoryHierarchy()) {
-        auto cache_rows = [&](const Cache &c) {
-            table.row()
-                .cell(c.name() + " accesses")
-                .cell(c.stats().accesses);
-            table.row()
-                .cell(c.name() + " miss rate")
-                .percentCell(c.stats().missRate());
-        };
-        cache_rows(h->icache());
-        cache_rows(h->dcache());
-        cache_rows(h->l2cache());
+    auto cache_rows = [&](const Cache &c) {
+        table.row().cell(c.name() + " accesses").cell(c.stats().accesses);
         table.row()
-            .cell("dcache writebacks")
-            .cell(h->dcache().stats().writebacks);
-        table.row()
-            .cell("itlb accesses")
-            .cell(h->itlb().stats().accesses);
-        table.row()
-            .cell("itlb miss rate")
-            .percentCell(h->itlb().stats().missRate());
-        table.row()
-            .cell("dtlb accesses")
-            .cell(h->dtlb().stats().accesses);
-        table.row()
-            .cell("dtlb miss rate")
-            .percentCell(h->dtlb().stats().missRate());
-    }
+            .cell(c.name() + " miss rate")
+            .percentCell(c.stats().missRate());
+    };
+    const CacheHierarchy &h = core.memoryHierarchy();
+    cache_rows(h.icache());
+    cache_rows(h.dcache());
+    cache_rows(h.l2cache());
+    table.row()
+        .cell("dcache writebacks")
+        .cell(h.dcache().stats().writebacks);
+    table.row().cell("itlb accesses").cell(h.itlb().stats().accesses);
+    table.row()
+        .cell("itlb miss rate")
+        .percentCell(h.itlb().stats().missRate());
+    table.row().cell("dtlb accesses").cell(h.dtlb().stats().accesses);
+    table.row()
+        .cell("dtlb miss rate")
+        .percentCell(h.dtlb().stats().missRate());
     table.print(oss);
     return oss.str();
 }

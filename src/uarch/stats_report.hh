@@ -1,9 +1,11 @@
 /**
  * @file
- * Human-readable end-of-simulation statistics for a timing core:
- * instruction/cycle totals, CPI, branch prediction and cache/TLB
- * miss rates - the numbers a SimpleScalar/gem5 user expects at the
- * end of a run.
+ * End-of-simulation statistics for a timing core: a human-readable
+ * report of instruction/cycle totals, CPI, branch prediction and
+ * cache/TLB miss rates - the numbers a SimpleScalar/gem5 user expects
+ * at the end of a run - and the per-structure access counts an energy
+ * model charges. Every core has the Table-1 hierarchy, so both always
+ * cover every cache and TLB.
  */
 
 #ifndef TPCP_UARCH_STATS_REPORT_HH
@@ -15,9 +17,6 @@
 
 namespace tpcp::uarch
 {
-
-class CacheHierarchy;
-class BranchPredictor;
 
 /**
  * Per-structure activity counters of one run: the inputs an energy
@@ -37,18 +36,12 @@ struct AccessCounts
     std::uint64_t dtlbAccesses = 0;
 };
 
-/**
- * Snapshot of @p core's activity counters. Cores without a modelled
- * memory hierarchy report cycles/instructions only (cache and TLB
- * counts stay zero).
- */
+/** Snapshot of @p core's activity counters. */
 AccessCounts collectAccessCounts(const TimingCore &core);
 
 /**
- * Formats a full statistics report for @p core. Works for both
- * SimpleCore and OooCore (anything exposing its hierarchy and branch
- * predictor through the optional TimingCore accessors); cores
- * without them report the architectural counters only.
+ * Formats a full statistics report for @p core: the architectural
+ * counters, then the accesses and miss rates of its caches and TLBs.
  */
 std::string formatCoreStats(const TimingCore &core);
 

@@ -13,6 +13,7 @@
 
 #include "common/rng.hh"
 #include "phase/classifier.hh"
+#include "subgrid.hh"
 
 using namespace tpcp;
 using namespace tpcp::phase;
@@ -22,6 +23,33 @@ namespace
 
 /** (similarity, minCount, tableEntries, dims). */
 using Params = std::tuple<double, unsigned, unsigned, unsigned>;
+
+// The grid's axes; min count 0 disables the transition phase.
+constexpr double kSimilarities[] = {0.125, 0.25, 0.5};
+constexpr unsigned kMinCounts[] = {0, 4, 8};
+constexpr unsigned kTableEntries[] = {8, 32, 0};
+constexpr unsigned kDims[] = {16, 32};
+
+std::string
+gridName(const ::testing::TestParamInfo<Params> &info)
+{
+    return "t" + std::to_string(int(std::get<0>(info.param) * 1000)) +
+           "_m" + std::to_string(std::get<1>(info.param)) + "_e" +
+           std::to_string(std::get<2>(info.param)) + "_d" +
+           std::to_string(std::get<3>(info.param));
+}
+
+ClassifierConfig
+configFor(const Params &params)
+{
+    auto [threshold, min_count, entries, dims] = params;
+    ClassifierConfig cfg;
+    cfg.similarityThreshold = threshold;
+    cfg.minCountThreshold = min_count;
+    cfg.tableEntries = entries;
+    cfg.numCounters = dims;
+    return cfg;
+}
 
 /** A synthetic interval stream: wandering between 6 shapes with
  * noise, plus occasional one-off shapes. */
@@ -61,18 +89,48 @@ class ClassifierProperties
     : public ::testing::TestWithParam<Params>
 {
   protected:
-    ClassifierConfig
-    config() const
-    {
-        auto [threshold, min_count, entries, dims] = GetParam();
-        ClassifierConfig cfg;
-        cfg.similarityThreshold = threshold;
-        cfg.minCountThreshold = min_count;
-        cfg.tableEntries = entries;
-        cfg.numCounters = dims;
-        return cfg;
-    }
+    ClassifierConfig config() const { return configFor(GetParam()); }
 };
+
+/** Raising the min-count threshold can only classify more intervals
+ * as transitions (the counter must climb higher). The property needs
+ * a transition phase, so it runs on the grid's min counts above 0. */
+void
+transitionFractionMonotoneInMinCount(const Params &params)
+{
+    ClassifierConfig cfg = configFor(params);
+    Stream s = makeStream(cfg.numCounters, 13);
+
+    ClassifierConfig lower = cfg;
+    lower.minCountThreshold = cfg.minCountThreshold / 2;
+    PhaseClassifier hi(cfg), lo(lower);
+    for (std::size_t i = 0; i < s.raws.size(); ++i) {
+        hi.classifyRaw(s.raws[i], 100'000, s.cpis[i]);
+        lo.classifyRaw(s.raws[i], 100'000, s.cpis[i]);
+    }
+    EXPECT_GE(hi.stats().transitionIntervals,
+              lo.stats().transitionIntervals);
+}
+
+std::vector<Params>
+transitionPoints()
+{
+    std::vector<Params> points;
+    for (double similarity : kSimilarities)
+        for (unsigned min_count : kMinCounts)
+            for (unsigned entries : kTableEntries)
+                for (unsigned dims : kDims)
+                    if (min_count > 0)
+                        points.emplace_back(similarity, min_count,
+                                            entries, dims);
+    return points;
+}
+
+const bool kTransitionRegistered =
+    test::registerOnSubgrid<ClassifierProperties>(
+        "ConfigGrid/ClassifierProperties",
+        "TransitionFractionMonotoneInMinCount", transitionPoints(),
+        gridName, transitionFractionMonotoneInMinCount);
 
 } // namespace
 
@@ -136,37 +194,10 @@ TEST_P(ClassifierProperties, DeterministicReplay)
     }
 }
 
-TEST_P(ClassifierProperties, TransitionFractionMonotoneInMinCount)
-{
-    // Raising the min-count threshold can only classify more
-    // intervals as transitions (the counter must climb higher).
-    ClassifierConfig cfg = config();
-    if (cfg.minCountThreshold == 0)
-        GTEST_SKIP() << "needs a transition phase";
-    Stream s = makeStream(cfg.numCounters, 13);
-
-    ClassifierConfig lower = cfg;
-    lower.minCountThreshold = cfg.minCountThreshold / 2;
-    PhaseClassifier hi(cfg), lo(lower);
-    for (std::size_t i = 0; i < s.raws.size(); ++i) {
-        hi.classifyRaw(s.raws[i], 100'000, s.cpis[i]);
-        lo.classifyRaw(s.raws[i], 100'000, s.cpis[i]);
-    }
-    EXPECT_GE(hi.stats().transitionIntervals,
-              lo.stats().transitionIntervals);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     ConfigGrid, ClassifierProperties,
-    ::testing::Combine(
-        ::testing::Values(0.125, 0.25, 0.5),      // similarity
-        ::testing::Values(0u, 4u, 8u),            // min count
-        ::testing::Values(8u, 32u, 0u),           // table entries
-        ::testing::Values(16u, 32u)),             // dims
-    [](const ::testing::TestParamInfo<Params> &info) {
-        return "t" +
-               std::to_string(int(std::get<0>(info.param) * 1000)) +
-               "_m" + std::to_string(std::get<1>(info.param)) +
-               "_e" + std::to_string(std::get<2>(info.param)) +
-               "_d" + std::to_string(std::get<3>(info.param));
-    });
+    ::testing::Combine(::testing::ValuesIn(kSimilarities),
+                       ::testing::ValuesIn(kMinCounts),
+                       ::testing::ValuesIn(kTableEntries),
+                       ::testing::ValuesIn(kDims)),
+    gridName);

@@ -13,6 +13,7 @@
 
 #include "common/rng.hh"
 #include "pred/eval.hh"
+#include "subgrid.hh"
 
 using namespace tpcp;
 using namespace tpcp::pred;
@@ -23,6 +24,47 @@ namespace
 /** (historyIsRle, order, payload, entries, useConfidence). */
 using Params =
     std::tuple<bool, unsigned, PayloadView, unsigned, bool>;
+
+// The grid's axes besides the two booleans.
+constexpr unsigned kOrders[] = {1, 2, 3};
+constexpr PayloadView kPayloads[] = {PayloadView::Last, PayloadView::Last4,
+                                     PayloadView::Top1, PayloadView::Top4};
+constexpr unsigned kEntries[] = {16, 32, 128};
+
+std::string
+gridName(const ::testing::TestParamInfo<Params> &info)
+{
+    std::string p;
+    switch (std::get<2>(info.param)) {
+      case PayloadView::Last:
+        p = "Last";
+        break;
+      case PayloadView::Last4:
+        p = "Last4";
+        break;
+      case PayloadView::Top1:
+        p = "Top1";
+        break;
+      case PayloadView::Top4:
+        p = "Top4";
+        break;
+    }
+    return std::string(std::get<0>(info.param) ? "Rle" : "Markov") +
+           std::to_string(std::get<1>(info.param)) + "_" + p + "_e" +
+           std::to_string(std::get<3>(info.param)) +
+           (std::get<4>(info.param) ? "_conf" : "_raw");
+}
+
+ChangePredictorConfig
+configFor(const Params &params)
+{
+    auto [rle, order, payload, entries, conf] = params;
+    ChangePredictorConfig cfg =
+        rle ? ChangePredictorConfig::rle(order, payload, entries)
+            : ChangePredictorConfig::markov(order, payload, entries);
+    cfg.useConfidence = conf;
+    return cfg;
+}
 
 std::vector<PhaseId>
 randomTrace(std::uint64_t seed, std::size_t n = 600,
@@ -42,18 +84,40 @@ randomTrace(std::uint64_t seed, std::size_t n = 600,
 class PredictorProperties : public ::testing::TestWithParam<Params>
 {
   protected:
-    ChangePredictorConfig
-    config() const
-    {
-        auto [rle, order, payload, entries, conf] = GetParam();
-        ChangePredictorConfig cfg =
-            rle ? ChangePredictorConfig::rle(order, payload, entries)
-                : ChangePredictorConfig::markov(order, payload,
-                                                entries);
-        cfg.useConfidence = conf;
-        return cfg;
-    }
+    ChangePredictorConfig config() const { return configFor(GetParam()); }
 };
+
+/** Without confidence every table hit is confident, so the property
+ * runs on the grid's no-confidence half only. */
+void
+noConfidenceMeansNoUnconfidentResults(const Params &params)
+{
+    ChangePredictorConfig cfg = configFor(params);
+    auto trace = randomTrace(5);
+    ChangeOutcomeStats s = evalChangeOutcome(trace, cfg);
+    EXPECT_EQ(s.unconfCorrect, 0u);
+    EXPECT_EQ(s.unconfIncorrect, 0u)
+        << "without confidence every table hit is 'confident'";
+}
+
+std::vector<Params>
+noConfidencePoints()
+{
+    std::vector<Params> points;
+    for (bool rle : {false, true})
+        for (unsigned order : kOrders)
+            for (PayloadView payload : kPayloads)
+                for (unsigned entries : kEntries)
+                    points.emplace_back(rle, order, payload, entries,
+                                        false);
+    return points;
+}
+
+const bool kNoConfidenceRegistered =
+    test::registerOnSubgrid<PredictorProperties>(
+        "Grid/PredictorProperties",
+        "NoConfidenceMeansNoUnconfidentResults", noConfidencePoints(),
+        gridName, noConfidenceMeansNoUnconfidentResults);
 
 } // namespace
 
@@ -84,18 +148,6 @@ TEST_P(PredictorProperties, NextPhaseCategoriesPartition)
               s.total);
     EXPECT_GE(s.confidentCoverage(), 0.0);
     EXPECT_LE(s.confidentCoverage(), 1.0);
-}
-
-TEST_P(PredictorProperties, NoConfidenceMeansNoUnconfidentResults)
-{
-    ChangePredictorConfig cfg = config();
-    if (cfg.useConfidence)
-        GTEST_SKIP() << "only meaningful without confidence";
-    auto trace = randomTrace(5);
-    ChangeOutcomeStats s = evalChangeOutcome(trace, cfg);
-    EXPECT_EQ(s.unconfCorrect, 0u);
-    EXPECT_EQ(s.unconfIncorrect, 0u)
-        << "without confidence every table hit is 'confident'";
 }
 
 TEST_P(PredictorProperties, AnyCorrectSupersetOfPrimary)
@@ -142,32 +194,9 @@ TEST_P(PredictorProperties, CandidateCountBounded)
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, PredictorProperties,
-    ::testing::Combine(
-        ::testing::Bool(),                       // RLE vs Markov
-        ::testing::Values(1u, 2u, 3u),           // order
-        ::testing::Values(PayloadView::Last, PayloadView::Last4,
-                          PayloadView::Top1, PayloadView::Top4),
-        ::testing::Values(16u, 32u, 128u),       // entries
-        ::testing::Bool()),                      // confidence
-    [](const ::testing::TestParamInfo<Params> &info) {
-        std::string p;
-        switch (std::get<2>(info.param)) {
-          case PayloadView::Last:
-            p = "Last";
-            break;
-          case PayloadView::Last4:
-            p = "Last4";
-            break;
-          case PayloadView::Top1:
-            p = "Top1";
-            break;
-          case PayloadView::Top4:
-            p = "Top4";
-            break;
-        }
-        return std::string(std::get<0>(info.param) ? "Rle"
-                                                   : "Markov") +
-               std::to_string(std::get<1>(info.param)) + "_" + p +
-               "_e" + std::to_string(std::get<3>(info.param)) +
-               (std::get<4>(info.param) ? "_conf" : "_raw");
-    });
+    ::testing::Combine(::testing::Bool(),            // RLE vs Markov
+                       ::testing::ValuesIn(kOrders), // order
+                       ::testing::ValuesIn(kPayloads),
+                       ::testing::ValuesIn(kEntries),
+                       ::testing::Bool()),           // confidence
+    gridName);

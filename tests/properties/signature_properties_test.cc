@@ -11,6 +11,7 @@
 
 #include "common/rng.hh"
 #include "phase/signature.hh"
+#include "subgrid.hh"
 
 using namespace tpcp;
 using namespace tpcp::phase;
@@ -21,18 +22,32 @@ namespace
 /** (dims, bitsPerDim, dynamicMode, scaleShift). */
 using Params = std::tuple<unsigned, unsigned, bool, unsigned>;
 
+// The grid's axes besides the selection mode.
+constexpr unsigned kDims[] = {8, 16, 32};
+constexpr unsigned kBits[] = {4, 6, 8};
+constexpr unsigned kScales[] = {0, 8};
+
+std::string
+gridName(const ::testing::TestParamInfo<Params> &info)
+{
+    return "d" + std::to_string(std::get<0>(info.param)) + "_b" +
+           std::to_string(std::get<1>(info.param)) +
+           (std::get<2>(info.param) ? "_dyn" : "_stat") + "_s" +
+           std::to_string(std::get<3>(info.param));
+}
+
+std::vector<std::uint32_t>
+randomRaw(Rng &rng, unsigned dims, unsigned scale_shift)
+{
+    std::vector<std::uint32_t> raw(dims);
+    for (auto &c : raw)
+        c = rng.nextBounded(1000) << scale_shift;
+    return raw;
+}
+
 class SignatureProperties : public ::testing::TestWithParam<Params>
 {
   protected:
-    std::vector<std::uint32_t>
-    randomRaw(Rng &rng, unsigned dims, unsigned scale_shift) const
-    {
-        std::vector<std::uint32_t> raw(dims);
-        for (auto &c : raw)
-            c = rng.nextBounded(1000) << scale_shift;
-        return raw;
-    }
-
     Signature
     compress(const std::vector<std::uint32_t> &raw) const
     {
@@ -46,6 +61,55 @@ class SignatureProperties : public ::testing::TestWithParam<Params>
             4);
     }
 };
+
+/** Scale invariance is the dynamic selection mode's property, so it
+ * runs on the grid's dynamic half only. */
+void
+dynamicModeScaleInvariant(const Params &params)
+{
+    const unsigned dims = std::get<0>(params);
+    const unsigned bits = std::get<1>(params);
+    Rng rng(std::uint64_t{99 + dims});
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<std::uint32_t> raw = randomRaw(rng, dims, 0);
+        std::vector<std::uint32_t> scaled(raw);
+        for (auto &c : scaled)
+            c <<= 6;
+        InstCount total = 0, scaled_total = 0;
+        for (std::size_t i = 0; i < raw.size(); ++i) {
+            total += raw[i];
+            scaled_total += scaled[i];
+        }
+        Signature a = Signature::fromAccumulators(
+            raw, total, bits, BitSelection::Dynamic);
+        Signature b = Signature::fromAccumulators(
+            scaled, scaled_total, bits, BitSelection::Dynamic);
+        // The same shape at a 64x larger interval compresses to a
+        // near-identical signature (up to +-1 rounding per dim).
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_NEAR(static_cast<int>(a.dim(i)),
+                        static_cast<int>(b.dim(i)), 1)
+                << "dim " << i;
+        }
+    }
+}
+
+std::vector<Params>
+dynamicPoints()
+{
+    std::vector<Params> points;
+    for (unsigned dims : kDims)
+        for (unsigned bits : kBits)
+            for (unsigned scale : kScales)
+                points.emplace_back(dims, bits, true, scale);
+    return points;
+}
+
+const bool kDynamicRegistered =
+    test::registerOnSubgrid<SignatureProperties>(
+        "Grid/SignatureProperties", "DynamicModeScaleInvariant",
+        dynamicPoints(), gridName, dynamicModeScaleInvariant);
 
 } // namespace
 
@@ -100,46 +164,10 @@ TEST_P(SignatureProperties, ZeroVectorCompressesToZero)
     EXPECT_EQ(s.weight(), 0u);
 }
 
-TEST_P(SignatureProperties, DynamicModeScaleInvariant)
-{
-    auto [dims, bits, dynamic, scale] = GetParam();
-    if (!dynamic)
-        GTEST_SKIP() << "scale invariance is the dynamic property";
-    Rng rng(std::uint64_t{99 + dims});
-    for (int trial = 0; trial < 20; ++trial) {
-        std::vector<std::uint32_t> raw = randomRaw(rng, dims, 0);
-        std::vector<std::uint32_t> scaled(raw);
-        for (auto &c : scaled)
-            c <<= 6;
-        InstCount total = 0, scaled_total = 0;
-        for (std::size_t i = 0; i < raw.size(); ++i) {
-            total += raw[i];
-            scaled_total += scaled[i];
-        }
-        Signature a = Signature::fromAccumulators(
-            raw, total, bits, BitSelection::Dynamic);
-        Signature b = Signature::fromAccumulators(
-            scaled, scaled_total, bits, BitSelection::Dynamic);
-        // The same shape at a 64x larger interval compresses to a
-        // near-identical signature (up to +-1 rounding per dim).
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_NEAR(static_cast<int>(a.dim(i)),
-                        static_cast<int>(b.dim(i)), 1)
-                << "dim " << i;
-        }
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Grid, SignatureProperties,
-    ::testing::Combine(::testing::Values(8u, 16u, 32u), // dims
-                       ::testing::Values(4u, 6u, 8u),   // bits
-                       ::testing::Bool(),               // dynamic
-                       ::testing::Values(0u, 8u)),      // scale
-    [](const ::testing::TestParamInfo<Params> &info) {
-        return "d" + std::to_string(std::get<0>(info.param)) +
-               "_b" + std::to_string(std::get<1>(info.param)) +
-               (std::get<2>(info.param) ? "_dyn" : "_stat") +
-               "_s" + std::to_string(std::get<3>(info.param));
-    });
+    ::testing::Combine(::testing::ValuesIn(kDims),
+                       ::testing::ValuesIn(kBits),
+                       ::testing::Bool(), // dynamic
+                       ::testing::ValuesIn(kScales)),
+    gridName);

@@ -73,7 +73,7 @@ run(const std::string &name, const std::string &core_name)
                   wl.seed ^ 0xabcdef12345ULL);
     EXPECT_EQ(sim.run(kInsts), kInsts);
 
-    const CacheHierarchy &h = *core->memoryHierarchy();
+    const CacheHierarchy &h = core->memoryHierarchy();
     const CoreStats &s = core->stats();
     return {core->cycles(),
             s.insts,

@@ -26,6 +26,8 @@
  *                    take a comma-separated list; adapt replays
  *                    recorded CPI, so its lattice differs in energy
  *                    only)
+ * A numeric option whose value is empty, malformed, negative where a
+ * count is wanted or out of range is an error (exit 2).
  *
  * Trace verbs (tpcp trace <verb>):
  *   export <workload> --out=P     export a profile as a .tpcptrace
@@ -163,15 +165,19 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -205,7 +211,15 @@ using namespace tpcp;
 namespace
 {
 
-/** Minimal flag parser: --key value and --key style flags. */
+/** A numeric flag whose value does not parse; main() reports it and
+ * exits 2. */
+struct FlagError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** Minimal flag parser: --key value and --key style flags. Numeric
+ * values parse strictly: the whole value, in range, or FlagError. */
 class Args
 {
   public:
@@ -240,27 +254,61 @@ class Args
         return it == kv.end() ? dflt : it->second;
     }
 
+    /** A decimal integer in [0, @p max]. */
     std::uint64_t
-    getU64(const std::string &key, std::uint64_t dflt) const
+    getU64(const std::string &key, std::uint64_t dflt,
+           std::uint64_t max =
+               std::numeric_limits<std::uint64_t>::max()) const
     {
         auto it = kv.find(key);
-        return it == kv.end()
-                   ? dflt
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
+        if (it == kv.end())
+            return dflt;
+        std::uint64_t value = 0;
+        if (!parseAll(it->second, value) || value > max) {
+            throw FlagError("--" + key +
+                            " wants an integer from 0 to " +
+                            std::to_string(max) + ", got '" +
+                            it->second + "'");
+        }
+        return value;
     }
 
+    /** getU64() for flags held in an unsigned. */
+    unsigned
+    getUnsigned(const std::string &key, unsigned dflt) const
+    {
+        return static_cast<unsigned>(
+            getU64(key, dflt, std::numeric_limits<unsigned>::max()));
+    }
+
+    /** A finite decimal number. */
     double
     getDouble(const std::string &key, double dflt) const
     {
         auto it = kv.find(key);
-        return it == kv.end()
-                   ? dflt
-                   : std::strtod(it->second.c_str(), nullptr);
+        if (it == kv.end())
+            return dflt;
+        double value = 0.0;
+        if (!parseAll(it->second, value) || !std::isfinite(value)) {
+            throw FlagError("--" + key + " wants a number, got '" +
+                            it->second + "'");
+        }
+        return value;
     }
 
     std::vector<std::string> positional;
 
   private:
+    /** True when all of @p text, and nothing else, is a @p T. */
+    template <typename T>
+    static bool
+    parseAll(const std::string &text, T &value)
+    {
+        const char *end = text.data() + text.size();
+        auto [ptr, ec] = std::from_chars(text.data(), end, value);
+        return !text.empty() && ec == std::errc{} && ptr == end;
+    }
+
     std::map<std::string, std::string> kv;
 };
 
@@ -383,12 +431,9 @@ classifierConfig(const Args &args)
     phase::ClassifierConfig cfg =
         phase::ClassifierConfig::paperDefault();
     cfg.similarityThreshold = args.getDouble("threshold", 0.25);
-    cfg.minCountThreshold =
-        static_cast<unsigned>(args.getU64("min", 8));
-    cfg.tableEntries =
-        static_cast<unsigned>(args.getU64("entries", 32));
-    cfg.numCounters =
-        static_cast<unsigned>(args.getU64("dims", 16));
+    cfg.minCountThreshold = args.getUnsigned("min", 8);
+    cfg.tableEntries = args.getUnsigned("entries", 32);
+    cfg.numCounters = args.getUnsigned("dims", 16);
     if (args.has("static-thresh"))
         cfg.adaptiveThreshold = false;
     return cfg;
@@ -422,8 +467,7 @@ cmdMachine()
 int
 cmdProfileAll(const Args &args)
 {
-    unsigned jobs =
-        static_cast<unsigned>(args.getU64("jobs", 0));
+    unsigned jobs = args.getUnsigned("jobs", 0);
     trace::ProfileOptions opts = profileOptions(args);
     const std::vector<std::string> &names =
         workload::workloadNames();
@@ -709,7 +753,7 @@ cmdSample(const Args &args)
     std::string selector = args.get("selector", "stratified");
     sample::PhaseSource source = sample::phaseSourceByName(
         args.get("phase-source", "online"));
-    unsigned jobs = static_cast<unsigned>(args.getU64("jobs", 0));
+    unsigned jobs = args.getUnsigned("jobs", 0);
     trace::ProfileOptions opts = profileOptions(args);
 
     std::cerr << "[sample] " << names.size() << " workloads, "
@@ -786,7 +830,7 @@ cmdAdapt(const Args &args)
         adapt::policyPresetByName(args.get("policy", "greedy"));
     adapt::ConfigLattice lattice = adapt::ConfigLattice::byName(
         args.get("lattice", "standard"));
-    unsigned jobs = static_cast<unsigned>(args.getU64("jobs", 0));
+    unsigned jobs = args.getUnsigned("jobs", 0);
     trace::ProfileOptions opts = profileOptions(args);
     if (!args.has("core"))
         opts.coreName = "simple";
@@ -886,8 +930,7 @@ cmdFaults(const Args &args)
     ropts.injector.ratePerInterval = args.getDouble("rate", 0.01);
     ropts.injector.mitigated = args.has("mitigated");
     ropts.injector.seed = args.getU64("seed", 0x5eedfa17);
-    ropts.scrubEvery =
-        static_cast<unsigned>(args.getU64("scrub-every", 1));
+    ropts.scrubEvery = args.getUnsigned("scrub-every", 1);
     ropts.withAdapt = args.has("adapt");
     ropts.adaptLattice = args.get("lattice", "small");
     ropts.checkpointPath = args.get("checkpoint", "");
@@ -900,7 +943,7 @@ cmdFaults(const Args &args)
         return 2;
     }
 
-    unsigned jobs = static_cast<unsigned>(args.getU64("jobs", 0));
+    unsigned jobs = args.getUnsigned("jobs", 0);
     trace::ProfileOptions opts = profileOptions(args);
 
     std::cerr << "[faults] " << names.size() << " workloads, target="
@@ -996,10 +1039,8 @@ cmdServe(const Args &args)
             return 2;
         }
     }
-    const unsigned tenants =
-        static_cast<unsigned>(args.getU64("tenants", 8));
-    const unsigned producers =
-        static_cast<unsigned>(args.getU64("producers", 1));
+    const unsigned tenants = args.getUnsigned("tenants", 8);
+    const unsigned producers = args.getUnsigned("producers", 1);
     if (tenants == 0 || producers == 0) {
         std::cerr << "error: --tenants and --producers must be "
                      ">= 1\n";
@@ -1029,8 +1070,7 @@ cmdServe(const Args &args)
             return 2;
         }
     } else if (names.empty()) {
-        const unsigned n =
-            static_cast<unsigned>(args.getU64("streams", 4));
+        const unsigned n = args.getUnsigned("streams", 4);
         const std::uint64_t len = packets == 0 ? 2000 : packets;
         for (unsigned k = 0; k < n; ++k)
             streams.push_back(serve::encodeSyntheticStream(
@@ -1070,7 +1110,7 @@ cmdServe(const Args &args)
     serve::ServeOptions sopts;
     sopts.registry.tracker = tcfg;
     sopts.producers = producers;
-    sopts.jobs = static_cast<unsigned>(args.getU64("jobs", 0));
+    sopts.jobs = args.getUnsigned("jobs", 0);
     sopts.ringBytes = args.getU64("ring-bytes", 1u << 20);
     sopts.fairness.ratePerCycle = args.getU64("rate-limit", 0);
     sopts.fairness.burst = args.getU64("burst", 0);
@@ -1088,8 +1128,7 @@ cmdServe(const Args &args)
     // Tenant t is fed by producer t % producers; a tenant never
     // spans rings, so its packet order is total.
     const unsigned per_part = (tenants + producers - 1) / producers;
-    const unsigned resident =
-        static_cast<unsigned>(args.getU64("resident", 0));
+    const unsigned resident = args.getUnsigned("resident", 0);
     sopts.registry.maxResident =
         resident == 0 ? std::max(1u, per_part) : resident;
     sopts.registry.evictAfter = args.getU64("evict-after", 0);
@@ -1524,6 +1563,9 @@ main(int argc, char **argv)
             return cmdServe(args);
         if (cmd == "trace")
             return cmdTrace(args);
+    } catch (const FlagError &e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return 2;
     } catch (const Error &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
