@@ -249,7 +249,7 @@ main(int argc, char **argv)
         for (const std::string &s :
              bench::splitCsv(args.get("seeds", "1")))
             seeds.push_back(
-                std::strtoull(s.c_str(), nullptr, 10));
+                bench::parseFlagValue<std::uint64_t>("seeds", s));
         std::size_t intervals = args.getU64("intervals", 600);
         std::string baseline =
             args.get("baseline", "ammp,gcc/s,gzip/p,mcf");

@@ -15,15 +15,18 @@
 #ifndef TPCP_BENCH_BENCH_COMMON_HH
 #define TPCP_BENCH_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "analysis/parallel_runner.hh"
+#include "common/parse.hh"
 #include "trace/profile_cache.hh"
 #include "trace/trace_workload.hh"
 #include "workload/workload.hh"
@@ -41,6 +44,24 @@ struct FlagSpec
     /** One-line description shown by --help and on errors. */
     std::string help;
 };
+
+/** The value @p text of flag --@p name as a @p T; prints the error
+ * and exits 2 when it does not parse whole (see tpcp::parseAll()). */
+template <typename T>
+T
+parseFlagValue(const std::string &name, const std::string &text)
+{
+    T value{};
+    if (!parseAll(text, value)) {
+        std::cerr << "error: --" << name << " wants "
+                  << (std::is_floating_point_v<T>
+                          ? "a finite number"
+                          : "a non-negative integer")
+                  << ", got '" << text << "'\n";
+        std::exit(2);
+    }
+    return value;
+}
 
 /** Command-line options shared by every harness. */
 struct BenchArgs
@@ -63,22 +84,26 @@ struct BenchArgs
         return it == extra.end() ? dflt : it->second;
     }
 
+    /** The flag's value as a whole non-negative integer; exits 2
+     * on anything else. */
     std::uint64_t
     getU64(const std::string &name, std::uint64_t dflt) const
     {
         auto it = extra.find(name);
         return it == extra.end()
                    ? dflt
-                   : std::strtoull(it->second.c_str(), nullptr, 10);
+                   : parseFlagValue<std::uint64_t>(name, it->second);
     }
 
+    /** The flag's value as a whole finite number; exits 2 on
+     * anything else. */
     double
     getDouble(const std::string &name, double dflt) const
     {
         auto it = extra.find(name);
         return it == extra.end()
                    ? dflt
-                   : std::strtod(it->second.c_str(), nullptr);
+                   : parseFlagValue<double>(name, it->second);
     }
 };
 
@@ -147,15 +172,11 @@ tryParseArgs(const std::vector<std::string> &argv,
         }
 
         if (spec->name == "jobs") {
-            char *end = nullptr;
-            unsigned long n =
-                std::strtoul(value.c_str(), &end, 10);
-            if (value.empty() || *end != '\0') {
+            if (!parseAll(value, args.jobs)) {
                 error = "--jobs expects a non-negative integer, "
                         "got '" + value + "'";
                 return std::nullopt;
             }
-            args.jobs = static_cast<unsigned>(n);
         } else {
             args.extra[spec->name] = value;
         }

@@ -22,7 +22,6 @@
  */
 
 #include <cstdio>
-#include <sstream>
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
@@ -31,23 +30,6 @@
 #include "fault/resilience.hh"
 
 using namespace tpcp;
-
-namespace
-{
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -63,11 +45,11 @@ main(int argc, char **argv)
 
     std::vector<double> rates;
     for (const std::string &s :
-         splitCsv(args.get("rates", "0.001,0.01,0.05,0.2")))
-        rates.push_back(std::strtod(s.c_str(), nullptr));
+         bench::splitCsv(args.get("rates", "0.001,0.01,0.05,0.2")))
+        rates.push_back(bench::parseFlagValue<double>("rates", s));
     std::vector<fault::Target> targets;
-    std::vector<std::string> target_names =
-        splitCsv(args.get("targets", "signature,change-table,all"));
+    std::vector<std::string> target_names = bench::splitCsv(
+        args.get("targets", "signature,change-table,all"));
 
     bench::banner("fault_sweep",
                   "soft-error resilience: rate x structure x "

@@ -41,14 +41,13 @@ parseBudgets(const std::string &csv)
         if (comma == std::string::npos)
             comma = csv.size();
         std::string tok = csv.substr(pos, comma - pos);
-        char *end = nullptr;
-        unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-        if (tok.empty() || *end != '\0' || v == 0) {
+        std::size_t v = 0;
+        if (!parseAll(tok, v) || v == 0) {
             std::cerr << "error: --budgets expects positive "
                          "integers, got '" << tok << "'\n";
             std::exit(2);
         }
-        budgets.push_back(static_cast<std::size_t>(v));
+        budgets.push_back(v);
         pos = comma + 1;
     }
     return budgets;

@@ -9,12 +9,12 @@
  *   interval-insts instructions per interval (default: 100000)
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "analysis/experiment.hh"
 #include "common/ascii_table.hh"
+#include "common/parse.hh"
 #include "phase/classifier_config.hh"
 #include "phase/phase_trace.hh"
 #include "trace/profile_cache.hh"
@@ -42,8 +42,13 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "gzip/p";
-    InstCount interval =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100'000;
+    InstCount interval = 100'000;
+    if (argc > 2 && (!parseAll(argv[2], interval) || interval == 0)) {
+        std::cerr << "error: interval-insts wants a positive integer, "
+                     "got '"
+                  << argv[2] << "'\n";
+        return 2;
+    }
 
     if (!workload::isWorkloadName(name)) {
         std::cerr << "unknown workload '" << name << "'; choose one of:";

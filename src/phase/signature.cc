@@ -80,8 +80,8 @@ Signature::compressTo(const std::uint32_t *raw, std::size_t n,
         return 0;
     }
     // Saturate ("we set all of the selected bits to one" when any bit
-    // above the window is set), shift and mask — dispatched to the
-    // active SIMD level; every level stores identical bytes.
+    // above the window is set), shift and mask in the build's vector
+    // kernel, which stores the same bytes as the scalar loop.
     return simd::compressU32(raw, n, shift, window_top, max_dim, out);
 }
 
@@ -90,9 +90,13 @@ Signature::manhattan(const Signature &other) const
 {
     tpcp_assert(dims.size() == other.dims.size(),
                 "signature dimensionality mismatch");
-    return static_cast<std::uint32_t>(
-        simd::manhattanU8(dims.data(), other.dims.data(),
-                          dims.size()));
+    std::uint32_t dist = 0;
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+        int d = static_cast<int>(dims[i]) -
+                static_cast<int>(other.dims[i]);
+        dist += static_cast<std::uint32_t>(d < 0 ? -d : d);
+    }
+    return dist;
 }
 
 double

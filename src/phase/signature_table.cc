@@ -206,14 +206,13 @@ SignatureTable::match(const std::uint8_t *qdims, std::size_t ndims,
     // stack-paddable row width; everything else takes the reference
     // path. With fewer than one full group there is nothing to
     // vectorize either.
-    if (simd::active() == simd::Level::Scalar || qweight == 0 ||
-        rowStride_ > kMaxQueryPad || n < 4) {
+    if (qweight == 0 || rowStride_ > kMaxQueryPad || n < 4) {
         matchRange(qdims, qweight, policy, 0, n, best);
         return best;
     }
     // Zero-pad the query to the row pitch: padding lanes contribute
     // |0 - 0| = 0 to every vector chunk.
-    alignas(32) std::uint8_t qpad[kMaxQueryPad];
+    alignas(simd::kRowPad) std::uint8_t qpad[kMaxQueryPad];
     std::memcpy(qpad, qdims, ndims);
     std::memset(qpad + ndims, 0, rowStride_ - ndims);
     const bool anyQuarantined = numQuarantined_ != 0;

@@ -13,9 +13,10 @@
  * padded with zero bytes to a multiple of simd::kRowPad so the
  * vectorized match scan (common/simd.hh) processes whole aligned
  * chunks; the padding contributes |0-0| = 0 to every distance, and
- * every dispatch level returns bit-identical match results. Entries
- * are referred to by index, which stays valid as an unbounded table
- * grows (a `SigEntry *` into a reallocating vector would not).
+ * the vector and scalar builds return bit-identical match results.
+ * Entries are referred to by index, which stays valid as an
+ * unbounded table grows (a `SigEntry *` into a reallocating vector
+ * would not).
  *
  * LRU replacement is O(1): entries are threaded on an intrusive
  * doubly-linked list in use order (head = least recently used), kept
@@ -299,8 +300,8 @@ class SignatureTable
 
     /**
      * Reference per-entry match scan over entries [lo, hi), shared
-     * by the scalar dispatch level, mixed groups (quarantined or
-     * zero-weight entries present) and the group tail. Updates
+     * by weight-0 queries, over-wide rows, mixed groups (quarantined
+     * or zero-weight entries present) and the group tail. Updates
      * @p best; returns true when a FirstMatch hit in this range ended
      * the scan (the hit is in @p best).
      */

@@ -43,9 +43,15 @@ class SpscRing
      * @param capacity_bytes usable buffer size; rounded up to the
      *        next power of two, minimum 64. A frame occupies
      *        kFrameOverhead + len bytes and must fit the ring whole.
+     *        Raises tpcp::Error when no power of two in a size_t is
+     *        that large.
      */
     explicit SpscRing(std::size_t capacity_bytes)
     {
+        constexpr std::size_t kMaxCap = ~(~std::size_t(0) >> 1);
+        if (capacity_bytes > kMaxCap)
+            tpcp_raise("ring capacity of ", capacity_bytes,
+                       " bytes cannot be rounded up to a power of two");
         std::size_t cap = 64;
         while (cap < capacity_bytes)
             cap <<= 1;

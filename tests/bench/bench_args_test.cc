@@ -122,3 +122,65 @@ TEST(BenchArgs, TypedAccessorsConvertAndDefault)
     EXPECT_EQ(args->get("absent", "dflt"), "dflt");
     EXPECT_FALSE(args->has("absent"));
 }
+
+TEST(BenchArgs, NegativeOrOutOfRangeJobsIsAnError)
+{
+    // A minus sign must not wrap to 4294967295 worker threads.
+    std::string error;
+    EXPECT_FALSE(parse({"--jobs=-1"}, error).has_value());
+    EXPECT_NE(error.find("non-negative integer"), std::string::npos)
+        << error;
+    EXPECT_FALSE(parse({"--jobs", "4294967296"}, error).has_value());
+    EXPECT_FALSE(parse({"--jobs= 4"}, error).has_value());
+    EXPECT_FALSE(parse({"--jobs=4x"}, error).has_value());
+}
+
+TEST(BenchArgs, WholeValueParsing)
+{
+    std::uint64_t u = 0;
+    EXPECT_TRUE(tpcp::parseAll("18446744073709551615", u));
+    EXPECT_EQ(u, ~std::uint64_t(0));
+    EXPECT_FALSE(tpcp::parseAll("18446744073709551616", u));
+    EXPECT_FALSE(tpcp::parseAll("-1", u));
+    EXPECT_FALSE(tpcp::parseAll("abc", u));
+    EXPECT_FALSE(tpcp::parseAll("12abc", u));
+    EXPECT_FALSE(tpcp::parseAll("", u));
+    double d = 0.0;
+    EXPECT_TRUE(tpcp::parseAll("-0.25", d));
+    EXPECT_DOUBLE_EQ(d, -0.25);
+    EXPECT_FALSE(tpcp::parseAll("0.1x", d));
+    EXPECT_FALSE(tpcp::parseAll("inf", d));
+    EXPECT_FALSE(tpcp::parseAll("nan", d));
+}
+
+TEST(BenchArgsDeathTest, MalformedTypedValueExitsTwo)
+{
+    // --scrub-every=abc used to run silently with a period of 0.
+    std::string error;
+    auto args = parse({"--budgets=abc"}, error);
+    ASSERT_TRUE(args.has_value());
+    EXPECT_EXIT(args->getU64("budgets", 0), testing::ExitedWithCode(2),
+                "error: --budgets wants a non-negative integer, got "
+                "'abc'");
+    EXPECT_EXIT(args->getDouble("budgets", 0.0),
+                testing::ExitedWithCode(2),
+                "error: --budgets wants a finite number, got 'abc'");
+    auto negative = parse({"--budgets=-3"}, error);
+    ASSERT_TRUE(negative.has_value());
+    EXPECT_EXIT(negative->getU64("budgets", 0),
+                testing::ExitedWithCode(2), "got '-3'");
+}
+
+TEST(BenchArgsDeathTest, MalformedListElementExitsTwo)
+{
+    // The CSV lists of adversarial_sweep (--seeds) and fault_sweep
+    // (--rates) parse every element the same way.
+    std::vector<double> rates;
+    for (const std::string &s : splitCsv("0.01,0.05"))
+        rates.push_back(parseFlagValue<double>("rates", s));
+    EXPECT_EQ(rates, (std::vector<double>{0.01, 0.05}));
+    EXPECT_EXIT(parseFlagValue<double>("rates", "0.1x"),
+                testing::ExitedWithCode(2), "error: --rates ");
+    EXPECT_EXIT(parseFlagValue<std::uint64_t>("seeds", "-1"),
+                testing::ExitedWithCode(2), "error: --seeds ");
+}

@@ -1,9 +1,10 @@
 /**
  * @file
- * Bit-identity of the vectorized classify hot path against the
- * scalar reference at the component level: SignatureTable::match
- * across dispatch levels (both policies, quarantined entries,
- * weight-0 signatures), the batched classifyIntervals() against
+ * Bit-identity of the vectorized classify hot path against plain
+ * references at the component level: SignatureTable::match against
+ * a brute-force Signature::difference scan (both policies,
+ * quarantined entries, weight-0 signatures, row widths on and off
+ * the 16-byte chunk), the batched classifyIntervals() against
  * per-interval classifyRaw(), the O(1) LRU eviction order against a
  * reference min-lastUse rescan.
  */
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/simd.hh"
 #include "common/state_io.hh"
 #include "phase/classifier.hh"
 #include "phase/signature_table.hh"
@@ -25,25 +25,6 @@ using namespace tpcp::phase;
 
 namespace
 {
-
-std::vector<simd::Level>
-availableLevels()
-{
-    std::vector<simd::Level> out;
-    for (simd::Level l :
-         {simd::Level::Scalar, simd::Level::Sse2, simd::Level::Avx2,
-          simd::Level::Neon}) {
-        if (simd::forceLevel(l) == l)
-            out.push_back(l);
-    }
-    return out;
-}
-
-struct LevelGuard
-{
-    simd::Level saved = simd::active();
-    ~LevelGuard() { simd::forceLevel(saved); }
-};
 
 std::vector<std::uint8_t>
 randomRow(Rng &rng, unsigned dims, unsigned max_val)
@@ -89,13 +70,42 @@ buildTable(Rng &rng, unsigned entries, unsigned dims,
     return table;
 }
 
+/**
+ * The match decision spelled out entry by entry with
+ * Signature::difference: no padding, no bounds, no grouping.
+ * FirstMatch takes the first entry under its threshold, BestMatch
+ * the strictly smallest difference.
+ */
+SignatureTable::MatchResult
+bruteForceMatch(const SignatureTable &table, const Signature &query,
+                MatchPolicy policy)
+{
+    SignatureTable::MatchResult best;
+    for (std::uint32_t i = 0; i < table.size(); ++i) {
+        if (table.quarantinedAt(i))
+            continue;
+        double diff = query.difference(table.signatureAt(i));
+        if (diff >= table.threshold(i))
+            continue;
+        if (policy == MatchPolicy::FirstMatch)
+            return {i, diff};
+        if (!best || diff < best.distance)
+            best = {i, diff};
+    }
+    return best;
+}
+
 } // namespace
 
 TEST(SimdMatchEquivalence, AllLevelsAgreeWithScalarBothPolicies)
 {
-    LevelGuard guard;
+    // Each build compiles one kernel level; CI's scalar-identity job
+    // runs this in the vector and the -DTPCP_SIMD=OFF build, so every
+    // level is checked against the same scalar brute-force scan.
     Rng rng(std::uint64_t{0xabcd});
-    for (unsigned dims : {8u, 16u, 32u, 48u}) {
+    // 24 is not a multiple of the 16-byte row chunk: its padded
+    // tail must contribute nothing.
+    for (unsigned dims : {16u, 24u, 32u, 64u}) {
         for (bool quarantine : {false, true}) {
             for (bool zeroWeight : {false, true}) {
                 SignatureTable table = buildTable(
@@ -114,30 +124,24 @@ TEST(SimdMatchEquivalence, AllLevelsAgreeWithScalarBothPolicies)
                         for (int k = 0; k < 3; ++k)
                             q[rng.nextBounded(dims)] ^= 1;
                     }
-                    std::uint32_t weight = 0;
-                    for (std::uint8_t v : q)
-                        weight += v;
+                    Signature query(q, 6);
                     for (MatchPolicy policy :
                          {MatchPolicy::FirstMatch,
                           MatchPolicy::BestMatch}) {
-                        ASSERT_EQ(simd::forceLevel(
-                                      simd::Level::Scalar),
-                                  simd::Level::Scalar);
-                        auto ref = table.match(q.data(), dims, weight,
-                                               policy);
-                        for (simd::Level l : availableLevels()) {
-                            ASSERT_EQ(simd::forceLevel(l), l);
-                            auto got = table.match(q.data(), dims,
-                                                   weight, policy);
-                            ASSERT_EQ(got.index, ref.index)
-                                << "level=" << simd::levelName(l)
-                                << " dims=" << dims
-                                << " quarantine=" << quarantine
-                                << " zeroWeight=" << zeroWeight;
-                            // Bit-identical distance, not just close.
-                            ASSERT_EQ(got.distance, ref.distance)
-                                << "level=" << simd::levelName(l)
-                                << " dims=" << dims;
+                        auto want = bruteForceMatch(table, query,
+                                                    policy);
+                        auto got = table.match(q.data(), dims,
+                                               query.weight(), policy);
+                        ASSERT_EQ(got.index, want.index)
+                            << "dims=" << dims
+                            << " quarantine=" << quarantine
+                            << " zeroWeight=" << zeroWeight
+                            << " probe=" << probe;
+                        // Bit-identical distance, not just close.
+                        if (want) {
+                            ASSERT_EQ(got.distance, want.distance)
+                                << "dims=" << dims
+                                << " probe=" << probe;
                         }
                     }
                 }
@@ -148,71 +152,68 @@ TEST(SimdMatchEquivalence, AllLevelsAgreeWithScalarBothPolicies)
 
 TEST(SimdMatchEquivalence, SignatureMatchOverloadAgrees)
 {
-    LevelGuard guard;
     Rng rng(std::uint64_t{0x1111});
     SignatureTable table = buildTable(rng, 16, 16, false, false);
-    Signature probe(randomRow(rng, 16, 64), 6);
-    ASSERT_EQ(simd::forceLevel(simd::Level::Scalar),
-              simd::Level::Scalar);
-    auto ref = table.match(probe, MatchPolicy::BestMatch);
-    for (simd::Level l : availableLevels()) {
-        ASSERT_EQ(simd::forceLevel(l), l);
-        auto got = table.match(probe, MatchPolicy::BestMatch);
-        EXPECT_EQ(got.index, ref.index);
-        EXPECT_EQ(got.distance, ref.distance);
+    for (int probe = 0; probe < 32; ++probe) {
+        Signature query(randomRow(rng, 16, 64), 6);
+        for (MatchPolicy policy :
+             {MatchPolicy::FirstMatch, MatchPolicy::BestMatch}) {
+            auto want = bruteForceMatch(table, query, policy);
+            auto got = table.match(query, policy);
+            EXPECT_EQ(got.index, want.index) << "probe=" << probe;
+            if (want) {
+                EXPECT_EQ(got.distance, want.distance)
+                    << "probe=" << probe;
+            }
+        }
     }
 }
 
 TEST(BatchedClassify, MatchesSequentialClassifyRaw)
 {
-    LevelGuard guard;
-    for (simd::Level l : availableLevels()) {
-        ASSERT_EQ(simd::forceLevel(l), l);
-        Rng rng(std::uint64_t{0x5150});
-        ClassifierConfig cfg = ClassifierConfig::paperDefault();
-        // Generate a phase-like snapshot stream.
-        std::vector<std::vector<std::uint32_t>> raws;
-        std::vector<InstCount> totals;
-        std::vector<double> cpis;
-        for (int i = 0; i < 600; ++i) {
-            std::vector<std::uint32_t> raw(cfg.numCounters);
-            unsigned shape = (i / 40) % 6;
-            InstCount total = 0;
-            for (unsigned c = 0; c < cfg.numCounters; ++c) {
-                raw[c] = ((c + shape) % 4 == 0)
-                             ? 500 + rng.nextBounded(80)
-                             : rng.nextBounded(30);
-                total += raw[c];
-            }
-            raws.push_back(std::move(raw));
-            totals.push_back(total * 12);
-            cpis.push_back(0.5 + rng.nextDouble());
+    Rng rng(std::uint64_t{0x5150});
+    ClassifierConfig cfg = ClassifierConfig::paperDefault();
+    // Generate a phase-like snapshot stream.
+    std::vector<std::vector<std::uint32_t>> raws;
+    std::vector<InstCount> totals;
+    std::vector<double> cpis;
+    for (int i = 0; i < 600; ++i) {
+        std::vector<std::uint32_t> raw(cfg.numCounters);
+        unsigned shape = (i / 40) % 6;
+        InstCount total = 0;
+        for (unsigned c = 0; c < cfg.numCounters; ++c) {
+            raw[c] = ((c + shape) % 4 == 0)
+                         ? 500 + rng.nextBounded(80)
+                         : rng.nextBounded(30);
+            total += raw[c];
         }
-        PhaseClassifier sequential(cfg);
-        PhaseClassifier batched(cfg);
-        std::vector<ClassifyResult> want;
-        for (std::size_t i = 0; i < raws.size(); ++i)
-            want.push_back(sequential.classifyRaw(raws[i], totals[i],
-                                                  cpis[i]));
-        std::vector<RawInterval> views(raws.size());
-        for (std::size_t i = 0; i < raws.size(); ++i)
-            views[i] = {raws[i].data(), totals[i], cpis[i]};
-        std::vector<ClassifyResult> got(views.size());
-        batched.classifyIntervals(views.data(), views.size(),
-                                  got.data());
-        for (std::size_t i = 0; i < want.size(); ++i) {
-            ASSERT_EQ(got[i].phase, want[i].phase) << "interval " << i;
-            ASSERT_EQ(got[i].matched, want[i].matched);
-            ASSERT_EQ(got[i].inserted, want[i].inserted);
-            ASSERT_EQ(got[i].distance, want[i].distance);
-        }
-        // Final classifier state must be identical too.
-        StateWriter seqW, batW;
-        sequential.saveState(seqW);
-        batched.saveState(batW);
-        EXPECT_EQ(seqW.buffer(), batW.buffer())
-            << "level=" << simd::levelName(l);
+        raws.push_back(std::move(raw));
+        totals.push_back(total * 12);
+        cpis.push_back(0.5 + rng.nextDouble());
     }
+    PhaseClassifier sequential(cfg);
+    PhaseClassifier batched(cfg);
+    std::vector<ClassifyResult> want;
+    for (std::size_t i = 0; i < raws.size(); ++i)
+        want.push_back(sequential.classifyRaw(raws[i], totals[i],
+                                              cpis[i]));
+    std::vector<RawInterval> views(raws.size());
+    for (std::size_t i = 0; i < raws.size(); ++i)
+        views[i] = {raws[i].data(), totals[i], cpis[i]};
+    std::vector<ClassifyResult> got(views.size());
+    batched.classifyIntervals(views.data(), views.size(),
+                              got.data());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].phase, want[i].phase) << "interval " << i;
+        ASSERT_EQ(got[i].matched, want[i].matched);
+        ASSERT_EQ(got[i].inserted, want[i].inserted);
+        ASSERT_EQ(got[i].distance, want[i].distance);
+    }
+    // Final classifier state must be identical too.
+    StateWriter seqW, batW;
+    sequential.saveState(seqW);
+    batched.saveState(batW);
+    EXPECT_EQ(seqW.buffer(), batW.buffer());
 }
 
 TEST(LruEviction, MatchesReferenceMinLastUseScan)

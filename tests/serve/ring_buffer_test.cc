@@ -106,6 +106,14 @@ TEST(SpscRing, OversizedFrameRaisesInsteadOfParkingForever)
     EXPECT_THROW(ring.tryPush(in.data(), 4096), Error);
 }
 
+TEST(SpscRing, CapacityBeyondLargestPowerOfTwoRaises)
+{
+    // Rounding these up would double past the top bit to 0 and spin
+    // forever; they must raise before allocating anything.
+    EXPECT_THROW(SpscRing(~std::size_t(0)), Error);
+    EXPECT_THROW(SpscRing((~std::size_t(0) >> 1) + 2), Error);
+}
+
 TEST(SpscRing, ZeroLengthFrameRoundTrips)
 {
     SpscRing ring(64);

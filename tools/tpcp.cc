@@ -27,7 +27,9 @@
  *                    recorded CPI, so its lattice differs in energy
  *                    only)
  * A numeric option whose value is empty, malformed, negative where a
- * count is wanted or out of range is an error (exit 2).
+ * count is wanted or out of range is an error (exit 2). A switch
+ * (--timeline, --mitigated, --batch, ...) never takes the next
+ * argument as its value, so it may come before the workload name.
  *
  * Trace verbs (tpcp trace <verb>):
  *   export <workload> --out=P     export a profile as a .tpcptrace
@@ -112,7 +114,8 @@
  * Serve options (streaming multi-tenant phase service; named
  * workloads become the replayed interval streams, none = synthetic):
  *   --tenants N      concurrent tenants           (default 8)
- *   --producers P    producer rings/threads       (default 1)
+ *   --producers P    producer rings/threads       (default 1,
+ *                    at most 256; --jobs is bounded the same way)
  *   --packets N      packets per tenant stream (cap for profile
  *                    streams, length for synthetic; default 2000,
  *                    0 = full profile)
@@ -123,7 +126,8 @@
  *                    (default 0 = no idle eviction); an evicted
  *                    tenant's state is kept in memory until it
  *                    resumes
- *   --ring-bytes B   per-producer ring capacity   (default 1 MiB)
+ *   --ring-bytes B   per-producer ring capacity   (default 1 MiB,
+ *                    at most 1 GiB)
  *   --drop           drop packets on a full ring (counted, visible
  *                    as sequence gaps) instead of parking
  *   --park-retries N park retry budget per push; when exhausted the
@@ -165,9 +169,7 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -177,6 +179,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -189,6 +192,7 @@
 #include "common/ascii_table.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/running_stats.hh"
 #include "common/status.hh"
 #include "pred/eval.hh"
@@ -218,8 +222,9 @@ struct FlagError : std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Minimal flag parser: --key value and --key style flags. Numeric
- * values parse strictly: the whole value, in range, or FlagError. */
+/** Minimal flag parser: --key value, --key=value and value-less
+ * --key switches. Numeric values parse strictly: the whole value, in
+ * range, or FlagError. */
 class Args
 {
   public:
@@ -232,7 +237,7 @@ class Args
                 if (auto eq = key.find('=');
                     eq != std::string::npos) {
                     kv[key.substr(0, eq)] = key.substr(eq + 1);
-                } else if (i + 1 < argc &&
+                } else if (!isSwitch(key) && i + 1 < argc &&
                            std::string(argv[i + 1]).rfind("--", 0) !=
                                0) {
                     kv[key] = argv[++i];
@@ -275,10 +280,11 @@ class Args
 
     /** getU64() for flags held in an unsigned. */
     unsigned
-    getUnsigned(const std::string &key, unsigned dflt) const
+    getUnsigned(const std::string &key, unsigned dflt,
+                unsigned max = std::numeric_limits<unsigned>::max())
+        const
     {
-        return static_cast<unsigned>(
-            getU64(key, dflt, std::numeric_limits<unsigned>::max()));
+        return static_cast<unsigned>(getU64(key, dflt, max));
     }
 
     /** A finite decimal number. */
@@ -289,7 +295,7 @@ class Args
         if (it == kv.end())
             return dflt;
         double value = 0.0;
-        if (!parseAll(it->second, value) || !std::isfinite(value)) {
+        if (!parseAll(it->second, value)) {
             throw FlagError("--" + key + " wants a number, got '" +
                             it->second + "'");
         }
@@ -299,14 +305,16 @@ class Args
     std::vector<std::string> positional;
 
   private:
-    /** True when all of @p text, and nothing else, is a @p T. */
-    template <typename T>
+    /** Flags that take no value, so `--timeline mcf` leaves mcf a
+     * positional argument. */
     static bool
-    parseAll(const std::string &text, T &value)
+    isSwitch(const std::string &key)
     {
-        const char *end = text.data() + text.size();
-        auto [ptr, ec] = std::from_chars(text.data(), end, value);
-        return !text.empty() && ec == std::errc{} && ptr == end;
+        static const std::set<std::string> kSwitches = {
+            "adapt",         "batch",   "drop",
+            "mitigated",     "resume",  "require-cache",
+            "static-thresh", "timeline"};
+        return kSwitches.count(key) != 0;
     }
 
     std::map<std::string, std::string> kv;
@@ -1028,6 +1036,10 @@ writePhaseFiles(const std::string &dir,
     }
 }
 
+/** Upper bounds on the serve flags that size threads and rings. */
+constexpr unsigned kMaxServeThreads = 256;
+constexpr std::uint64_t kMaxRingBytes = std::uint64_t(1) << 30;
+
 int
 cmdServe(const Args &args)
 {
@@ -1040,7 +1052,10 @@ cmdServe(const Args &args)
         }
     }
     const unsigned tenants = args.getUnsigned("tenants", 8);
-    const unsigned producers = args.getUnsigned("producers", 1);
+    // Each producer is a thread and a ring, and each job a worker
+    // thread: bound them before anything is started.
+    const unsigned producers =
+        args.getUnsigned("producers", 1, kMaxServeThreads);
     if (tenants == 0 || producers == 0) {
         std::cerr << "error: --tenants and --producers must be "
                      ">= 1\n";
@@ -1110,8 +1125,8 @@ cmdServe(const Args &args)
     serve::ServeOptions sopts;
     sopts.registry.tracker = tcfg;
     sopts.producers = producers;
-    sopts.jobs = args.getUnsigned("jobs", 0);
-    sopts.ringBytes = args.getU64("ring-bytes", 1u << 20);
+    sopts.jobs = args.getUnsigned("jobs", 0, kMaxServeThreads);
+    sopts.ringBytes = args.getU64("ring-bytes", 1u << 20, kMaxRingBytes);
     sopts.fairness.ratePerCycle = args.getU64("rate-limit", 0);
     sopts.fairness.burst = args.getU64("burst", 0);
     sopts.fairness.drrQuantum = args.getU64("drr-quantum", 16);
