@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -55,11 +56,10 @@ makeCore(const std::string &name, const uarch::MachineConfig &config)
 }
 
 bool
-profileMatches(const IntervalProfile &p,
-               const workload::Workload &workload,
+profileMatches(const IntervalProfile &p, const std::string &name,
                const ProfileOptions &opts)
 {
-    return p.workload() == workload.name &&
+    return p.workload() == name &&
            p.coreName() == opts.coreName &&
            p.intervalLength() == opts.intervalLen &&
            p.machineHash() == uarch::configHash(opts.machine) &&
@@ -125,21 +125,30 @@ profileCachePath(const std::string &workload_name,
         .string();
 }
 
+namespace
+{
+
+/**
+ * The cache path shared by getProfile() and getProfileByName(): loads
+ * @p name's profile when a matching cache file exists and otherwise
+ * runs @p build (then caches its result). A hit reads only the file,
+ * so callers pass the workload model lazily.
+ */
 IntervalProfile
-getProfile(const workload::Workload &workload,
-           const ProfileOptions &opts)
+loadOrBuild(const std::string &name, const ProfileOptions &opts,
+            const std::function<IntervalProfile()> &build)
 {
     if (!opts.useCache)
-        return buildProfile(workload, opts);
+        return build();
 
-    std::string path = profileCachePath(workload.name, opts);
+    std::string path = profileCachePath(name, opts);
     // Serialize load-or-build per path: a stampede of workers asking
     // for the same profile simulates it once and the rest load the
     // freshly written file.
     std::lock_guard<std::mutex> lock(pathMutex(path));
 
     IntervalProfile cached;
-    if (cached.load(path) && profileMatches(cached, workload, opts)) {
+    if (cached.load(path) && profileMatches(cached, name, opts)) {
         statHits.fetch_add(1, std::memory_order_relaxed);
         return cached;
     }
@@ -153,10 +162,10 @@ getProfile(const workload::Workload &workload,
         tpcp_raise(existed
                        ? "cached profile is corrupt or mismatched: "
                        : "no cached profile: ",
-                   path, " (workload '", workload.name,
+                   path, " (workload '", name,
                    "', --require-cache forbids re-simulation)");
 
-    IntervalProfile fresh = buildProfile(workload, opts);
+    IntervalProfile fresh = build();
     std::error_code ec;
     std::filesystem::create_directories(cacheDirOf(opts), ec);
     if (!fresh.save(path))
@@ -164,10 +173,27 @@ getProfile(const workload::Workload &workload,
     return fresh;
 }
 
+} // namespace
+
+IntervalProfile
+getProfile(const workload::Workload &workload,
+           const ProfileOptions &opts)
+{
+    return loadOrBuild(workload.name, opts,
+                       [&] { return buildProfile(workload, opts); });
+}
+
 IntervalProfile
 getProfileByName(const std::string &name, const ProfileOptions &opts)
 {
-    return getProfile(workload::makeWorkload(name), opts);
+    // Checked before the cache is read: a stray file at an unknown
+    // name's sanitized path must not turn into a hit.
+    if (!workload::isWorkloadName(name))
+        tpcp_raise("unknown workload '", name,
+                   "'; see workloadNames()");
+    return loadOrBuild(name, opts, [&] {
+        return buildProfile(workload::makeWorkload(name), opts);
+    });
 }
 
 ProfileCacheStats

@@ -68,7 +68,12 @@ IntervalProfile buildProfile(const workload::Workload &workload,
 IntervalProfile getProfile(const workload::Workload &workload,
                            const ProfileOptions &opts = {});
 
-/** Convenience: getProfile(makeWorkload(name), opts). */
+/**
+ * getProfile() keyed by workload name. The workload model is built
+ * (workload::makeWorkload) only when the profile must be simulated:
+ * a cache hit reads just the file. An unknown @p name raises
+ * tpcp::Error ("unknown workload") before the cache is consulted.
+ */
 IntervalProfile getProfileByName(const std::string &name,
                                  const ProfileOptions &opts = {});
 

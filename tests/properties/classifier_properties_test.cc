@@ -33,10 +33,15 @@ constexpr unsigned kDims[] = {16, 32};
 std::string
 gridName(const ::testing::TestParamInfo<Params> &info)
 {
-    return "t" + std::to_string(int(std::get<0>(info.param) * 1000)) +
-           "_m" + std::to_string(std::get<1>(info.param)) + "_e" +
-           std::to_string(std::get<2>(info.param)) + "_d" +
-           std::to_string(std::get<3>(info.param));
+    std::string name = "t";
+    name += std::to_string(int(std::get<0>(info.param) * 1000));
+    name += "_m";
+    name += std::to_string(std::get<1>(info.param));
+    name += "_e";
+    name += std::to_string(std::get<2>(info.param));
+    name += "_d";
+    name += std::to_string(std::get<3>(info.param));
+    return name;
 }
 
 ClassifierConfig

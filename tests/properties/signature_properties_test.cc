@@ -30,10 +30,14 @@ constexpr unsigned kScales[] = {0, 8};
 std::string
 gridName(const ::testing::TestParamInfo<Params> &info)
 {
-    return "d" + std::to_string(std::get<0>(info.param)) + "_b" +
-           std::to_string(std::get<1>(info.param)) +
-           (std::get<2>(info.param) ? "_dyn" : "_stat") + "_s" +
-           std::to_string(std::get<3>(info.param));
+    std::string name = "d";
+    name += std::to_string(std::get<0>(info.param));
+    name += "_b";
+    name += std::to_string(std::get<1>(info.param));
+    name += std::get<2>(info.param) ? "_dyn" : "_stat";
+    name += "_s";
+    name += std::to_string(std::get<3>(info.param));
+    return name;
 }
 
 std::vector<std::uint32_t>

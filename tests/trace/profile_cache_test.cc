@@ -8,11 +8,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/status.hh"
 #include "trace/profile_cache.hh"
+#include "trace/trace_file.hh"
+#include "uarch/machine_config.hh"
 
 using namespace tpcp;
 using namespace tpcp::trace;
@@ -29,6 +32,19 @@ tinyOptions(const std::string &dir)
     opts.coreName = "simple"; // fast core for tests
     opts.cacheDir = dir;
     return opts;
+}
+
+/** The message of the tpcp::Error @p fn raises ("" if none). */
+template <typename Fn>
+std::string
+errorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const Error &e) {
+        return e.what();
+    }
+    return "";
 }
 
 } // namespace
@@ -314,5 +330,73 @@ TEST(ProfileCache, NoTempFilesLeftBehind)
         EXPECT_EQ(e.path().extension(), ".tpcpprof")
             << "leftover temp file: " << e.path();
     }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ProfileCache, ByNameHitMatchesGetProfileBytes)
+{
+    std::string dir =
+        std::string(::testing::TempDir()) + "tpcp_cache_byname";
+    std::filesystem::remove_all(dir);
+    ProfileOptions opts = tinyOptions(dir);
+    getProfileByName("perl/d", opts); // cold: builds and caches
+
+    resetProfileCacheStats();
+    const IntervalProfile byName = getProfileByName("perl/d", opts);
+    const IntervalProfile byModel =
+        getProfile(workload::makeWorkload("perl/d"), opts);
+    EXPECT_EQ(profileCacheStats().hits, 2u);
+    EXPECT_EQ(profileCacheStats().builds, 0u);
+    EXPECT_EQ(encodeTrace(byName, "test"), encodeTrace(byModel, "test"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ProfileCache, UnknownNameRaisesBeforeTheCache)
+{
+    EXPECT_NE(errorOf([] { getProfileByName("nosuch"); })
+                  .find("unknown workload 'nosuch'"),
+              std::string::npos);
+
+    // A stray file under the unknown name's cache path, valid in
+    // every field getProfile checks, must not turn into a hit.
+    std::string dir =
+        std::string(::testing::TempDir()) + "tpcp_cache_unknown";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ProfileOptions opts = tinyOptions(dir);
+    opts.requireCache = true;
+    IntervalProfile stray("no/such", opts.coreName, opts.intervalLen,
+                          opts.dims);
+    stray.setMachineHash(uarch::configHash(opts.machine));
+    IntervalRecord rec;
+    rec.cpi = 1.0;
+    rec.insts = opts.intervalLen;
+    rec.accums.assign(1, std::vector<std::uint32_t>(16, 1));
+    stray.push(rec);
+    const std::string path = profileCachePath("no/such", opts);
+    ASSERT_NE(path.find("no_such"), std::string::npos);
+    ASSERT_TRUE(stray.save(path));
+    ASSERT_TRUE(IntervalProfile().load(path));
+
+    resetProfileCacheStats();
+    EXPECT_NE(errorOf([&] { getProfileByName("no/such", opts); })
+                  .find("unknown workload 'no/such'"),
+              std::string::npos);
+    EXPECT_EQ(profileCacheStats().hits, 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ProfileCache, RequireCacheMissOfKnownNameRaises)
+{
+    std::string dir =
+        std::string(::testing::TempDir()) + "tpcp_cache_byname_miss";
+    std::filesystem::remove_all(dir);
+    ProfileOptions opts = tinyOptions(dir);
+    opts.requireCache = true;
+    resetProfileCacheStats();
+    EXPECT_NE(errorOf([&] { getProfileByName("perl/d", opts); })
+                  .find("no cached profile"),
+              std::string::npos);
+    EXPECT_EQ(profileCacheStats().builds, 0u);
     std::filesystem::remove_all(dir);
 }

@@ -1355,8 +1355,11 @@ cmdTraceInfo(const Args &args)
     const std::string &path = args.positional[1];
     trace::TraceData data = trace::readTrace(path);
     std::string dims;
-    for (unsigned d : data.profile.dims())
-        dims += (dims.empty() ? "" : ",") + std::to_string(d);
+    for (unsigned d : data.profile.dims()) {
+        if (!dims.empty())
+            dims += ',';
+        dims += std::to_string(d);
+    }
     char hash[32];
     std::snprintf(hash, sizeof(hash), "%016llx",
                   static_cast<unsigned long long>(
