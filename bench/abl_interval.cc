@@ -23,7 +23,7 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(argc, argv);
+    cli::Args args = cli::parseArgs(argc, argv);
     bench::banner("Ablation", "Interval-length sensitivity");
 
     const char *names[] = {"ammp", "gcc/s", "gzip/p", "mcf"};

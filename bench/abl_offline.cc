@@ -39,11 +39,11 @@ struct OfflineRow
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
-        argc, argv, {bench::traceFlag()});
+    cli::Args args = cli::parseArgs(
+        argc, argv, {cli::traceFlag()});
     bench::banner("Online vs offline (SimPoint-style) classification",
                   "CPI CoV and phase counts");
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
 
     auto rows = analysis::runIndexed(
         profiles.size(), args.jobs, [&](std::size_t w) {

@@ -22,7 +22,6 @@
 #include "analysis/parallel_runner.hh"
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
-#include "common/json.hh"
 #include "workload/workload.hh"
 
 using namespace tpcp;
@@ -30,22 +29,19 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::Args args = cli::parseArgs(
         argc, argv,
-        {{"lattice", true,
+        {{"lattice", "NAME",
           "config lattice: standard | small (default small)"},
-         {"core", true,
+         {"core", "NAME",
           "profiling core: simple | ooo (default simple)"},
-         {"min-oracle", true,
+         {"min-oracle", "X",
           "exit 1 if the best greedy oracle fraction across "
           "workloads stays below this (CI tripwire; default off)"},
-         {"json", true,
-          "write AdaptReport JSON (default adapt_policy.json; "
-          "'-' disables)"},
-         bench::traceFlag()});
+         cli::jsonFlag("AdaptReports", "adapt_policy.json"),
+         cli::traceFlag()});
     adapt::ConfigLattice lattice =
         adapt::ConfigLattice::byName(args.get("lattice", "small"));
-    std::string json_path = args.get("json", "adapt_policy.json");
 
     trace::ProfileOptions opts;
     opts.coreName = args.get("core", "simple");
@@ -59,16 +55,8 @@ main(int argc, char **argv)
     // Ingested traces replay in recorded-CPI mode (energy-only
     // lattice; see adapt/report.hh) — the trace cannot be
     // re-simulated at other machine configurations.
-    std::vector<std::pair<std::string, trace::IntervalProfile>>
-        traced;
-    std::vector<std::string> names;
-    if (args.has("trace")) {
-        traced = trace::loadTraceProfiles(args.get("trace", ""));
-        for (const auto &[name, profile] : traced)
-            names.push_back(name);
-    } else {
-        names = workload::workloadNames();
-    }
+    const analysis::WorkloadSet set = analysis::selectWorkloads(args);
+    const std::vector<std::string> &names = set.names;
 
     // One parallel cell per workload: simulate/load the lattice
     // profiles once, then run every policy serially inside the
@@ -78,9 +66,9 @@ main(int argc, char **argv)
         names.size(), args.jobs, [&](std::size_t w) {
             std::vector<adapt::AdaptReport> reports;
             for (const std::string &policy : policies) {
-                if (args.has("trace"))
+                if (!set.traced.empty())
                     reports.push_back(adapt::runTraceAdaptation(
-                        traced[w].second,
+                        set.traced[w],
                         adapt::policyPresetByName(policy),
                         lattice));
                 else
@@ -149,29 +137,12 @@ main(int argc, char **argv)
     }
     summary.print(std::cout);
 
-    if (json_path != "-") {
-        if (!writeJsonFile(json_path, adapt::toJson(all))) {
-            std::cerr << "error: cannot write " << json_path
-                      << "\n";
-            return 1;
-        }
-        std::cout << "\nwrote " << all.size() << " reports to "
-                  << json_path << "\n";
-    }
-
-    if (args.has("min-oracle")) {
-        double limit = args.getDouble("min-oracle", 0.0);
-        if (best_fraction < limit) {
-            std::cerr << "error: best greedy oracle fraction "
-                      << best_fraction * 100.0
-                      << "% below --min-oracle " << limit * 100.0
-                      << "%\n";
-            return 1;
-        }
-        std::cout << "best greedy oracle fraction "
-                  << best_fraction * 100.0
-                  << "% meets --min-oracle " << limit * 100.0
-                  << "%\n";
-    }
+    if (!cli::writeJson(args, adapt::toJson(all),
+                        std::to_string(all.size()) + " reports",
+                        "adapt_policy.json", std::cout, "\n") ||
+        !cli::checkBound(args,
+                         {"min-oracle", "best greedy oracle fraction"},
+                         best_fraction))
+        return 1;
     return 0;
 }

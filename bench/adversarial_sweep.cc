@@ -219,26 +219,24 @@ toJson(const RowResult &r)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::Args args = cli::parseArgs(
         argc, argv,
-        {{"families", true,
+        {{"families", "CSV",
           "stressor families to sweep (default: all four)"},
-         {"seeds", true, "generator seeds per family (default 1)"},
-         {"intervals", true,
+         {"seeds", "CSV", "generator seeds per family (default 1)"},
+         {"intervals", "N",
           "intervals per adversarial stream (default 600)"},
-         {"baseline", true,
+         {"baseline", "CSV",
           "synthetic baseline workloads (default "
           "ammp,gcc/s,gzip/p,mcf; 'none' disables)"},
-         {"floors", true,
+         {"floors", "FILE",
           "per-family floor file (family purity mit_agree); "
           "exit 1 on violation"},
-         {"json", true,
-          "write rows as JSON (default adversarial_sweep.json; "
-          "'-' disables)"}});
+         cli::jsonFlag("rows", "adversarial_sweep.json")});
 
     int rc = 0;
     try {
-        std::vector<std::string> families = bench::splitCsv(
+        std::vector<std::string> families = cli::splitCsv(
             args.get("families",
                      "phase-alias,oscillation,sig-collision,"
                      "drift-ramp"));
@@ -247,14 +245,12 @@ main(int argc, char **argv)
                 tpcp_raise("unknown adversarial family '", f, "'");
         std::vector<std::uint64_t> seeds;
         for (const std::string &s :
-             bench::splitCsv(args.get("seeds", "1")))
+             cli::splitCsv(args.get("seeds", "1")))
             seeds.push_back(
-                bench::parseFlagValue<std::uint64_t>("seeds", s));
+                cli::parseU64("seeds", s));
         std::size_t intervals = args.getU64("intervals", 600);
         std::string baseline =
             args.get("baseline", "ammp,gcc/s,gzip/p,mcf");
-        std::string json_path =
-            args.get("json", "adversarial_sweep.json");
 
         bench::banner("Adversarial sweep",
                       "hostile stressor corpus vs the synthetic "
@@ -262,7 +258,7 @@ main(int argc, char **argv)
 
         std::vector<RowSpec> rows;
         if (baseline != "none")
-            for (const std::string &w : bench::splitCsv(baseline)) {
+            for (const std::string &w : cli::splitCsv(baseline)) {
                 RowSpec spec;
                 spec.workload = w;
                 rows.push_back(spec);
@@ -305,12 +301,10 @@ main(int argc, char **argv)
         }
         table.print(std::cout);
 
-        if (json_path != "-") {
-            if (!writeJsonFile(json_path, toJsonLines(results)))
-                tpcp_raise("cannot write ", json_path);
-            std::cout << "\nwrote " << results.size()
-                      << " rows to " << json_path << "\n";
-        }
+        if (!cli::writeJson(args, toJsonLines(results),
+                            std::to_string(results.size()) + " rows",
+                            "adversarial_sweep.json", std::cout, "\n"))
+            return 1;
 
         if (args.has("floors")) {
             std::map<std::string, Floor> floors =

@@ -571,22 +571,18 @@ loadFloors(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::Args args = cli::parseArgs(
         argc, argv,
-        {{"cycles", true,
+        {{"cycles", "N",
           "push cycles for the fairness cell (default 400)"},
-         {"floors", true,
+         {"floors", "FILE",
           "floor file (metric min_value per line); exit 1 on "
           "violation"},
-         {"json", true,
-          "write metrics as JSON (default chaos_sweep.json; "
-          "'-' disables)"}});
+         cli::jsonFlag("metrics", "chaos_sweep.json")});
 
     int rc = 0;
     try {
         const std::size_t cycles = args.getU64("cycles", 400);
-        const std::string json_path =
-            args.get("json", "chaos_sweep.json");
 
         bench::banner("Chaos sweep",
                       "overload fairness, quarantine, migration and "
@@ -622,12 +618,10 @@ main(int argc, char **argv)
         std::cout << "\nfairness: baseline jain " << base_jain
                   << " -> resilient jain " << res_jain << "\n";
 
-        if (json_path != "-") {
-            if (!writeJsonFile(json_path, toJsonLines(metrics)))
-                tpcp_raise("cannot write ", json_path);
-            std::cout << "wrote " << metrics.size()
-                      << " metrics to " << json_path << "\n";
-        }
+        if (!cli::writeJson(args, toJsonLines(metrics),
+                            std::to_string(metrics.size()) + " metrics",
+                            "chaos_sweep.json"))
+            return 1;
 
         if (args.has("floors")) {
             std::map<std::string, double> floors =

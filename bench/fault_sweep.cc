@@ -25,7 +25,6 @@
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
-#include "common/json.hh"
 #include "common/status.hh"
 #include "fault/resilience.hh"
 
@@ -34,21 +33,21 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::Args args = cli::parseArgs(
         argc, argv,
-        {{"rates", true, "per-interval fault rates (CSV)"},
-         {"targets", true, "fault targets (CSV)"},
-         {"seed", true, "campaign seed"},
-         {"scrub-every", true, "mitigated scrub period (intervals)"},
-         {"json", true, "write ResilienceReports as JSON"},
-         bench::traceFlag()});
+        {{"rates", "CSV", "per-interval fault rates (CSV)"},
+         {"targets", "CSV", "fault targets (CSV)"},
+         {"seed", "N", "campaign seed"},
+         {"scrub-every", "N", "mitigated scrub period (intervals)"},
+         cli::jsonFlag("ResilienceReports", ""),
+         cli::traceFlag()});
 
     std::vector<double> rates;
     for (const std::string &s :
-         bench::splitCsv(args.get("rates", "0.001,0.01,0.05,0.2")))
-        rates.push_back(bench::parseFlagValue<double>("rates", s));
+         cli::splitCsv(args.get("rates", "0.001,0.01,0.05,0.2")))
+        rates.push_back(cli::parseDouble("rates", s));
     std::vector<fault::Target> targets;
-    std::vector<std::string> target_names = bench::splitCsv(
+    std::vector<std::string> target_names = cli::splitCsv(
         args.get("targets", "signature,change-table,all"));
 
     bench::banner("fault_sweep",
@@ -60,7 +59,7 @@ main(int argc, char **argv)
         for (const std::string &t : target_names)
             targets.push_back(fault::targetByName(t));
 
-        auto profiles = bench::loadAllProfiles(args);
+        auto profiles = analysis::loadWorkloads(args);
 
         // Flattened deterministic grid: target-major, then rate,
         // then mitigation, then workload. Each cell is a pure
@@ -131,15 +130,9 @@ main(int argc, char **argv)
         }
         table.print(std::cout);
 
-        std::string json = args.get("json", "");
-        if (!json.empty() && json != "-") {
-            if (!writeJsonFile(json, fault::toJson(reports))) {
-                std::cerr << "error: cannot write " << json << "\n";
-                return 1;
-            }
-            std::cout << "wrote " << reports.size()
-                      << " reports to " << json << "\n";
-        }
+        if (!cli::writeJson(args, fault::toJson(reports),
+                            std::to_string(reports.size()) + " reports"))
+            return 1;
     } catch (const Error &e) {
         std::cerr << "error: " << e.what() << "\n";
         rc = 1;

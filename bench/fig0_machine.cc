@@ -18,12 +18,12 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
-        argc, argv, {bench::traceFlag()});
+    cli::Args args = cli::parseArgs(
+        argc, argv, {cli::traceFlag()});
     bench::banner("Table 1", "Baseline Simulation Model");
     std::cout << uarch::MachineConfig::table1().toString() << "\n";
 
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
     AsciiTable table({"workload", "intervals", "insts(M)", "avg CPI",
                       "min CPI", "max CPI", "whole-prog CoV"});
     for (const auto &[name, profile] : profiles) {

@@ -22,11 +22,11 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
-        argc, argv, {bench::traceFlag()});
+    cli::Args args = cli::parseArgs(
+        argc, argv, {cli::traceFlag()});
     bench::banner("Figure 2",
                   "CPI CoV and phase count vs signature-table size");
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
 
     const unsigned entry_configs[] = {16, 32, 64, 0}; // 0 = unbounded
     auto label = [](unsigned e) {

@@ -21,11 +21,11 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
-        argc, argv, {bench::traceFlag()});
+    cli::Args args = cli::parseArgs(
+        argc, argv, {cli::traceFlag()});
     bench::banner("Figure 3",
                   "CPI CoV and phase count vs signature counters");
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
 
     const unsigned dim_configs[] = {8, 16, 32, 64};
 

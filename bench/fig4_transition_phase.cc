@@ -46,12 +46,12 @@ constexpr std::size_t numConfigs =
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
-        argc, argv, {bench::traceFlag()});
+    cli::Args args = cli::parseArgs(
+        argc, argv, {cli::traceFlag()});
     bench::banner("Figure 4",
                   "Transition-phase classification (similarity x "
                   "min-count)");
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
 
     std::vector<std::string> headers = {"workload"};
     for (const Config &c : configs)

@@ -47,11 +47,11 @@ constexpr std::size_t numConfigs =
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
-        argc, argv, {bench::traceFlag()});
+    cli::Args args = cli::parseArgs(
+        argc, argv, {cli::traceFlag()});
     bench::banner("Figure 6",
                   "Adaptive similarity thresholds (phase splitting)");
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
 
     std::vector<std::string> headers = {"workload"};
     for (const Config &c : configs)

@@ -104,20 +104,17 @@ sweepPointJson(const char *knob, unsigned value,
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::Args args = cli::parseArgs(
         argc, argv,
-        {{"json", true,
-          "write the sweep as JSON (default fig8_sweep.json; "
-          "'-' disables)"},
-         {"check-improve", false,
+        {cli::jsonFlag("the sweep", "fig8_sweep.json"),
+         {"check-improve", "",
           "exit 1 unless the best new predictor's aggregate "
           "correct rate beats the RLE-2 baseline (CI tripwire)"},
-         bench::traceFlag()});
-    std::string json_path = args.get("json", "fig8_sweep.json");
+         cli::traceFlag()});
 
     bench::banner("Figure 8 sweep",
                   "TAGE / perceptron vs the paper's tables");
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
 
     phase::ClassifierConfig ccfg =
         phase::ClassifierConfig::paperDefault();
@@ -233,45 +230,40 @@ main(int argc, char **argv)
             .percentCell(percSweep[i].correctRate());
     sweep.print(std::cout);
 
-    if (json_path != "-") {
-        std::string json = "{\n  \"workloads\": [\n";
-        for (std::size_t w = 0; w < W; ++w) {
-            json += "    {";
-            appendField(json, "workload", names[w]);
-            appendField(json, "perfect_markov1", perfect[w].coverage());
-            appendKey(json, "predictors");
-            json += "{";
-            for (std::size_t p = 0; p < P; ++p) {
-                appendKey(json, kSpecNames[p].c_str());
-                json += toJson(cells[w * P + p]);
-                json += p + 1 < P ? ", " : "";
-            }
-            json += w + 1 < W ? "}},\n" : "}}\n";
+    std::string json = "{\n  \"workloads\": [\n";
+    for (std::size_t w = 0; w < W; ++w) {
+        json += "    {";
+        appendField(json, "workload", names[w]);
+        appendField(json, "perfect_markov1", perfect[w].coverage());
+        appendKey(json, "predictors");
+        json += "{";
+        for (std::size_t p = 0; p < P; ++p) {
+            appendKey(json, kSpecNames[p].c_str());
+            json += toJson(cells[w * P + p]);
+            json += p + 1 < P ? ", " : "";
         }
-        json += "  ],\n  \"sweep\": {\n    \"tage\": [";
-        for (std::size_t i = 0; i < tageThresholds.size(); ++i)
-            json += (i ? ", " : "") +
-                    sweepPointJson("conf_threshold", tageThresholds[i],
-                                   tageSweep[i]);
-        json += "],\n    \"perceptron\": [";
-        for (std::size_t i = 0; i < percMargins.size(); ++i)
-            json += (i ? ", " : "") +
-                    sweepPointJson("conf_margin", percMargins[i],
-                                   percSweep[i]);
-        json += "]\n  },\n  \"aggregate\": {";
-        appendKey(json, "rle2");
-        json += toJson(aggRle2) + ", ";
-        appendKey(json, "tage");
-        json += toJson(aggTage) + ", ";
-        appendKey(json, "perceptron");
-        json += toJson(aggPerc) + "}\n}\n";
-        if (!writeJsonFile(json_path, json)) {
-            std::cerr << "error: cannot write " << json_path
-                      << "\n";
-            return 1;
-        }
-        std::cout << "\nwrote " << json_path << "\n";
+        json += w + 1 < W ? "}},\n" : "}}\n";
     }
+    json += "  ],\n  \"sweep\": {\n    \"tage\": [";
+    for (std::size_t i = 0; i < tageThresholds.size(); ++i)
+        json += (i ? ", " : "") +
+                sweepPointJson("conf_threshold", tageThresholds[i],
+                               tageSweep[i]);
+    json += "],\n    \"perceptron\": [";
+    for (std::size_t i = 0; i < percMargins.size(); ++i)
+        json += (i ? ", " : "") +
+                sweepPointJson("conf_margin", percMargins[i],
+                               percSweep[i]);
+    json += "]\n  },\n  \"aggregate\": {";
+    appendKey(json, "rle2");
+    json += toJson(aggRle2) + ", ";
+    appendKey(json, "tage");
+    json += toJson(aggTage) + ", ";
+    appendKey(json, "perceptron");
+    json += toJson(aggPerc) + "}\n}\n";
+    if (!cli::writeJson(args, json, "", "fig8_sweep.json", std::cout,
+                        "\n"))
+        return 1;
 
     double bestNewAgg = std::max(aggTage.correctRate(),
                                  aggPerc.correctRate());

@@ -23,11 +23,11 @@ using namespace tpcp;
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
-        argc, argv, {bench::traceFlag()});
+    cli::Args args = cli::parseArgs(
+        argc, argv, {cli::traceFlag()});
     bench::banner("Figure 9",
                   "Run-length classes and phase length prediction");
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
 
     phase::ClassifierConfig ccfg =
         phase::ClassifierConfig::paperDefault();

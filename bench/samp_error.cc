@@ -21,63 +21,38 @@
 
 #include "bench_common.hh"
 #include "common/ascii_table.hh"
-#include "common/json.hh"
 #include "sample/report.hh"
 #include "sample/selector.hh"
 
 using namespace tpcp;
 
-namespace
-{
-
-/** Parses a comma-separated list of positive budgets. */
-std::vector<std::size_t>
-parseBudgets(const std::string &csv)
-{
-    std::vector<std::size_t> budgets;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        std::string tok = csv.substr(pos, comma - pos);
-        std::size_t v = 0;
-        if (!parseAll(tok, v) || v == 0) {
-            std::cerr << "error: --budgets expects positive "
-                         "integers, got '" << tok << "'\n";
-            std::exit(2);
-        }
-        budgets.push_back(v);
-        pos = comma + 1;
-    }
-    return budgets;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::parseArgs(
+    cli::Args args = cli::parseArgs(
         argc, argv,
-        {{"budgets", true,
+        {{"budgets", "CSV",
           "comma-separated sample budgets (default 8,16,32,64)"},
-         {"phase-source", true,
+         {"phase-source", "SRC",
           "phase stream: online | offline (default online)"},
-         {"json", true,
-          "write SampleReport JSON (default samp_error.json; "
-          "'-' disables)"},
-         bench::traceFlag()});
-    std::vector<std::size_t> budgets =
-        parseBudgets(args.get("budgets", "8,16,32,64"));
+         cli::jsonFlag("SampleReports", "samp_error.json"),
+         cli::traceFlag()});
+    std::vector<std::size_t> budgets;
+    for (const std::string &b :
+         cli::splitCsv(args.get("budgets", "8,16,32,64"))) {
+        budgets.push_back(cli::parseU64("budgets", b));
+        if (budgets.back() == 0)
+            cli::usageError("--budgets expects positive integers");
+    }
+    if (budgets.empty())
+        cli::usageError("--budgets expects positive integers");
     sample::PhaseSource source = sample::phaseSourceByName(
         args.get("phase-source", "online"));
-    std::string json_path = args.get("json", "samp_error.json");
 
     bench::banner("Sampled simulation error",
                   "whole-program CPI from a handful of detailed "
                   "intervals");
-    auto profiles = bench::loadAllProfiles(args);
+    auto profiles = analysis::loadWorkloads(args);
     const std::vector<std::string> &selectors =
         sample::selectorNames();
 
@@ -184,14 +159,9 @@ main(int argc, char **argv)
                   << eligible << "\n";
     }
 
-    if (json_path != "-") {
-        if (!writeJsonFile(json_path, sample::toJson(all))) {
-            std::cerr << "error: cannot write " << json_path
-                      << "\n";
-            return 1;
-        }
-        std::cerr << "[samp_error] wrote " << all.size()
-                  << " reports to " << json_path << "\n";
-    }
-    return 0;
+    return cli::writeJson(args, sample::toJson(all),
+                          std::to_string(all.size()) + " reports",
+                          "samp_error.json", std::cerr, "[samp_error] ")
+               ? 0
+               : 1;
 }

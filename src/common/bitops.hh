@@ -9,7 +9,9 @@
 #define TPCP_COMMON_BITOPS_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 #include "common/logging.hh"
 
@@ -78,6 +80,30 @@ mix64(std::uint64_t x)
     x *= 0x94d049bb133111ebULL;
     x ^= x >> 31;
     return x;
+}
+
+/**
+ * FNV-1a 64-bit hash of a byte range. Stable across platforms
+ * (unlike std::hash): it keys the trace-ingest cache and seeds every
+ * random stream derived from a name.
+ */
+inline std::uint64_t
+fnv1a64(const void *data, std::size_t size)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < size; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** fnv1a64() of the characters of @p s. */
+inline std::uint64_t
+fnv1a64(std::string_view s)
+{
+    return fnv1a64(s.data(), s.size());
 }
 
 /** Hashes @p x into a bucket index in [0, buckets); buckets > 0. */

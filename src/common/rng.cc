@@ -18,15 +18,8 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream)
 }
 
 Rng::Rng(std::string_view name)
-    : Rng([name] {
-          // FNV-1a over the name, then mixed, gives a stable seed.
-          std::uint64_t h = 0xcbf29ce484222325ULL;
-          for (char c : name) {
-              h ^= static_cast<unsigned char>(c);
-              h *= 0x100000001b3ULL;
-          }
-          return mix64(h);
-      }())
+    // FNV-1a over the name, then mixed, gives a stable seed.
+    : Rng(mix64(fnv1a64(name)))
 {
 }
 

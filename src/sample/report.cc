@@ -1,5 +1,6 @@
 #include "sample/report.hh"
 
+#include "common/bitops.hh"
 #include "common/json.hh"
 #include "sample/estimator.hh"
 #include "sample/planner.hh"
@@ -75,7 +76,7 @@ runSampledSimulation(const trace::IntervalProfile &profile,
                      PhaseSource source, std::size_t budget)
 {
     SelectorContext ctx{profile, phases,
-                        stableHash(profile.workload()), 16};
+                        fnv1a64(profile.workload()), 16};
     std::unique_ptr<Selector> sel = makeSelector(selector);
 
     SampleReport r;

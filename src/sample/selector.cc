@@ -52,17 +52,6 @@ phaseIdStream(const trace::IntervalProfile &profile,
     return ids;
 }
 
-std::uint64_t
-stableHash(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 namespace
 {
 

@@ -110,10 +110,6 @@ std::unique_ptr<Selector> makeSelector(const std::string &name);
 /** The selector names accepted by makeSelector, in display order. */
 const std::vector<std::string> &selectorNames();
 
-/** FNV-1a 64-bit hash; stable across platforms (unlike std::hash),
- * used to derive per-workload/per-phase sampling seeds. */
-std::uint64_t stableHash(const std::string &s);
-
 } // namespace tpcp::sample
 
 #endif // TPCP_SAMPLE_SELECTOR_HH

@@ -13,8 +13,6 @@
 #include "common/logging.hh"
 #include "common/status.hh"
 #include "trace/interval_profiler.hh"
-#include "uarch/ooo_core.hh"
-#include "uarch/simple_core.hh"
 #include "uarch/simulator.hh"
 
 namespace tpcp::trace
@@ -42,17 +40,6 @@ cacheDirOf(const ProfileOptions &opts)
     if (const char *env = std::getenv("TPCP_PROFILE_DIR"))
         return env;
     return "tpcp_profiles";
-}
-
-std::unique_ptr<uarch::TimingCore>
-makeCore(const std::string &name, const uarch::MachineConfig &config)
-{
-    if (name == "ooo")
-        return std::make_unique<uarch::OooCore>(config);
-    if (name == "simple")
-        return std::make_unique<uarch::SimpleCore>(config);
-    tpcp_raise("unknown timing core '", name,
-               "' (expected 'ooo' or 'simple')");
 }
 
 bool
@@ -93,11 +80,11 @@ buildProfile(const workload::Workload &workload,
 {
     statBuilds.fetch_add(1, std::memory_order_relaxed);
     std::unique_ptr<uarch::TimingCore> core =
-        makeCore(opts.coreName, opts.machine);
+        uarch::makeCore(opts.coreName, opts.machine);
 
     auto schedule = workload.makeSchedule();
     uarch::Simulator sim(workload.program, *schedule, *core,
-                         workload.seed ^ 0xabcdef12345ULL);
+                         workload.simSeed());
     IntervalProfiler profiler(*core, workload.name, opts.intervalLen,
                               opts.dims);
     sim.addSink(&profiler);

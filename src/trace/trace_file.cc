@@ -8,18 +8,6 @@
 namespace tpcp::trace
 {
 
-std::uint64_t
-fnv1a64(const void *data, std::size_t size)
-{
-    const std::uint8_t *p = static_cast<const std::uint8_t *>(data);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 std::vector<std::uint8_t>
 encodeTrace(const IntervalProfile &profile, const std::string &source)
 {

@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "trace/interval_profile.hh"
 
 namespace tpcp::trace
@@ -78,8 +79,8 @@ struct TraceData
     std::uint64_t contentHash = 0;
 };
 
-/** FNV-1a 64-bit hash of a byte range. */
-std::uint64_t fnv1a64(const void *data, std::size_t size);
+/** FNV-1a 64-bit hash of a byte range (common/bitops.hh). */
+using tpcp::fnv1a64;
 
 /**
  * Serializes @p profile (plus the provenance note) into the trace

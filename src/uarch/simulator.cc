@@ -1,6 +1,7 @@
 #include "uarch/simulator.hh"
 
 #include "common/logging.hh"
+#include "common/status.hh"
 #include "uarch/ooo_core.hh"
 #include "uarch/simple_core.hh"
 
@@ -68,6 +69,17 @@ Simulator::runOn(Core &core, InstCount max_insts)
     for (TraceSink *sink : sinks)
         sink->onFinish();
     return done;
+}
+
+std::unique_ptr<TimingCore>
+makeCore(const std::string &name, const MachineConfig &machine)
+{
+    if (name == "ooo")
+        return std::make_unique<OooCore>(machine);
+    if (name == "simple")
+        return std::make_unique<SimpleCore>(machine);
+    tpcp_raise("unknown timing core '", name,
+               "' (expected 'ooo' or 'simple')");
 }
 
 } // namespace tpcp::uarch

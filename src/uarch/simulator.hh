@@ -9,6 +9,8 @@
 #define TPCP_UARCH_SIMULATOR_HH
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -78,6 +80,11 @@ class Simulator
     ExecEngine engine_;
     std::vector<TraceSink *> sinks;
 };
+
+/** A new timing core by name on @p machine: "ooo" (OooCore) or
+ * "simple" (SimpleCore). Raises tpcp::Error on any other name. */
+std::unique_ptr<TimingCore> makeCore(const std::string &name,
+                                     const MachineConfig &machine);
 
 } // namespace tpcp::uarch
 

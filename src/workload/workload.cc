@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/status.hh"
 #include "common/rng.hh"
@@ -24,17 +25,6 @@ I(double intervals)
 {
     return static_cast<InstCount>(intervals *
                                   static_cast<double>(kInterval));
-}
-
-std::uint64_t
-seedOf(std::string_view name)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : name) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
 }
 
 /** n x n row-stochastic matrix: selfProb on the diagonal, the rest
@@ -64,7 +54,7 @@ makeAmmp()
     Workload w;
     w.name = "ammp";
     w.description = "FP molecular dynamics: few long stable phases";
-    w.seed = seedOf(w.name);
+    w.seed = fnv1a64(w.name);
     ProgramBuilder pb(w.seed);
 
     RegionParams setup;
@@ -151,7 +141,7 @@ makeBzip2(bool graphic)
     Workload w;
     w.name = graphic ? "bzip2/g" : "bzip2/p";
     w.description = "block compressor: hierarchical phase pattern";
-    w.seed = seedOf(w.name);
+    w.seed = fnv1a64(w.name);
     ProgramBuilder pb(w.seed);
 
     RegionParams read;
@@ -252,7 +242,7 @@ makeGalgel()
     Workload w;
     w.name = "galgel";
     w.description = "FP fluid dynamics: overlapping kernel signatures";
-    w.seed = seedOf(w.name);
+    w.seed = fnv1a64(w.name);
     ProgramBuilder pb(w.seed);
 
     std::vector<std::uint32_t> kernels;
@@ -305,7 +295,7 @@ makeGcc(bool input166)
     Workload w;
     w.name = input166 ? "gcc/1" : "gcc/s";
     w.description = "compiler: many short irregular phases, big code";
-    w.seed = seedOf(w.name);
+    w.seed = fnv1a64(w.name);
     ProgramBuilder pb(w.seed);
 
     static const char *pass_names[] = {
@@ -376,7 +366,7 @@ makeGzip(bool graphic)
     Workload w;
     w.name = graphic ? "gzip/g" : "gzip/p";
     w.description = "LZ compressor: long stable deflate phases";
-    w.seed = seedOf(w.name);
+    w.seed = fnv1a64(w.name);
     ProgramBuilder pb(w.seed);
 
     RegionParams deflate_a;
@@ -466,7 +456,7 @@ makeMcf()
     Workload w;
     w.name = "mcf";
     w.description = "pointer chasing, miss-dominated, drifting phase";
-    w.seed = seedOf(w.name);
+    w.seed = fnv1a64(w.name);
     ProgramBuilder pb(w.seed);
 
     RegionParams simplex_a;
@@ -527,7 +517,7 @@ makePerl(bool diffmail)
     Workload w;
     w.name = diffmail ? "perl/d" : "perl/s";
     w.description = "interpreter: dispatch-dominated phases";
-    w.seed = seedOf(w.name);
+    w.seed = fnv1a64(w.name);
     ProgramBuilder pb(w.seed);
 
     RegionParams interp;

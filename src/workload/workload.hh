@@ -44,6 +44,10 @@ struct Workload
      */
     std::unique_ptr<ExpandedSchedule> makeSchedule() const;
 
+    /** Seed of the simulator's branch and address randomness when
+     * this workload is simulated. */
+    std::uint64_t simSeed() const { return seed ^ 0xabcdef12345ULL; }
+
     /** Total scheduled instructions (expands the script once). */
     InstCount totalInsts() const;
 };

@@ -106,8 +106,10 @@ TEST(TraceFile, ContentHashIsFnv1a64)
 {
     // Pinned: FNV-1a 64 of "tpcp". The hash is the trace-cache key,
     // so an accidental algorithm change must fail loudly.
-    EXPECT_EQ(fnv1a64("tpcp", 4), 0x6d4c0def5ba2d76aull);
-    EXPECT_EQ(fnv1a64("", 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(tpcp::fnv1a64("tpcp", 4), 0x6d4c0def5ba2d76aull);
+    EXPECT_EQ(tpcp::fnv1a64("", 0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(tpcp::fnv1a64(std::string_view("tpcp")),
+              0x6d4c0def5ba2d76aull);
 }
 
 TEST(TraceFile, ContentHashTracksEveryByte)

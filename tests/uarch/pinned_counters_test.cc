@@ -17,8 +17,6 @@
 #include <string>
 
 #include "uarch/cache_hierarchy.hh"
-#include "uarch/ooo_core.hh"
-#include "uarch/simple_core.hh"
 #include "uarch/simulator.hh"
 #include "workload/workload.hh"
 
@@ -62,15 +60,10 @@ run(const std::string &name, const std::string &core_name)
 {
     const workload::Workload wl = workload::makeWorkload(name);
     const MachineConfig machine = MachineConfig::table1();
-    std::unique_ptr<TimingCore> core;
-    if (core_name == "ooo")
-        core = std::make_unique<OooCore>(machine);
-    else
-        core = std::make_unique<SimpleCore>(machine);
+    // The core and seed trace::buildProfile uses.
+    std::unique_ptr<TimingCore> core = makeCore(core_name, machine);
     auto schedule = wl.makeSchedule();
-    // The simulator seed trace::buildProfile uses.
-    Simulator sim(wl.program, *schedule, *core,
-                  wl.seed ^ 0xabcdef12345ULL);
+    Simulator sim(wl.program, *schedule, *core, wl.simSeed());
     EXPECT_EQ(sim.run(kInsts), kInsts);
 
     const CacheHierarchy &h = core->memoryHierarchy();

@@ -3,43 +3,38 @@
  * tpcp - command-line front end to the library.
  *
  * Subcommands:
- *   workloads                       list the built-in workloads
- *   machine                         print the Table-1 machine model
- *   profile  <workload> [opts]     simulate/load a profile, summarize
- *   classify <workload> [opts]     classify and print phase metrics
- *   predict  <workload> [opts]     next-phase / change prediction
- *   export   <workload> [opts]     per-interval CSV for plotting
- *   simstats <workload> [opts]     run the simulator, dump uarch stats
- *   sample   [workloads...] [opts] phase-guided sampled simulation
- *   adapt    [workloads...] [opts] phase-guided dynamic reconfiguration
- *   faults   [workloads...] [opts] soft-error resilience measurement
- *   trace    <verb> [opts]         .tpcptrace ingest/export tooling
+ *   workloads                 list the built-in workloads
+ *   machine                   print the Table-1 machine model
+ *   profile  <workload>|all   simulate/load a profile, summarize
+ *   classify <workload>       classify and print phase metrics
+ *   predict  <workload>       next-phase / change prediction
+ *   export   <workload>       per-interval CSV for plotting
+ *   simstats <workload>       run the simulator, dump uarch stats
+ *   sample   [workloads...]   phase-guided sampled simulation
+ *   adapt    [workloads...]   phase-guided dynamic reconfiguration
+ *   faults   [workloads...]   soft-error resilience measurement
+ *   serve    [workloads...]   streaming multi-tenant phase service
+ *   trace    <verb>           .tpcptrace ingest/export tooling
  *
- * Common options:
- *   --interval N     instructions per interval   (default 100000)
- *   --core NAME      'ooo' or 'simple'           (default ooo)
- *   --jobs N         worker threads for 'profile all'
- *                    (0 = one per hardware thread; default 0)
- *   --trace F[,F...] analyze ingested .tpcptrace files instead of
- *                    named workloads (profile/classify/predict/
- *                    export take one file; sample/adapt/faults/serve
- *                    take a comma-separated list; adapt replays
- *                    recorded CPI, so its lattice differs in energy
- *                    only)
- * A numeric option whose value is empty, malformed, negative where a
- * count is wanted or out of range is an error (exit 2). A switch
- * (--timeline, --mitigated, --batch, ...) never takes the next
- * argument as its value, so it may come before the workload name.
+ * Every command declares the flags it reads and prints them with
+ * `tpcp <command> --help`; an undeclared flag, a missing value or a
+ * malformed number is an error (exit 2), as in the bench harnesses
+ * (common/cli.hh). Every command that takes workload names except
+ * simstats also takes --trace=FILE[,FILE...] to analyze ingested
+ * .tpcptrace files instead (analysis/workload_set.hh). sample,
+ * adapt, faults and serve take any number of workloads; with none
+ * named the first three run all 11 and serve replays synthetic
+ * streams.
  *
  * Trace verbs (tpcp trace <verb>):
- *   export <workload> --out=P     export a profile as a .tpcptrace
- *          [--source=S]           (with --trace=IN: re-export the
+ *   export <workload>             export a profile as a .tpcptrace
+ *                                 (with --trace=IN: re-export the
  *                                 ingested trace byte-identically)
  *   info <file>                   print the validated trace header
  *                                 and content hash
- *   gen --out=P [--family=F]      generate an adversarial stressor
- *       [--seed=N] [--intervals=N] stream (see 'tpcp trace gen
- *       [--interval=N]            --family=help' for families)
+ *   gen                           generate an adversarial stressor
+ *                                 stream ('tpcp trace gen
+ *                                 --family=help' lists families)
  *   corpus <dir>                  write the deterministic corruption
  *                                 corpus + MANIFEST used by the
  *                                 trace-hardening CI job
@@ -51,121 +46,6 @@
  * file under --require-cache) is skipped and reported in a
  * per-workload error summary at the end; the exit code is 3 when
  * some-but-not-all workloads failed.
- * Profile options:
- *   --require-cache  fail a workload instead of re-simulating when
- *                    its cache file is missing/corrupt/mismatched
- * Classify options:
- *   --threshold X    similarity threshold        (default 0.25)
- *   --min N          transition min count        (default 8)
- *   --entries N      signature table entries     (default 32)
- *   --dims N         accumulator counters        (default 16)
- *   --static-thresh  disable adaptive thresholds
- *   --timeline       print the phase timeline
- * Predict options:
- *   --predictor P    lastvalue | markov1 | markov2 | rle1 | rle2 |
- *                    top4markov1 | last4markov1 | tage |
- *                    perceptron                  (default rle2)
- * Export options:
- *   --out PATH       output CSV file             (default stdout)
- * Simstats options:
- *   --max-insts N    stop after N instructions   (default: full run)
- * Sample options (no workloads named = all 11, in parallel):
- *   --budget N       detailed intervals per workload (default 16)
- *   --selector S     first | centroid | stratified | uniform |
- *                    random                      (default stratified)
- *   --phase-source P online | offline            (default online)
- *   --json PATH      write SampleReport records as JSON
- *                    ('-' disables)
- *   --max-error X    exit 1 if any CPI estimate is off by more
- *                    than fraction X (CI tripwire)
- * Adapt options (no workloads named = all 11, in parallel; the core
- * defaults to 'simple' since each lattice point is a full sim):
- *   --policy P       greedy | greedy-nopred | greedy-tage |
- *                    greedy-perceptron           (default greedy)
- *   --lattice L      standard | small            (default standard)
- *   --json PATH      write AdaptReport records as JSON
- *                    ('-' disables)
- *   --min-oracle X   exit 1 if any workload's greedy policy reaches
- *                    less than fraction X of the oracle's EDP
- *                    savings (CI tripwire)
- * Faults options (no workloads named = all 11, in parallel):
- *   --target T       accum | signature | metadata | change-table |
- *                    length-table | input | all   (default all)
- *   --predictor P    change predictor under fault: markov1 | rle2 |
- *                    last4markov1 | tage | perceptron | ...
- *                    (default rle2)
- *   --rate X         per-interval fault probability (default 0.01)
- *   --mitigated      enable the hardening model (parity-protected
- *                    signature table with scrubbing and repair, ECC
- *                    detect-and-contain predictor tables, CPI
- *                    plausibility gate)
- *   --seed N         fault campaign seed
- *   --scrub-every N  mitigated scrub period in intervals (default 1)
- *   --adapt          also measure the adapt-layer oracle-fraction
- *                    delta (simulates the lattice; prefer
- *                    --core simple)
- *   --json PATH      write ResilienceReport records as JSON
- *                    ('-' disables)
- *   --min-agreement X  exit 1 if any workload's phase-ID agreement
- *                    falls below fraction X (CI tripwire)
- *   --checkpoint PATH  checkpoint file (single workload only)
- *   --checkpoint-at K  save the checkpoint and stop after K intervals
- *   --resume         resume the faulty run from --checkpoint
- * Serve options (streaming multi-tenant phase service; named
- * workloads become the replayed interval streams, none = synthetic):
- *   --tenants N      concurrent tenants           (default 8)
- *   --producers P    producer rings/threads       (default 1,
- *                    at most 256; --jobs is bounded the same way)
- *   --packets N      packets per tenant stream (cap for profile
- *                    streams, length for synthetic; default 2000,
- *                    0 = full profile)
- *   --streams K      distinct synthetic streams   (default 4)
- *   --resident N     resident tenants per partition (0 = fit all
- *                    assigned tenants; default 0)
- *   --evict-after N  evict a tenant idle for N delivered packets
- *                    (default 0 = no idle eviction); an evicted
- *                    tenant's state is kept in memory until it
- *                    resumes
- *   --ring-bytes B   per-producer ring capacity   (default 1 MiB,
- *                    at most 1 GiB)
- *   --drop           drop packets on a full ring (counted, visible
- *                    as sequence gaps) instead of parking
- *   --park-retries N park retry budget per push; when exhausted the
- *                    push escalates to a counted drop (default 0 =
- *                    park forever, lossless)
- *   --rate-limit R   per-tenant token-bucket refill, packets per
- *                    drain cycle (default 0 = unlimited)
- *   --burst B        token-bucket capacity (default 0 = rate-limit)
- *   --drr-quantum Q  deficit-round-robin quantum, packets
- *                    (default 16)
- *   --max-backlog N  staged frames per tenant before arrivals are
- *                    shed, counted (default 0 = unbounded)
- *   --cycle-budget N frames delivered per partition per drain cycle
- *                    (default 0 = drain batch)
- *   --quarantine-threshold N  offenses (duplicate seq, malformed,
- *                    shed, resume failure) within one window that
- *                    quarantine a tenant (default 0 = disabled)
- *   --quarantine-window W     offense window, packets seen
- *                    (default 1024)
- *   --quarantine-backoff B    first quarantine length, packets seen;
- *                    doubles per re-quarantine (default 256)
- *   --quarantine-backoff-cap C  backoff ceiling (default 1 Mi)
- *   --migrate-out DIR  after the run, evict every tenant and write a
- *                    crash-consistent migration bundle
- *   --migrate-in DIR before the run, validate the bundle and adopt
- *                    its tenants (damaged bundles are rejected with
- *                    exit 1, nothing partially applied)
- *   --packet-base K  start replaying each stream at interval K
- *                    (sequence numbers stay absolute: the handoff
- *                    half of a migration identity check)
- *   --phase-out DIR  record per-tenant phase-ID streams and write
- *                    one tenant_<id>.phases file per tenant
- *   --batch          with --phase-out: write the batch-reference
- *                    streams instead of running the service (CI
- *                    diffs the two directories byte-for-byte)
- *   --json PATH      write the ServeReport as JSON ('-' disables)
- *   --min-rate R     exit 1 if delivered packets/s fall below R
- *                    (CI tripwire)
  */
 
 #include <algorithm>
@@ -176,11 +56,9 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
-#include <stdexcept>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,11 +66,11 @@
 #include "adapt/report.hh"
 #include "analysis/experiment.hh"
 #include "analysis/parallel_runner.hh"
+#include "analysis/workload_set.hh"
 #include "fault/resilience.hh"
 #include "common/ascii_table.hh"
-#include "common/json.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
-#include "common/parse.hh"
 #include "common/running_stats.hh"
 #include "common/status.hh"
 #include "pred/eval.hh"
@@ -204,8 +82,6 @@
 #include "trace/trace_workload.hh"
 #include "workload/adversarial.hh"
 #include "uarch/machine_config.hh"
-#include "uarch/ooo_core.hh"
-#include "uarch/simple_core.hh"
 #include "uarch/simulator.hh"
 #include "uarch/stats_report.hh"
 #include "workload/workload.hh"
@@ -215,162 +91,26 @@ using namespace tpcp;
 namespace
 {
 
-/** A numeric flag whose value does not parse; main() reports it and
- * exits 2. */
-struct FlagError : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
+/** Flags shared by the commands that load profiles. */
+const std::vector<cli::FlagSpec> kProfileFlags = {
+    {"interval", "N", "instructions per interval (default 100000)"},
+    {"core", "NAME", "timing core: ooo | simple (default ooo)"},
+    {"require-cache", "",
+     "fail instead of re-simulating when a cache file is "
+     "missing, corrupt or mismatched"},
 };
 
-/** Minimal flag parser: --key value, --key=value and value-less
- * --key switches. Numeric values parse strictly: the whole value, in
- * range, or FlagError. */
-class Args
-{
-  public:
-    Args(int argc, char **argv, int first)
-    {
-        for (int i = first; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg.rfind("--", 0) == 0) {
-                std::string key = arg.substr(2);
-                if (auto eq = key.find('=');
-                    eq != std::string::npos) {
-                    kv[key.substr(0, eq)] = key.substr(eq + 1);
-                } else if (!isSwitch(key) && i + 1 < argc &&
-                           std::string(argv[i + 1]).rfind("--", 0) !=
-                               0) {
-                    kv[key] = argv[++i];
-                } else {
-                    kv[key] = "";
-                }
-            } else {
-                positional.push_back(arg);
-            }
-        }
-    }
-
-    bool has(const std::string &key) const { return kv.count(key); }
-
-    std::string
-    get(const std::string &key, const std::string &dflt) const
-    {
-        auto it = kv.find(key);
-        return it == kv.end() ? dflt : it->second;
-    }
-
-    /** A decimal integer in [0, @p max]. */
-    std::uint64_t
-    getU64(const std::string &key, std::uint64_t dflt,
-           std::uint64_t max =
-               std::numeric_limits<std::uint64_t>::max()) const
-    {
-        auto it = kv.find(key);
-        if (it == kv.end())
-            return dflt;
-        std::uint64_t value = 0;
-        if (!parseAll(it->second, value) || value > max) {
-            throw FlagError("--" + key +
-                            " wants an integer from 0 to " +
-                            std::to_string(max) + ", got '" +
-                            it->second + "'");
-        }
-        return value;
-    }
-
-    /** getU64() for flags held in an unsigned. */
-    unsigned
-    getUnsigned(const std::string &key, unsigned dflt,
-                unsigned max = std::numeric_limits<unsigned>::max())
-        const
-    {
-        return static_cast<unsigned>(getU64(key, dflt, max));
-    }
-
-    /** A finite decimal number. */
-    double
-    getDouble(const std::string &key, double dflt) const
-    {
-        auto it = kv.find(key);
-        if (it == kv.end())
-            return dflt;
-        double value = 0.0;
-        if (!parseAll(it->second, value)) {
-            throw FlagError("--" + key + " wants a number, got '" +
-                            it->second + "'");
-        }
-        return value;
-    }
-
-    std::vector<std::string> positional;
-
-  private:
-    /** Flags that take no value, so `--timeline mcf` leaves mcf a
-     * positional argument. */
-    static bool
-    isSwitch(const std::string &key)
-    {
-        static const std::set<std::string> kSwitches = {
-            "adapt",         "batch",   "drop",
-            "mitigated",     "resume",  "require-cache",
-            "static-thresh", "timeline"};
-        return kSwitches.count(key) != 0;
-    }
-
-    std::map<std::string, std::string> kv;
+/** Flags shared by the commands that classify. */
+const std::vector<cli::FlagSpec> kClassifierFlags = {
+    {"threshold", "X", "similarity threshold (default 0.25)"},
+    {"min", "N", "transition min count (default 8)"},
+    {"entries", "N", "signature table entries (default 32)"},
+    {"dims", "N", "accumulator counters (default 16)"},
+    {"static-thresh", "", "disable adaptive thresholds"},
 };
-
-int
-usage()
-{
-    std::cerr
-        << "usage: tpcp <command> [args]\n"
-           "  workloads | machine | profile <wl> | classify <wl> |\n"
-           "  predict <wl> | export <wl> | sample [wl...] |\n"
-           "  adapt [wl...] | faults [wl...] | serve [wl...] |\n"
-           "  trace <export|info|gen|corpus>\n"
-           "most commands also take --trace=FILE[,FILE...] to run\n"
-           "on ingested .tpcptrace files instead of workloads\n"
-           "see the header of tools/tpcp.cc for all options\n";
-    return 2;
-}
-
-/** Writes @p json to --json, if given ('-' disables, as in the bench
- * harnesses), and says "wrote @p what to <path>"; false, after
- * printing the error, when the file cannot be written. */
-bool
-emitJson(const Args &args, const std::string &json,
-         const std::string &what)
-{
-    const std::string path = args.get("json", "");
-    if (path.empty() || path == "-")
-        return true;
-    if (!writeJsonFile(path, json)) {
-        std::cerr << "error: cannot write " << path << "\n";
-        return false;
-    }
-    std::cout << "wrote " << what << " to " << path << "\n";
-    return true;
-}
-
-std::optional<std::string>
-requireWorkload(const Args &args)
-{
-    if (args.positional.empty()) {
-        std::cerr << "error: a workload name is required\n";
-        return std::nullopt;
-    }
-    const std::string &name = args.positional.front();
-    if (!workload::isWorkloadName(name)) {
-        std::cerr << "error: unknown workload '" << name
-                  << "'; run 'tpcp workloads'\n";
-        return std::nullopt;
-    }
-    return name;
-}
 
 trace::ProfileOptions
-profileOptions(const Args &args)
+profileOptions(const cli::Args &args)
 {
     trace::ProfileOptions opts;
     opts.intervalLen = args.getU64("interval", 100'000);
@@ -379,62 +119,17 @@ profileOptions(const Args &args)
     return opts;
 }
 
-/**
- * The profile a single-workload command operates on: the ingested
- * trace named by --trace when given (a trace is a first-class
- * workload), the cached/simulated profile of the named workload
- * otherwise. nullopt (after printing the error) on bad usage.
- */
-std::optional<trace::IntervalProfile>
-inputProfile(const Args &args)
+/** The one workload a single-workload command runs on: the named
+ * one, or the ingested trace of --trace. */
+trace::IntervalProfile
+inputProfile(const cli::Args &args)
 {
-    if (args.has("trace")) {
-        if (!args.positional.empty()) {
-            std::cerr << "error: --trace and a workload name are "
-                         "mutually exclusive\n";
-            return std::nullopt;
-        }
-        return trace::getTraceProfile(args.get("trace", ""));
-    }
-    auto name = requireWorkload(args);
-    if (!name)
-        return std::nullopt;
-    return trace::getProfileByName(*name, profileOptions(args));
-}
-
-/**
- * Expands --trace for the multi-workload commands: loads every
- * listed trace, appending (name, profile) in argument order. The
- * commands keep their workload-name path when --trace is absent.
- * False (after printing the error) when --trace is combined with
- * positional workload names.
- */
-bool
-loadTraceInputs(const Args &args, std::vector<std::string> &names,
-                std::vector<trace::IntervalProfile> &profiles)
-{
-    if (!args.has("trace"))
-        return true;
-    if (!names.empty()) {
-        std::cerr << "error: --trace and workload names are "
-                     "mutually exclusive\n";
-        return false;
-    }
-    for (auto &[name, profile] :
-         trace::loadTraceProfiles(args.get("trace", ""))) {
-        names.push_back(name);
-        profiles.push_back(std::move(profile));
-    }
-    if (names.empty()) {
-        std::cerr << "error: --trace expects at least one "
-                     ".tpcptrace path\n";
-        return false;
-    }
-    return true;
+    const trace::ProfileOptions opts = profileOptions(args);
+    return analysis::selectWorkloads(args, true).profile(0, opts);
 }
 
 phase::ClassifierConfig
-classifierConfig(const Args &args)
+classifierConfig(const cli::Args &args)
 {
     phase::ClassifierConfig cfg =
         phase::ClassifierConfig::paperDefault();
@@ -447,8 +142,19 @@ classifierConfig(const Args &args)
     return cfg;
 }
 
+/** The exit code of a reporting command: writes --json (@p what),
+ * then checks the run's @p value against @p bound. */
 int
-cmdWorkloads()
+finish(const cli::Args &args, const std::string &json,
+       const std::string &what, const cli::Bound &bound, double value)
+{
+    const bool ok = cli::writeJson(args, json, what) &&
+                    cli::checkBound(args, bound, value);
+    return ok ? 0 : 1;
+}
+
+int
+cmdWorkloads(const cli::Args &)
 {
     AsciiTable table({"name", "regions", "insts(M)", "description"});
     for (const auto &name : workload::workloadNames()) {
@@ -466,22 +172,21 @@ cmdWorkloads()
 }
 
 int
-cmdMachine()
+cmdMachine(const cli::Args &)
 {
     std::cout << uarch::MachineConfig::table1().toString();
     return 0;
 }
 
 int
-cmdProfileAll(const Args &args)
+cmdProfileAll(const cli::Args &args)
 {
-    unsigned jobs = args.getUnsigned("jobs", 0);
-    trace::ProfileOptions opts = profileOptions(args);
+    const trace::ProfileOptions opts = profileOptions(args);
     const std::vector<std::string> &names =
         workload::workloadNames();
     std::cerr << "building/loading " << names.size()
               << " profiles ("
-              << analysis::effectiveJobs(jobs, names.size())
+              << analysis::effectiveJobs(args.jobs, names.size())
               << " jobs) ...\n";
     // Graceful degradation: one bad workload (corrupt cache file
     // under --require-cache, unknown core, ...) is skipped and
@@ -490,7 +195,7 @@ cmdProfileAll(const Args &args)
     // lock.
     std::vector<std::string> errors(names.size());
     auto profiles = analysis::runIndexed(
-        names.size(), jobs,
+        names.size(), args.jobs,
         [&](std::size_t i) -> std::optional<trace::IntervalProfile> {
             try {
                 return trace::getProfileByName(names[i], opts);
@@ -537,15 +242,14 @@ cmdProfileAll(const Args &args)
 }
 
 int
-cmdProfile(const Args &args)
+cmdProfile(const cli::Args &args)
 {
-    if (!args.positional.empty() &&
-        args.positional.front() == "all")
+    if (args.positional == std::vector<std::string>{"all"}) {
+        if (args.has("trace"))
+            cli::usageError("--trace does not combine with 'all'");
         return cmdProfileAll(args);
-    auto loaded = inputProfile(args);
-    if (!loaded)
-        return 2;
-    trace::IntervalProfile profile = std::move(*loaded);
+    }
+    const trace::IntervalProfile profile = inputProfile(args);
     RunningStats cpi;
     for (const auto &rec : profile.intervals())
         cpi.push(rec.cpi);
@@ -578,13 +282,11 @@ phaseChar(PhaseId id)
 }
 
 int
-cmdClassify(const Args &args)
+cmdClassify(const cli::Args &args)
 {
-    auto profile = inputProfile(args);
-    if (!profile)
-        return 2;
+    const phase::ClassifierConfig cfg = classifierConfig(args);
     analysis::ClassificationResult res =
-        analysis::classifyProfile(*profile, classifierConfig(args));
+        analysis::classifyProfile(inputProfile(args), cfg);
 
     if (args.has("timeline")) {
         for (std::size_t i = 0; i < res.trace.size(); ++i) {
@@ -619,13 +321,11 @@ cmdClassify(const Args &args)
 }
 
 int
-cmdPredict(const Args &args)
+cmdPredict(const cli::Args &args)
 {
-    auto profile = inputProfile(args);
-    if (!profile)
-        return 2;
+    const phase::ClassifierConfig cfg = classifierConfig(args);
     analysis::ClassificationResult res =
-        analysis::classifyProfile(*profile, classifierConfig(args));
+        analysis::classifyProfile(inputProfile(args), cfg);
 
     std::string pname = args.get("predictor", "rle2");
     std::optional<pred::PredictorSpec> spec =
@@ -671,13 +371,11 @@ cmdPredict(const Args &args)
 }
 
 int
-cmdExport(const Args &args)
+cmdExport(const cli::Args &args)
 {
-    auto profile = inputProfile(args);
-    if (!profile)
-        return 2;
+    const phase::ClassifierConfig cfg = classifierConfig(args);
     analysis::ClassificationResult res =
-        analysis::classifyProfile(*profile, classifierConfig(args));
+        analysis::classifyProfile(inputProfile(args), cfg);
 
     std::ofstream file;
     std::ostream *out = &std::cout;
@@ -704,30 +402,23 @@ cmdExport(const Args &args)
 }
 
 int
-cmdSimStats(const Args &args)
+cmdSimStats(const cli::Args &args)
 {
-    auto name = requireWorkload(args);
-    if (!name)
-        return 2;
-    workload::Workload w = workload::makeWorkload(*name);
-    auto schedule = w.makeSchedule();
-
-    std::string core_name = args.get("core", "ooo");
+    const std::string name =
+        analysis::selectWorkloads(args, true).names[0];
+    const std::string core_name = args.get("core", "ooo");
+    const InstCount max_insts = args.getU64("max-insts", 0);
+    const uarch::MachineConfig machine = uarch::MachineConfig::table1();
     std::unique_ptr<uarch::TimingCore> core;
-    uarch::MachineConfig machine = uarch::MachineConfig::table1();
-    if (core_name == "ooo") {
-        core = std::make_unique<uarch::OooCore>(machine);
-    } else if (core_name == "simple") {
-        core = std::make_unique<uarch::SimpleCore>(machine);
-    } else {
-        std::cerr << "error: unknown core '" << core_name << "'\n";
-        return 2;
+    try {
+        core = uarch::makeCore(core_name, machine);
+    } catch (const Error &e) {
+        cli::usageError(e.what());
     }
-
-    uarch::Simulator sim(w.program, *schedule, *core,
-                         w.seed ^ 0xabcdef12345ULL);
-    InstCount max_insts = args.getU64("max-insts", 0);
-    std::cerr << "simulating " << *name << " on the '" << core_name
+    workload::Workload w = workload::makeWorkload(name);
+    auto schedule = w.makeSchedule();
+    uarch::Simulator sim(w.program, *schedule, *core, w.simSeed());
+    std::cerr << "simulating " << name << " on the '" << core_name
               << "' core...\n";
     sim.run(max_insts);
     std::cout << uarch::formatCoreStats(*core);
@@ -735,48 +426,27 @@ cmdSimStats(const Args &args)
 }
 
 int
-cmdSample(const Args &args)
+cmdSample(const cli::Args &args)
 {
-    std::vector<std::string> names = args.positional;
-    std::vector<trace::IntervalProfile> traced;
-    if (!loadTraceInputs(args, names, traced))
-        return 2;
-    if (names.empty()) {
-        names = workload::workloadNames();
-    } else if (traced.empty()) {
-        for (const std::string &name : names) {
-            if (!workload::isWorkloadName(name)) {
-                std::cerr << "error: unknown workload '" << name
-                          << "'; run 'tpcp workloads'\n";
-                return 2;
-            }
-        }
-    }
+    const analysis::WorkloadSet set = analysis::selectWorkloads(args);
     auto budget =
         static_cast<std::size_t>(args.getU64("budget", 16));
-    if (budget == 0) {
-        std::cerr << "error: --budget must be positive\n";
-        return 2;
-    }
+    if (budget == 0)
+        cli::usageError("--budget must be positive");
     std::string selector = args.get("selector", "stratified");
     sample::PhaseSource source = sample::phaseSourceByName(
         args.get("phase-source", "online"));
-    unsigned jobs = args.getUnsigned("jobs", 0);
-    trace::ProfileOptions opts = profileOptions(args);
+    const trace::ProfileOptions opts = profileOptions(args);
 
-    std::cerr << "[sample] " << names.size() << " workloads, "
+    std::cerr << "[sample] " << set.size() << " workloads, "
               << "selector=" << selector << ", budget=" << budget
-              << " (" << analysis::effectiveJobs(jobs, names.size())
+              << " (" << analysis::effectiveJobs(args.jobs, set.size())
               << " jobs)\n";
     std::vector<sample::SampleReport> reports =
         analysis::runIndexed(
-            names.size(), jobs, [&](std::size_t i) {
-                trace::IntervalProfile profile =
-                    traced.empty()
-                        ? trace::getProfileByName(names[i], opts)
-                        : traced[i];
+            set.size(), args.jobs, [&](std::size_t i) {
                 return sample::runSampledSimulation(
-                    profile, selector, source, budget);
+                    set.profile(i, opts), selector, source, budget);
             });
 
     AsciiTable table({"workload", "phases", "sampled", "true CPI",
@@ -798,64 +468,36 @@ cmdSample(const Args &args)
     }
     table.print(std::cout);
 
-    if (!emitJson(args, sample::toJson(reports),
-                  std::to_string(reports.size()) + " reports"))
-        return 1;
-    if (args.has("max-error")) {
-        double limit = args.getDouble("max-error", 0.0);
-        if (worst > limit) {
-            std::cerr << "error: worst CPI error "
-                      << worst * 100.0 << "% exceeds --max-error "
-                      << limit * 100.0 << "%\n";
-            return 1;
-        }
-        std::cout << "worst CPI error " << worst * 100.0
-                  << "% within --max-error " << limit * 100.0
-                  << "%\n";
-    }
-    return 0;
+    return finish(args, sample::toJson(reports),
+                  std::to_string(reports.size()) + " reports",
+                  {"max-error", "worst CPI error", true}, worst);
 }
 
 int
-cmdAdapt(const Args &args)
+cmdAdapt(const cli::Args &args)
 {
-    std::vector<std::string> names = args.positional;
-    std::vector<trace::IntervalProfile> traced;
-    if (!loadTraceInputs(args, names, traced))
-        return 2;
-    if (names.empty()) {
-        names = workload::workloadNames();
-    } else if (traced.empty()) {
-        for (const std::string &name : names) {
-            if (!workload::isWorkloadName(name)) {
-                std::cerr << "error: unknown workload '" << name
-                          << "'; run 'tpcp workloads'\n";
-                return 2;
-            }
-        }
-    }
+    const analysis::WorkloadSet set = analysis::selectWorkloads(args);
     adapt::PolicyPreset preset =
         adapt::policyPresetByName(args.get("policy", "greedy"));
     adapt::ConfigLattice lattice = adapt::ConfigLattice::byName(
         args.get("lattice", "standard"));
-    unsigned jobs = args.getUnsigned("jobs", 0);
     trace::ProfileOptions opts = profileOptions(args);
     if (!args.has("core"))
         opts.coreName = "simple";
 
-    std::cerr << "[adapt] " << names.size() << " workloads, "
+    std::cerr << "[adapt] " << set.size() << " workloads, "
               << "policy=" << preset.name
               << ", lattice=" << lattice.size() << " configs ("
-              << analysis::effectiveJobs(jobs, names.size())
+              << analysis::effectiveJobs(args.jobs, set.size())
               << " jobs)\n";
     std::vector<adapt::AdaptReport> reports = analysis::runIndexed(
-        names.size(), jobs, [&](std::size_t i) {
+        set.size(), args.jobs, [&](std::size_t i) {
             // Traces replay in recorded-CPI mode (energy-only
             // lattice; see adapt/report.hh).
-            if (!traced.empty())
-                return adapt::runTraceAdaptation(traced[i], preset,
+            if (!set.traced.empty())
+                return adapt::runTraceAdaptation(set.traced[i], preset,
                                                  lattice);
-            return adapt::runAdaptation(names[i], preset, lattice,
+            return adapt::runAdaptation(set.names[i], preset, lattice,
                                         opts);
         });
 
@@ -881,44 +523,16 @@ cmdAdapt(const Args &args)
     }
     table.print(std::cout);
 
-    if (!emitJson(args, adapt::toJson(reports),
-                  std::to_string(reports.size()) + " reports"))
-        return 1;
-    if (args.has("min-oracle")) {
-        double limit = args.getDouble("min-oracle", 0.0);
-        if (worst_fraction < limit) {
-            std::cerr << "error: worst oracle fraction "
-                      << worst_fraction * 100.0
-                      << "% below --min-oracle " << limit * 100.0
-                      << "%\n";
-            return 1;
-        }
-        std::cout << "worst oracle fraction "
-                  << worst_fraction * 100.0
-                  << "% meets --min-oracle " << limit * 100.0
-                  << "%\n";
-    }
-    return 0;
+    return finish(args, adapt::toJson(reports),
+                  std::to_string(reports.size()) + " reports",
+                  {"min-oracle", "worst oracle fraction"},
+                  worst_fraction);
 }
 
 int
-cmdFaults(const Args &args)
+cmdFaults(const cli::Args &args)
 {
-    std::vector<std::string> names = args.positional;
-    std::vector<trace::IntervalProfile> traced;
-    if (!loadTraceInputs(args, names, traced))
-        return 2;
-    if (names.empty()) {
-        names = workload::workloadNames();
-    } else if (traced.empty()) {
-        for (const std::string &name : names) {
-            if (!workload::isWorkloadName(name)) {
-                std::cerr << "error: unknown workload '" << name
-                          << "'; run 'tpcp workloads'\n";
-                return 2;
-            }
-        }
-    }
+    const analysis::WorkloadSet set = analysis::selectWorkloads(args);
 
     fault::ResilienceOptions ropts;
     ropts.injector.target =
@@ -928,11 +542,9 @@ cmdFaults(const Args &args)
         // (no table at all) is not meaningful here.
         std::string pname = args.get("predictor", "rle2");
         auto spec = pred::predictorSpecByName(pname);
-        if (!spec) {
-            std::cerr << "error: faults needs a table-backed "
-                         "predictor, not '" << pname << "'\n";
-            return 2;
-        }
+        if (!spec)
+            cli::usageError("faults needs a table-backed predictor, "
+                            "not '" + pname + "'");
         ropts.changePredictor = *spec;
     }
     ropts.injector.ratePerInterval = args.getDouble("rate", 0.01);
@@ -945,31 +557,25 @@ cmdFaults(const Args &args)
     ropts.checkpointAt = args.getU64("checkpoint-at", 0);
     ropts.resume = args.has("resume");
     if ((ropts.checkpointAt != 0 || ropts.resume) &&
-        (ropts.checkpointPath.empty() || names.size() != 1)) {
-        std::cerr << "error: --checkpoint-at/--resume need "
-                     "--checkpoint PATH and exactly one workload\n";
-        return 2;
-    }
+        (ropts.checkpointPath.empty() || set.size() != 1))
+        cli::usageError("--checkpoint-at/--resume need --checkpoint "
+                        "PATH and exactly one workload");
 
-    unsigned jobs = args.getUnsigned("jobs", 0);
-    trace::ProfileOptions opts = profileOptions(args);
+    const trace::ProfileOptions opts = profileOptions(args);
 
-    std::cerr << "[faults] " << names.size() << " workloads, target="
+    std::cerr << "[faults] " << set.size() << " workloads, target="
               << fault::targetName(ropts.injector.target)
               << ", rate=" << ropts.injector.ratePerInterval
               << (ropts.injector.mitigated ? ", mitigated"
                                            : ", unmitigated")
               << " ("
-              << analysis::effectiveJobs(jobs, names.size())
+              << analysis::effectiveJobs(args.jobs, set.size())
               << " jobs)\n";
     std::vector<fault::ResilienceReport> reports =
         analysis::runIndexed(
-            names.size(), jobs, [&](std::size_t i) {
-                trace::IntervalProfile profile =
-                    traced.empty()
-                        ? trace::getProfileByName(names[i], opts)
-                        : traced[i];
-                return fault::runResilience(profile, ropts);
+            set.size(), args.jobs, [&](std::size_t i) {
+                return fault::runResilience(set.profile(i, opts),
+                                            ropts);
             });
 
     AsciiTable table({"workload", "faults", "agreement",
@@ -997,22 +603,9 @@ cmdFaults(const Args &args)
     }
     table.print(std::cout);
 
-    if (!emitJson(args, fault::toJson(reports),
-                  std::to_string(reports.size()) + " reports"))
-        return 1;
-    if (args.has("min-agreement")) {
-        double limit = args.getDouble("min-agreement", 0.0);
-        if (worst < limit) {
-            std::cerr << "error: worst phase-ID agreement "
-                      << worst * 100.0 << "% below --min-agreement "
-                      << limit * 100.0 << "%\n";
-            return 1;
-        }
-        std::cout << "worst phase-ID agreement " << worst * 100.0
-                  << "% meets --min-agreement " << limit * 100.0
-                  << "%\n";
-    }
-    return 0;
+    return finish(args, fault::toJson(reports),
+                  std::to_string(reports.size()) + " reports",
+                  {"min-agreement", "worst phase-ID agreement"}, worst);
 }
 
 /** Writes one tenant_<id>.phases file per tenant in @p ids into
@@ -1036,31 +629,27 @@ writePhaseFiles(const std::string &dir,
     }
 }
 
-/** Upper bounds on the serve flags that size threads and rings. */
-constexpr unsigned kMaxServeThreads = 256;
+/** Upper bound on --ring-bytes (threads: cli::kMaxThreads). */
 constexpr std::uint64_t kMaxRingBytes = std::uint64_t(1) << 30;
 
 int
-cmdServe(const Args &args)
+cmdServe(const cli::Args &args)
 {
-    const std::vector<std::string> &names = args.positional;
-    for (const std::string &name : names) {
-        if (!workload::isWorkloadName(name)) {
-            std::cerr << "error: unknown workload '" << name
-                      << "'; run 'tpcp workloads'\n";
-            return 2;
-        }
-    }
+    // Named workloads and --trace files become the replayed
+    // streams; with neither, synthetic streams.
+    const bool synthetic =
+        args.positional.empty() && !args.has("trace");
+    const analysis::WorkloadSet set =
+        synthetic ? analysis::WorkloadSet{}
+                  : analysis::selectWorkloads(args);
     const unsigned tenants = args.getUnsigned("tenants", 8);
     // Each producer is a thread and a ring, and each job a worker
-    // thread: bound them before anything is started.
+    // thread (--jobs is bounded at parse time): bound them before
+    // anything is started.
     const unsigned producers =
-        args.getUnsigned("producers", 1, kMaxServeThreads);
-    if (tenants == 0 || producers == 0) {
-        std::cerr << "error: --tenants and --producers must be "
-                     ">= 1\n";
-        return 2;
-    }
+        args.getUnsigned("producers", 1, cli::kMaxThreads);
+    if (tenants == 0 || producers == 0)
+        cli::usageError("--tenants and --producers must be >= 1");
     const std::uint64_t packets = args.getU64("packets", 2000);
     phase::ClassifierConfig ccfg = classifierConfig(args);
     pred::PhaseTrackerConfig tcfg;
@@ -1069,33 +658,19 @@ cmdServe(const Args &args)
     // Shared streams: tenant t replays stream t % S, so a tenant's
     // input depends only on its id — never on the producer layout.
     std::vector<serve::EncodedStream> streams;
-    if (args.has("trace")) {
-        if (!names.empty()) {
-            std::cerr << "error: --trace and workload names are "
-                         "mutually exclusive\n";
-            return 2;
-        }
-        for (auto &[name, profile] :
-             trace::loadTraceProfiles(args.get("trace", "")))
-            streams.push_back(serve::encodeProfileStream(
-                profile, ccfg.numCounters, packets));
-        if (streams.empty()) {
-            std::cerr << "error: --trace expects at least one "
-                         ".tpcptrace path\n";
-            return 2;
-        }
-    } else if (names.empty()) {
+    if (synthetic) {
         const unsigned n = args.getUnsigned("streams", 4);
+        if (n == 0)
+            cli::usageError("--streams must be >= 1");
         const std::uint64_t len = packets == 0 ? 2000 : packets;
         for (unsigned k = 0; k < n; ++k)
             streams.push_back(serve::encodeSyntheticStream(
                 k, len, ccfg.numCounters));
     } else {
-        trace::ProfileOptions popts = profileOptions(args);
-        for (const std::string &name : names)
+        const trace::ProfileOptions popts = profileOptions(args);
+        for (std::size_t i = 0; i < set.size(); ++i)
             streams.push_back(serve::encodeProfileStream(
-                trace::getProfileByName(name, popts),
-                ccfg.numCounters, packets));
+                set.profile(i, popts), ccfg.numCounters, packets));
     }
     auto streamOf =
         [&](std::uint64_t t) -> const serve::EncodedStream & {
@@ -1106,10 +681,8 @@ cmdServe(const Args &args)
     if (args.has("batch")) {
         // Reference mode: the offline batch path, one fresh tracker
         // per tenant. CI diffs these files against the service's.
-        if (phase_out.empty()) {
-            std::cerr << "error: --batch needs --phase-out DIR\n";
-            return 2;
-        }
+        if (phase_out.empty())
+            cli::usageError("--batch needs --phase-out DIR");
         std::vector<std::uint64_t> ids(tenants);
         for (std::uint64_t t = 0; t < tenants; ++t)
             ids[t] = t;
@@ -1125,7 +698,7 @@ cmdServe(const Args &args)
     serve::ServeOptions sopts;
     sopts.registry.tracker = tcfg;
     sopts.producers = producers;
-    sopts.jobs = args.getUnsigned("jobs", 0, kMaxServeThreads);
+    sopts.jobs = args.jobs;
     sopts.ringBytes = args.getU64("ring-bytes", 1u << 20, kMaxRingBytes);
     sopts.fairness.ratePerCycle = args.getU64("rate-limit", 0);
     sopts.fairness.burst = args.getU64("burst", 0);
@@ -1280,21 +853,10 @@ cmdServe(const Args &args)
         std::cout << "wrote " << loop.allTenantIds().size()
                   << " phase streams to " << phase_out << "\n";
     }
-    if (!emitJson(args, serve::toJson(rep), "report"))
-        return 1;
-    if (args.has("min-rate")) {
-        const double limit = args.getDouble("min-rate", 0.0);
-        if (rep.packetsPerSec < limit) {
-            std::cerr << "error: ingest rate " << rep.packetsPerSec
-                      << " packets/s below --min-rate " << limit
-                      << "\n";
-            return 1;
-        }
-        std::cout << "ingest rate " << rep.packetsPerSec
-                  << " packets/s meets --min-rate " << limit
-                  << "\n";
-    }
-    return 0;
+    return finish(args, serve::toJson(rep), "report",
+                  {"min-rate", "ingest rate", false, 1.0, " packets/s",
+                   ""},
+                  rep.packetsPerSec);
 }
 
 /** Writes raw bytes to @p path (corpus files are plain writes; the
@@ -1312,14 +874,12 @@ writeBytes(const std::string &path,
 }
 
 int
-cmdTraceExport(const Args &args)
+cmdTraceExport(const cli::Args &args)
 {
-    std::string out = args.get("out", "");
-    if (out.empty()) {
-        std::cerr << "error: trace export needs --out=PATH\n";
-        return 2;
-    }
-    if (args.has("trace")) {
+    const std::string out = args.get("out", "");
+    if (out.empty())
+        cli::usageError("trace export needs --out=PATH");
+    if (args.has("trace") && args.positional.empty()) {
         // Re-export an ingested trace: a parse -> encode round trip
         // is byte-identical (the CI ingest job cmp's the two files).
         trace::TraceData data =
@@ -1329,30 +889,24 @@ cmdTraceExport(const Args &args)
                   << " intervals to " << out << "\n";
         return 0;
     }
-    // Positional workload: drop the leading "export" verb.
-    Args rest = args;
-    rest.positional.erase(rest.positional.begin());
-    auto name = requireWorkload(rest);
-    if (!name)
-        return 2;
+    const std::string name =
+        analysis::selectWorkloads(args, true).names[0];
     trace::IntervalProfile profile =
-        trace::getProfileByName(*name, profileOptions(args));
+        trace::getProfileByName(name, profileOptions(args));
     std::string source =
-        args.get("source", "tpcp trace export " + *name);
+        args.get("source", "tpcp trace export " + name);
     trace::writeTrace(out, profile, source);
     std::cout << "exported " << profile.numIntervals()
-              << " intervals of " << *name << " to " << out << "\n";
+              << " intervals of " << name << " to " << out << "\n";
     return 0;
 }
 
 int
-cmdTraceInfo(const Args &args)
+cmdTraceInfo(const cli::Args &args)
 {
-    if (args.positional.size() < 2) {
-        std::cerr << "error: trace info needs a file path\n";
-        return 2;
-    }
-    const std::string &path = args.positional[1];
+    if (args.positional.empty())
+        cli::usageError("trace info needs a file path");
+    const std::string &path = args.positional[0];
     trace::TraceData data = trace::readTrace(path);
     std::string dims;
     for (unsigned d : data.profile.dims()) {
@@ -1383,7 +937,7 @@ cmdTraceInfo(const Args &args)
 }
 
 int
-cmdTraceGen(const Args &args)
+cmdTraceGen(const cli::Args &args)
 {
     workload::AdversarialSpec spec;
     spec.family = args.get("family", "phase-alias");
@@ -1398,10 +952,8 @@ cmdTraceGen(const Args &args)
         static_cast<std::size_t>(args.getU64("intervals", 600));
     spec.intervalLen = args.getU64("interval", 100'000);
     std::string out = args.get("out", "");
-    if (out.empty()) {
-        std::cerr << "error: trace gen needs --out=PATH\n";
-        return 2;
-    }
+    if (out.empty())
+        cli::usageError("trace gen needs --out=PATH");
     workload::AdversarialTrace adv =
         workload::makeAdversarial(spec);
     std::string source = "adversarial family=" + spec.family +
@@ -1423,13 +975,11 @@ cmdTraceGen(const Args &args)
  * writer.
  */
 int
-cmdTraceCorpus(const Args &args)
+cmdTraceCorpus(const cli::Args &args)
 {
-    if (args.positional.size() < 2) {
-        std::cerr << "error: trace corpus needs an output dir\n";
-        return 2;
-    }
-    const std::string dir = args.positional[1];
+    if (args.positional.empty())
+        cli::usageError("trace corpus needs an output dir");
+    const std::string dir = args.positional[0];
     std::filesystem::create_directories(dir);
 
     workload::AdversarialSpec spec;
@@ -1521,26 +1071,229 @@ cmdTraceCorpus(const Args &args)
     return 0;
 }
 
-int
-cmdTrace(const Args &args)
+/** A tpcp command: its name (one or two words), its positional
+ * arguments, and the flags it reads. */
+struct Command
 {
-    if (args.positional.empty()) {
-        std::cerr << "usage: tpcp trace <export|info|gen|corpus> "
-                     "[options]\n";
-        return 2;
+    std::string name;
+    std::string operands;
+    std::string summary;
+    std::size_t maxPositional;
+    std::vector<cli::FlagSpec> flags;
+    int (*run)(const cli::Args &);
+};
+
+/** @p groups concatenated. */
+std::vector<cli::FlagSpec>
+flags(std::initializer_list<std::vector<cli::FlagSpec>> groups)
+{
+    std::vector<cli::FlagSpec> out;
+    for (const auto &g : groups)
+        out.insert(out.end(), g.begin(), g.end());
+    return out;
+}
+
+const std::vector<Command> &
+commands()
+{
+    const cli::FlagSpec trace = cli::traceFlag(), jobs = cli::jobsFlag();
+    const cli::FlagSpec predictor = {
+        "predictor", "P",
+        "lastvalue | markov1 | markov2 | rle1 | rle2 | top4markov1 | "
+        "last4markov1 | tage | perceptron (default rle2)"};
+    const cli::FlagSpec lattice = {"lattice", "L",
+                                   "config lattice: standard | small"};
+    const cli::FlagSpec out = {"out", "PATH", "output file"};
+    const std::size_t many = std::numeric_limits<std::size_t>::max();
+    static const std::vector<Command> table = {
+        {"workloads", "", "list the built-in workloads", 0, {},
+         cmdWorkloads},
+        {"machine", "", "print the Table-1 machine model", 0, {},
+         cmdMachine},
+        {"profile", "<workload>|all",
+         "simulate/load a profile and summarize it", 1,
+         flags({kProfileFlags, {trace, jobs}}), cmdProfile},
+        {"classify", "<workload>", "classify and print phase metrics",
+         1,
+         flags({kProfileFlags, kClassifierFlags, {trace},
+                {{"timeline", "", "print the phase timeline"}}}),
+         cmdClassify},
+        {"predict", "<workload>", "next-phase and change prediction",
+         1, flags({kProfileFlags, kClassifierFlags, {trace, predictor}}),
+         cmdPredict},
+        {"export", "<workload>", "per-interval CSV for plotting", 1,
+         flags({kProfileFlags, kClassifierFlags,
+                {trace, {"out", "PATH", "output CSV (default stdout)"}}}),
+         cmdExport},
+        {"simstats", "<workload>", "run the simulator, dump uarch stats",
+         1,
+         {kProfileFlags[1],
+          {"max-insts", "N", "stop after N instructions (default: "
+                             "full run)"}},
+         cmdSimStats},
+        {"sample", "[workload...]", "phase-guided sampled simulation",
+         many,
+         flags({kProfileFlags,
+                {trace, jobs,
+                 {"budget", "N",
+                  "detailed intervals per workload (default 16)"},
+                 {"selector", "S",
+                  "first | centroid | stratified | uniform | random "
+                  "(default stratified)"},
+                 {"phase-source", "P", "online | offline (default "
+                                       "online)"},
+                 cli::jsonFlag("SampleReports", ""),
+                 {"max-error", "X",
+                  "exit 1 if any CPI estimate is off by more than "
+                  "fraction X (CI tripwire)"}}}),
+         cmdSample},
+        {"adapt", "[workload...]",
+         "phase-guided dynamic reconfiguration", many,
+         flags({kProfileFlags,
+                {trace, jobs,
+                 {"policy", "P",
+                  "greedy | greedy-nopred | greedy-tage | "
+                  "greedy-perceptron (default greedy)"},
+                 lattice, cli::jsonFlag("AdaptReports", ""),
+                 {"min-oracle", "X",
+                  "exit 1 if any workload's policy reaches less than "
+                  "fraction X of the oracle's EDP savings (CI "
+                  "tripwire)"}}}),
+         cmdAdapt},
+        {"faults", "[workload...]", "soft-error resilience measurement",
+         many,
+         flags({kProfileFlags,
+                {trace, jobs,
+                 {"target", "T",
+                  "accum | signature | metadata | change-table | "
+                  "length-table | input | all (default all)"},
+                 predictor,
+                 {"rate", "X",
+                  "per-interval fault probability (default 0.01)"},
+                 {"mitigated", "",
+                  "enable the hardening model (parity, scrubbing, "
+                  "ECC, CPI plausibility gate)"},
+                 {"seed", "N", "fault campaign seed"},
+                 {"scrub-every", "N",
+                  "mitigated scrub period in intervals (default 1)"},
+                 {"adapt", "",
+                  "also measure the adapt-layer oracle-fraction delta"},
+                 lattice, cli::jsonFlag("ResilienceReports", ""),
+                 {"min-agreement", "X",
+                  "exit 1 if any workload's phase-ID agreement falls "
+                  "below fraction X (CI tripwire)"},
+                 {"checkpoint", "PATH",
+                  "checkpoint file (single workload only)"},
+                 {"checkpoint-at", "K",
+                  "save the checkpoint and stop after K intervals"},
+                 {"resume", "", "resume the faulty run from "
+                                "--checkpoint"}}}),
+         cmdFaults},
+        {"serve", "[workload...]",
+         "streaming multi-tenant phase service", many,
+         flags({kProfileFlags, kClassifierFlags,
+                {trace, jobs,
+                 {"tenants", "N", "concurrent tenants (default 8)"},
+                 {"producers", "P",
+                  "producer rings/threads (default 1, at most 256)"},
+                 {"packets", "N",
+                  "packets per tenant stream (default 2000; 0 = full "
+                  "profile)"},
+                 {"streams", "K", "distinct synthetic streams "
+                                  "(default 4)"},
+                 {"resident", "N",
+                  "resident tenants per partition (0 = all; default "
+                  "0)"},
+                 {"evict-after", "N",
+                  "evict a tenant idle for N delivered packets "
+                  "(default 0 = never)"},
+                 {"ring-bytes", "B",
+                  "per-producer ring capacity (default 1 MiB, at most "
+                  "1 GiB)"},
+                 {"drop", "", "drop packets on a full ring instead of "
+                              "parking"},
+                 {"park-retries", "N",
+                  "park retries per push before a counted drop "
+                  "(default 0 = park forever)"},
+                 {"rate-limit", "R",
+                  "per-tenant token refill, packets per drain cycle "
+                  "(default 0 = unlimited)"},
+                 {"burst", "B", "token-bucket capacity (default 0 = "
+                                "rate-limit)"},
+                 {"drr-quantum", "Q",
+                  "deficit-round-robin quantum, packets (default 16)"},
+                 {"max-backlog", "N",
+                  "staged frames per tenant before arrivals are shed "
+                  "(default 0 = unbounded)"},
+                 {"cycle-budget", "N",
+                  "frames per partition per drain cycle (default 0 = "
+                  "drain batch)"},
+                 {"quarantine-threshold", "N",
+                  "offenses within one window that quarantine a "
+                  "tenant (default 0 = off)"},
+                 {"quarantine-window", "W",
+                  "offense window, packets seen (default 1024)"},
+                 {"quarantine-backoff", "B",
+                  "first quarantine length, packets seen; doubles per "
+                  "re-quarantine (default 256)"},
+                 {"quarantine-backoff-cap", "C",
+                  "backoff ceiling (default 1 Mi)"},
+                 {"migrate-out", "DIR",
+                  "after the run, evict every tenant into a migration "
+                  "bundle"},
+                 {"migrate-in", "DIR",
+                  "before the run, validate a bundle and adopt its "
+                  "tenants"},
+                 {"packet-base", "K",
+                  "start replaying each stream at interval K"},
+                 {"phase-out", "DIR",
+                  "write one tenant_<id>.phases file per tenant"},
+                 {"batch", "",
+                  "with --phase-out: write the batch-reference streams "
+                  "instead of serving"},
+                 cli::jsonFlag("the ServeReport", ""),
+                 {"min-rate", "R",
+                  "exit 1 if delivered packets/s fall below R (CI "
+                  "tripwire)"}}}),
+         cmdServe},
+        {"trace export", "<workload>",
+         "export a profile (or re-export --trace) as a .tpcptrace", 1,
+         flags({kProfileFlags,
+                {trace, out,
+                 {"source", "S", "provenance note in the header"}}}),
+         cmdTraceExport},
+        {"trace info", "<file>",
+         "print a validated trace header and content hash", 1, {},
+         cmdTraceInfo},
+        {"trace gen", "", "generate an adversarial stressor stream", 0,
+         {out,
+          {"family", "F",
+           "stressor family ('help' lists them; default phase-alias)"},
+          {"seed", "N", "generator seed (default 1)"},
+          {"intervals", "N", "intervals (default 600)"},
+          {"interval", "N", "instructions per interval (default "
+                            "100000)"}},
+         cmdTraceGen},
+        {"trace corpus", "<dir>",
+         "write the corruption corpus and its MANIFEST", 1, {},
+         cmdTraceCorpus},
+    };
+    return table;
+}
+
+/** The command list; exits with @p code. */
+int
+usage(std::ostream &os, int code)
+{
+    os << "usage: tpcp <command> [args] [options]\n"
+          "'tpcp <command> --help' lists a command's options\n"
+          "commands:\n";
+    for (const Command &c : commands()) {
+        std::string line = "  " + c.name + " " + c.operands;
+        line.resize(std::max<std::size_t>(line.size() + 2, 32), ' ');
+        os << line << c.summary << "\n";
     }
-    const std::string &verb = args.positional.front();
-    if (verb == "export")
-        return cmdTraceExport(args);
-    if (verb == "info")
-        return cmdTraceInfo(args);
-    if (verb == "gen")
-        return cmdTraceGen(args);
-    if (verb == "corpus")
-        return cmdTraceCorpus(args);
-    std::cerr << "error: unknown trace verb '" << verb
-              << "' (export | info | gen | corpus)\n";
-    return 2;
+    return code;
 }
 
 } // namespace
@@ -1548,45 +1301,32 @@ cmdTrace(const Args &args)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-    std::string cmd = argv[1];
-    Args args(argc, argv, 2);
-
-    // The library raises recoverable tpcp::Error instead of exiting;
-    // the tool is the process boundary that turns an unhandled one
-    // into exit code 1.
-    try {
-        if (cmd == "workloads")
-            return cmdWorkloads();
-        if (cmd == "machine")
-            return cmdMachine();
-        if (cmd == "profile")
-            return cmdProfile(args);
-        if (cmd == "classify")
-            return cmdClassify(args);
-        if (cmd == "predict")
-            return cmdPredict(args);
-        if (cmd == "export")
-            return cmdExport(args);
-        if (cmd == "simstats")
-            return cmdSimStats(args);
-        if (cmd == "sample")
-            return cmdSample(args);
-        if (cmd == "adapt")
-            return cmdAdapt(args);
-        if (cmd == "faults")
-            return cmdFaults(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "trace")
-            return cmdTrace(args);
-    } catch (const FlagError &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 2;
-    } catch (const Error &e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 1;
+    const std::vector<std::string> argl(argv + 1, argv + argc);
+    if (argl.empty())
+        return usage(std::cerr, 2);
+    if (argl[0] == "--help" || argl[0] == "-h")
+        return usage(std::cout, 0);
+    const std::string one = argl[0];
+    const std::string two = argl.size() > 1 ? one + " " + argl[1] : "";
+    for (const Command &c : commands()) {
+        if (c.name != one && c.name != two)
+            continue;
+        const std::size_t words = c.name == one ? 1 : 2;
+        const cli::Args args = cli::parseArgs(
+            {argl.begin() + static_cast<std::ptrdiff_t>(words),
+             argl.end()},
+            c.flags, "tpcp " + c.name + (c.operands.empty() ? "" : " ") +
+                         c.operands,
+            c.maxPositional);
+        // The library raises recoverable tpcp::Error instead of
+        // exiting; the tool is the process boundary that turns an
+        // unhandled one into exit code 1.
+        try {
+            return c.run(args);
+        } catch (const Error &e) {
+            std::cerr << "error: " << e.what() << "\n";
+            return 1;
+        }
     }
-    return usage();
+    return usage(std::cerr, 2);
 }
