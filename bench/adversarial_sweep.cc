@@ -35,10 +35,8 @@
  */
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -164,36 +162,6 @@ runRow(const RowSpec &spec, std::size_t intervals)
     return r;
 }
 
-/** Per-family floors parsed from --floors. */
-struct Floor
-{
-    double purity = 0.0;
-    double mitAgree = 0.0;
-};
-
-std::map<std::string, Floor>
-loadFloors(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        tpcp_raise("cannot read floors file ", path);
-    std::map<std::string, Floor> floors;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string family;
-        Floor f;
-        if (!(ls >> family >> f.purity >> f.mitAgree))
-            tpcp_raise("floors file ", path,
-                       ": malformed line '", line,
-                       "' (want: family purity mit_agree)");
-        floors[family] = f;
-    }
-    return floors;
-}
-
 std::string
 toJson(const RowResult &r)
 {
@@ -236,33 +204,31 @@ main(int argc, char **argv)
 
     int rc = 0;
     try {
-        std::vector<std::string> families = cli::splitCsv(
-            args.get("families",
-                     "phase-alias,oscillation,sig-collision,"
-                     "drift-ramp"));
+        std::vector<std::string> families = args.getList(
+            "families",
+            "phase-alias,oscillation,sig-collision,drift-ramp");
         for (const std::string &f : families)
             if (!workload::isAdversarialFamily(f))
                 tpcp_raise("unknown adversarial family '", f, "'");
         std::vector<std::uint64_t> seeds;
-        for (const std::string &s :
-             cli::splitCsv(args.get("seeds", "1")))
-            seeds.push_back(
-                cli::parseU64("seeds", s));
+        for (const std::string &s : args.getList("seeds", "1"))
+            seeds.push_back(cli::parseU64("seeds", s));
         std::size_t intervals = args.getU64("intervals", 600);
-        std::string baseline =
-            args.get("baseline", "ammp,gcc/s,gzip/p,mcf");
+        const std::vector<std::string> baseline =
+            args.get("baseline", "") == "none"
+                ? std::vector<std::string>{}
+                : args.getList("baseline", "ammp,gcc/s,gzip/p,mcf");
 
         bench::banner("Adversarial sweep",
                       "hostile stressor corpus vs the synthetic "
                       "baseline");
 
         std::vector<RowSpec> rows;
-        if (baseline != "none")
-            for (const std::string &w : cli::splitCsv(baseline)) {
-                RowSpec spec;
-                spec.workload = w;
-                rows.push_back(spec);
-            }
+        for (const std::string &w : baseline) {
+            RowSpec spec;
+            spec.workload = w;
+            rows.push_back(spec);
+        }
         for (const std::string &family : families)
             for (std::uint64_t seed : seeds) {
                 RowSpec spec;
@@ -307,8 +273,8 @@ main(int argc, char **argv)
             return 1;
 
         if (args.has("floors")) {
-            std::map<std::string, Floor> floors =
-                loadFloors(args.get("floors", ""));
+            const std::map<std::string, std::vector<double>> floors =
+                cli::readFloors(args.get("floors", ""), 2);
             unsigned violations = 0;
             for (const RowResult &r : results) {
                 if (!r.adversarial)
@@ -317,17 +283,19 @@ main(int argc, char **argv)
                 if (it == floors.end())
                     tpcp_raise("floors file has no entry for "
                                "family ", r.family);
-                if (r.purity < it->second.purity) {
+                const double purity = it->second[0];
+                const double mit_agree = it->second[1];
+                if (r.purity < purity) {
                     std::cerr << "error: " << r.name << " purity "
-                              << r.purity << " below floor "
-                              << it->second.purity << "\n";
+                              << r.purity << " below floor " << purity
+                              << "\n";
                     ++violations;
                 }
-                if (r.mitAgree < it->second.mitAgree) {
+                if (r.mitAgree < mit_agree) {
                     std::cerr << "error: " << r.name
                               << " mitigated agreement "
                               << r.mitAgree << " below floor "
-                              << it->second.mitAgree << "\n";
+                              << mit_agree << "\n";
                     ++violations;
                 }
             }

@@ -544,28 +544,6 @@ runCheckpointChaosCell()
              conservation(c, pushed)}};
 }
 
-std::map<std::string, double>
-loadFloors(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        tpcp_raise("cannot read floors file ", path);
-    std::map<std::string, double> floors;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        std::string metric;
-        double value = 0.0;
-        if (!(ls >> metric >> value))
-            tpcp_raise("floors file ", path, ": malformed line '",
-                       line, "' (want: metric min_value)");
-        floors[metric] = value;
-    }
-    return floors;
-}
-
 } // namespace
 
 int
@@ -624,13 +602,14 @@ main(int argc, char **argv)
             return 1;
 
         if (args.has("floors")) {
-            std::map<std::string, double> floors =
-                loadFloors(args.get("floors", ""));
+            const std::map<std::string, std::vector<double>> floors =
+                cli::readFloors(args.get("floors", ""), 1);
             std::map<std::string, double> byName;
             for (const Metric &m : metrics)
                 byName[m.name] = m.value;
             unsigned violations = 0;
-            for (const auto &[metric, floor] : floors) {
+            for (const auto &[metric, values] : floors) {
+                const double floor = values[0];
                 auto it = byName.find(metric);
                 if (it == byName.end())
                     tpcp_raise("floors file names unknown metric '",

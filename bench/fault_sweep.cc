@@ -44,11 +44,11 @@ main(int argc, char **argv)
 
     std::vector<double> rates;
     for (const std::string &s :
-         cli::splitCsv(args.get("rates", "0.001,0.01,0.05,0.2")))
+         args.getList("rates", "0.001,0.01,0.05,0.2"))
         rates.push_back(cli::parseDouble("rates", s));
     std::vector<fault::Target> targets;
-    std::vector<std::string> target_names = cli::splitCsv(
-        args.get("targets", "signature,change-table,all"));
+    std::vector<std::string> target_names =
+        args.getList("targets", "signature,change-table,all");
 
     bench::banner("fault_sweep",
                   "soft-error resilience: rate x structure x "

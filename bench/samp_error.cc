@@ -38,14 +38,11 @@ main(int argc, char **argv)
          cli::jsonFlag("SampleReports", "samp_error.json"),
          cli::traceFlag()});
     std::vector<std::size_t> budgets;
-    for (const std::string &b :
-         cli::splitCsv(args.get("budgets", "8,16,32,64"))) {
+    for (const std::string &b : args.getList("budgets", "8,16,32,64")) {
         budgets.push_back(cli::parseU64("budgets", b));
         if (budgets.back() == 0)
             cli::usageError("--budgets expects positive integers");
     }
-    if (budgets.empty())
-        cli::usageError("--budgets expects positive integers");
     sample::PhaseSource source = sample::phaseSourceByName(
         args.get("phase-source", "online"));
 

@@ -2,7 +2,7 @@
 
 #include <iostream>
 
-#include "trace/trace_workload.hh"
+#include "trace/trace_file.hh"
 #include "workload/workload.hh"
 
 namespace tpcp::analysis
@@ -24,14 +24,11 @@ selectWorkloads(const cli::Args &args, bool one)
         if (!args.positional.empty())
             cli::usageError(
                 "--trace and workload names are mutually exclusive");
-        for (auto &[name, profile] :
-             trace::loadTraceProfiles(args.get("trace", ""))) {
-            set.names.push_back(name);
-            set.traced.push_back(std::move(profile));
+        for (const std::string &path : args.getList("trace", "")) {
+            trace::TraceData data = trace::readTrace(path);
+            set.names.push_back(data.profile.workload());
+            set.traced.push_back(std::move(data.profile));
         }
-        if (set.names.empty())
-            cli::usageError(
-                "--trace expects at least one .tpcptrace path");
     } else if (!args.positional.empty()) {
         for (const std::string &name : args.positional)
             if (!workload::isWorkloadName(name))

@@ -1,9 +1,12 @@
 #include "common/cli.hh"
 
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "common/json.hh"
 #include "common/parse.hh"
+#include "common/status.hh"
 
 namespace tpcp::cli
 {
@@ -77,6 +80,15 @@ Args::getDouble(const std::string &name, double dflt) const
 {
     auto it = values.find(name);
     return it == values.end() ? dflt : parseDouble(name, it->second);
+}
+
+std::vector<std::string>
+Args::getList(const std::string &name, const std::string &dflt) const
+{
+    std::vector<std::string> fields = splitCsv(get(name, dflt));
+    if (fields.empty())
+        usageError("--" + name + " expects at least one value");
+    return fields;
 }
 
 FlagSpec
@@ -223,6 +235,34 @@ writeJson(const Args &args, const std::string &json,
     log << lead << "wrote " << (what.empty() ? "" : what + " to ")
         << path << "\n";
     return true;
+}
+
+std::map<std::string, std::vector<double>>
+readFloors(const std::string &path, std::size_t columns)
+{
+    std::ifstream in(path);
+    if (!in)
+        tpcp_raise("cannot read floors file ", path);
+    std::map<std::string, std::vector<double>> floors;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string key, field;
+        ls >> key;
+        std::vector<double> values;
+        bool ok = true;
+        while (ok && ls >> field)
+            ok = parseAll(field, values.emplace_back());
+        if (!ok || values.size() != columns)
+            tpcp_raise("floors file ", path, ": malformed line '", line,
+                       "' (want: key and ", columns, " numbers)");
+        if (!floors.emplace(key, std::move(values)).second)
+            tpcp_raise("floors file ", path, ": '", key,
+                       "' is given twice");
+    }
+    return floors;
 }
 
 bool

@@ -98,6 +98,12 @@ struct Args
     /** The flag's value as a finite number; a usage error on
      * anything else. */
     double getDouble(const std::string &name, double dflt) const;
+
+    /** The non-empty fields of CSV flag --@p name (of @p dflt when
+     * the flag is absent); a usage error naming the flag when there
+     * are none, so an empty list never runs an empty sweep. */
+    std::vector<std::string> getList(const std::string &name,
+                                     const std::string &dflt) const;
 };
 
 /** --jobs=N, bounded by kMaxThreads. */
@@ -146,6 +152,16 @@ std::vector<std::string> splitCsv(const std::string &csv);
 bool writeJson(const Args &args, const std::string &json,
                const std::string &what, const std::string &dflt = "",
                std::ostream &log = std::cout, const char *lead = "");
+
+/**
+ * A tripwire's floor file: one `key value...` line per key with
+ * exactly @p columns numbers after the key; blank lines and lines
+ * starting with '#' are skipped. Raises tpcp::Error when the file
+ * cannot be read, a line has another field count or a malformed
+ * number, or a key is given twice.
+ */
+std::map<std::string, std::vector<double>>
+readFloors(const std::string &path, std::size_t columns);
 
 /** A tripwire flag such as --max-error=X. */
 struct Bound

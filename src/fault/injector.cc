@@ -6,6 +6,7 @@
 
 #include "common/state_io.hh"
 #include "common/status.hh"
+#include "phase/accumulator_table.hh"
 #include "phase/classifier.hh"
 #include "phase/signature_table.hh"
 #include "pred/phase_tracker.hh"
@@ -21,12 +22,6 @@ constexpr const char *kTargetNames[] = {
     "length-table", "input", "serve-checkpoint", "serve-frame",
     "all",
 };
-
-/** Accumulator counter width mirrored from the paper default; flips
- * land inside the physical counter. */
-constexpr unsigned kAccumBits = 24;
-constexpr std::uint32_t kAccumMax =
-    (std::uint32_t(1) << kAccumBits) - 1;
 
 /** Plausibility bound of the mitigated CPI gate: no modelled machine
  * sustains more than this many cycles per instruction. */
@@ -84,10 +79,11 @@ Injector::beforeInterval(pred::PhaseTracker &tracker,
         !raw.empty()) {
         std::size_t idx = rng.nextBounded(
             static_cast<std::uint32_t>(raw.size()));
-        unsigned bit = rng.nextBounded(kAccumBits);
+        // The flip lands inside the physical counter.
+        unsigned bit = rng.nextBounded(phase::kAccumBits);
         if (!cfg.mitigated) {
             std::uint32_t v = raw[idx] ^ (std::uint32_t(1) << bit);
-            raw[idx] = v > kAccumMax ? kAccumMax : v;
+            raw[idx] = v > phase::kAccumMax ? phase::kAccumMax : v;
         }
         // Mitigated: the 16x24-bit accumulator file is narrow enough
         // for per-counter SEC-DED, so a single flip is corrected in

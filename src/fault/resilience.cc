@@ -17,7 +17,8 @@ namespace
 /** Envelope tag of a harness checkpoint ("TPCF"). */
 constexpr std::uint32_t harnessMagic = 0x46435054;
 // v2: injector state grew the serve-layer fault counters.
-constexpr std::uint32_t harnessVersion = 2;
+// v3: the tracker image no longer carries an accumulator block.
+constexpr std::uint32_t harnessVersion = 3;
 
 /** Per-stream prediction bookkeeping. */
 struct StreamStats

@@ -1,19 +1,17 @@
 #include "phase/accumulator_table.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
-#include "common/state_io.hh"
 
 namespace tpcp::phase
 {
 
-AccumulatorTable::AccumulatorTable(unsigned num_counters,
-                                   unsigned counter_bits)
-    : numCtrs(num_counters), bits(counter_bits),
-      maxVal(static_cast<std::uint32_t>(maskLow(counter_bits))),
-      usePow2Mask(isPowerOf2(num_counters)), ctrs(num_counters, 0)
+AccumulatorTable::AccumulatorTable(unsigned num_counters)
+    : numCtrs(num_counters), usePow2Mask(isPowerOf2(num_counters)),
+      ctrs(num_counters, 0)
 {
     tpcp_assert(num_counters >= 1);
-    tpcp_assert(counter_bits >= 4 && counter_bits <= 32);
 }
 
 void
@@ -21,33 +19,6 @@ AccumulatorTable::reset()
 {
     std::fill(ctrs.begin(), ctrs.end(), 0);
     total = 0;
-}
-
-void
-AccumulatorTable::saveState(StateWriter &w) const
-{
-    w.u32(numCtrs);
-    w.u32(bits);
-    for (std::uint32_t c : ctrs)
-        w.u32(c);
-    w.u64(total);
-}
-
-void
-AccumulatorTable::loadState(StateReader &r)
-{
-    const std::uint32_t savedCtrs = r.u32();
-    const std::uint32_t savedBits = r.u32();
-    if (savedCtrs != numCtrs || savedBits != bits)
-        tpcp_raise("accumulator snapshot geometry mismatch: saved ",
-                   savedCtrs, "x", savedBits, " bits, configured ",
-                   numCtrs, "x", bits, " bits");
-    for (std::uint32_t &c : ctrs) {
-        c = r.u32();
-        if (c > maxVal)
-            c = maxVal; // saturating clamp on restore
-    }
-    total = r.u64();
 }
 
 } // namespace tpcp::phase

@@ -16,18 +16,19 @@
 #include "common/bitops.hh"
 #include "common/types.hh"
 
-namespace tpcp
-{
-class StateWriter;
-class StateReader;
-} // namespace tpcp
-
 namespace tpcp::phase
 {
 
+/** Accumulator counter width: 24 bits never overflow with
+ * 10M-instruction intervals (paper section 4.2). */
+inline constexpr unsigned kAccumBits = 24;
+/** The value an accumulator saturates at. */
+inline constexpr std::uint32_t kAccumMax =
+    (std::uint32_t(1) << kAccumBits) - 1;
+
 /** One committed branch: its PC and the instructions committed since
- * the previous branch. Batches of these drive the batched replay
- * paths of AccumulatorTable and PhaseClassifier. */
+ * the previous branch. The interval profiler records batches of
+ * these (AccumulatorTable::recordBranches). */
 struct BranchEvent
 {
     Addr pc;
@@ -35,7 +36,7 @@ struct BranchEvent
 };
 
 /**
- * N x counterBits saturating accumulators plus the running total used
+ * N x kAccumBits saturating accumulators plus the running total used
  * by dynamic bit selection (paper section 4.2).
  */
 class AccumulatorTable
@@ -44,11 +45,8 @@ class AccumulatorTable
     /**
      * @param num_counters number of accumulators (paper: 32 in [25],
      *                     16 for this paper's results)
-     * @param counter_bits counter width (24 bits never overflows with
-     *                     10M-instruction intervals)
      */
-    explicit AccumulatorTable(unsigned num_counters,
-                              unsigned counter_bits = 24);
+    explicit AccumulatorTable(unsigned num_counters);
 
     /**
      * Records one committed branch: hashes @p pc into a counter and
@@ -61,14 +59,14 @@ class AccumulatorTable
         unsigned idx = bucketOf(pc);
         std::uint64_t v = ctrs[idx] + insts;
         ctrs[idx] =
-            v > maxVal ? maxVal : static_cast<std::uint32_t>(v);
+            v > kAccumMax ? kAccumMax : static_cast<std::uint32_t>(v);
         total += insts;
     }
 
     /**
      * Batched equivalent of calling recordBranch() once per event, in
-     * order. Trace replay buffers branch commits and feeds them here
-     * to amortize per-branch call overhead.
+     * order. The interval profiler buffers branch commits and feeds
+     * them here to amortize per-branch call overhead.
      */
     void
     recordBranches(const BranchEvent *events, std::size_t n)
@@ -78,7 +76,7 @@ class AccumulatorTable
             unsigned idx = bucketOf(events[i].pc);
             std::uint64_t v = ctrs[idx] + events[i].insts;
             ctrs[idx] =
-                v > maxVal ? maxVal : static_cast<std::uint32_t>(v);
+                v > kAccumMax ? kAccumMax : static_cast<std::uint32_t>(v);
             sum += events[i].insts;
         }
         total += sum;
@@ -97,18 +95,8 @@ class AccumulatorTable
     /** Number of counters (projection dimensions). */
     unsigned numCounters() const { return numCtrs; }
 
-    /** Counter width in bits. */
-    unsigned counterBits() const { return bits; }
-
     /** Clears all counters for the next interval. */
     void reset();
-
-    /** Appends counter state to a checkpoint snapshot. */
-    void saveState(StateWriter &w) const;
-
-    /** Restores counter state from a checkpoint snapshot; every
-     * restored counter is clamped (saturating) to the counter width. */
-    void loadState(StateReader &r);
 
   private:
     /** Same bucket as hashToBucket(pc, numCtrs), with the
@@ -123,8 +111,6 @@ class AccumulatorTable
     }
 
     unsigned numCtrs;
-    unsigned bits;
-    std::uint32_t maxVal;
     /** True when numCtrs is a power of two (mask instead of mod). */
     bool usePow2Mask;
     std::vector<std::uint32_t> ctrs;

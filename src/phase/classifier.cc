@@ -10,36 +10,13 @@ namespace tpcp::phase
 {
 
 PhaseClassifier::PhaseClassifier(const ClassifierConfig &config)
-    : cfg(config), accum(config.numCounters, config.counterBits),
-      sigTable(config.tableEntries, config.minCounterBits,
-               config.parityProtect),
+    : cfg(config), sigTable(config.tableEntries, config.minCounterBits,
+                            config.parityProtect),
       scratch(config.numCounters, 0)
 {
     tpcp_assert(cfg.similarityThreshold > 0.0 &&
                 cfg.similarityThreshold <= 1.0,
                 "similarity threshold must be in (0, 1]");
-}
-
-void
-PhaseClassifier::recordBranch(Addr pc, InstCount insts)
-{
-    accum.recordBranch(pc, insts);
-}
-
-void
-PhaseClassifier::recordBranches(const BranchEvent *events,
-                                std::size_t n)
-{
-    accum.recordBranches(events, n);
-}
-
-ClassifyResult
-PhaseClassifier::endInterval(double cpi)
-{
-    ClassifyResult res =
-        classifyRaw(accum.counters(), accum.totalIncrement(), cpi);
-    accum.reset();
-    return res;
 }
 
 ClassifyResult
@@ -209,15 +186,8 @@ PhaseClassifier::classifyOne(const std::uint32_t *raw,
 }
 
 void
-PhaseClassifier::flushPerformanceFeedback()
-{
-    sigTable.clearPerformanceStats();
-}
-
-void
 PhaseClassifier::saveState(StateWriter &w) const
 {
-    accum.saveState(w);
     sigTable.saveState(w);
     w.u32(nextPhase);
     w.u64(stats_.intervals);
@@ -233,7 +203,6 @@ PhaseClassifier::saveState(StateWriter &w) const
 void
 PhaseClassifier::loadState(StateReader &r)
 {
-    accum.loadState(r);
     sigTable.loadState(r);
     // Rows of another width would trip the match-scan assertion on
     // the next interval.

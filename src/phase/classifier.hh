@@ -1,14 +1,15 @@
 /**
  * @file
- * The dynamic phase classifier: ties together the accumulator table,
- * signature compression and the past-signature table, implementing
- * the paper's classification algorithm (section 4) including the
- * transition phase (4.4), best-match selection (4.1) and adaptive
- * per-phase similarity thresholds (4.6).
+ * The dynamic phase classifier: compresses each interval's
+ * accumulator snapshot into a signature and matches it against the
+ * past-signature table, implementing the paper's classification
+ * algorithm (section 4) including the transition phase (4.4),
+ * best-match selection (4.1) and adaptive per-phase similarity
+ * thresholds (4.6).
  *
- * A classifier owns its accumulator and past-signature tables: a
- * serve tenant's tracker is built, evicted and resumed as one unit,
- * exactly like the batch path's.
+ * A classifier owns only its past-signature table. The accumulators
+ * (phase::AccumulatorTable) live with whoever observes the branch
+ * stream: the interval profiler, a serve producer or a test.
  */
 
 #ifndef TPCP_PHASE_CLASSIFIER_HH
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "phase/accumulator_table.hh"
 #include "phase/classifier_config.hh"
 #include "phase/signature_table.hh"
 
@@ -87,35 +87,22 @@ struct ClassifierStats
 };
 
 /**
- * The phase classification architecture.
- *
- * Two usage styles:
- *  - online: recordBranch() per committed branch, endInterval() at
- *    each interval boundary (hardware-style operation);
- *  - replay: classifyRaw() with a stored per-interval accumulator
- *    snapshot (used by the experiment harnesses, which replay saved
- *    interval profiles under many classifier configurations).
+ * The phase classification architecture. Its one input is an
+ * interval's accumulator snapshot: the raw counters, their total
+ * increment and the interval's measured CPI (performance feedback
+ * for the adaptive scheme; pass 0 when unused). Online use fills a
+ * phase::AccumulatorTable from the branch stream and classifies its
+ * counters() at each interval boundary; replay classifies the
+ * snapshots stored in an interval profile.
  */
 class PhaseClassifier
 {
   public:
     explicit PhaseClassifier(const ClassifierConfig &config);
 
-    /** Online use: records one committed branch. */
-    void recordBranch(Addr pc, InstCount insts);
-
-    /** Batched equivalent of recordBranch() once per event, in
-     * order; used by trace replay to amortize per-branch overhead. */
-    void recordBranches(const BranchEvent *events, std::size_t n);
-
-    /** Online use: ends the interval, classifying its signature.
-     * @param cpi the interval's measured CPI (performance feedback
-     *            for the adaptive scheme; pass 0 when unused). */
-    ClassifyResult endInterval(double cpi);
-
     /**
-     * Replay use: classifies an interval directly from its raw
-     * accumulator snapshot. @p raw must have numCounters entries.
+     * Classifies one interval from its accumulator snapshot.
+     * @p raw must have numCounters entries.
      */
     ClassifyResult classifyRaw(const std::vector<std::uint32_t> &raw,
                                InstCount total, double cpi);
@@ -136,14 +123,6 @@ class PhaseClassifier
      */
     void classifyIntervals(const RawInterval *intervals, std::size_t n,
                            ClassifyResult *out = nullptr);
-
-    /**
-     * Flushes all per-phase CPI feedback statistics. The paper notes
-     * that a reconfiguration-based optimization changing CPI must
-     * flush the feedback data; classification state (signatures,
-     * phase IDs) is retained because it depends only on code.
-     */
-    void flushPerformanceFeedback();
 
     /** Number of stable phase IDs allocated so far. */
     std::uint32_t numStablePhases() const { return nextPhase - 1; }
@@ -168,7 +147,6 @@ class PhaseClassifier
                                InstCount total, double cpi);
 
     ClassifierConfig cfg;
-    AccumulatorTable accum;
     SignatureTable sigTable;
     /** Reusable compressed-signature row (hot path, no allocation). */
     std::vector<std::uint8_t> scratch;

@@ -30,7 +30,6 @@ struct ClassifierConfig
 {
     // ---- Signature formation ----
     unsigned numCounters = 16;
-    unsigned counterBits = 24;
     unsigned bitsPerDim = 6;
     BitSelection bitSelection = BitSelection::Dynamic;
     /** Low bit of the stored window in static mode. */

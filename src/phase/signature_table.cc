@@ -401,13 +401,6 @@ SignatureTable::signatureAt(std::uint32_t idx) const
 }
 
 void
-SignatureTable::clearPerformanceStats()
-{
-    for (SigEntryMeta &m : metas)
-        m.cpi.clear();
-}
-
-void
 SignatureTable::clear()
 {
     rows.clear();

@@ -200,10 +200,6 @@ class SignatureTable
     /** Cumulative count of entries evicted by LRU replacement. */
     std::uint64_t evictions() const { return evictions_; }
 
-    /** Clears every entry's running CPI statistics (performance
-     * feedback flush; signatures and phase IDs are retained). */
-    void clearPerformanceStats();
-
     /** Removes all entries. */
     void clear();
 

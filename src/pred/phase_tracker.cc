@@ -12,18 +12,6 @@ PhaseTracker::PhaseTracker(const PhaseTrackerConfig &config)
 {
 }
 
-void
-PhaseTracker::onBranch(Addr pc, InstCount insts_since_last_branch)
-{
-    classifier_.recordBranch(pc, insts_since_last_branch);
-}
-
-PhaseTrackerOutput
-PhaseTracker::onIntervalEnd(double cpi)
-{
-    return finishInterval(classifier_.endInterval(cpi));
-}
-
 PhaseTrackerOutput
 PhaseTracker::onIntervalRaw(const std::vector<std::uint32_t> &raw,
                             InstCount total, double cpi)
@@ -57,12 +45,6 @@ PhaseTracker::finishInterval(const phase::ClassifyResult &classification)
     lastPhase = id;
     ++intervals_;
     return out;
-}
-
-void
-PhaseTracker::onReconfiguration()
-{
-    classifier_.flushPerformanceFeedback();
 }
 
 void

@@ -6,10 +6,11 @@
  * online interface.
  *
  * This is the component an SoC/runtime integrator would instantiate:
- * feed it every committed branch and close each profiling interval
- * with the interval's CPI; it returns the interval's phase ID, the
- * predicted phase of the next interval (with confidence), and the
- * predicted run-length class of the current phase.
+ * at the end of each profiling interval, feed it the interval's
+ * accumulator snapshot (a phase::AccumulatorTable filled from the
+ * committed branches) and CPI; it returns the interval's phase ID,
+ * the predicted phase of the next interval (with confidence), and
+ * the predicted run-length class of the current phase.
  */
 
 #ifndef TPCP_PRED_PHASE_TRACKER_HH
@@ -69,23 +70,12 @@ class PhaseTracker
   public:
     explicit PhaseTracker(const PhaseTrackerConfig &config = {});
 
-    /** Commit-path tap: one committed branch. */
-    void onBranch(Addr pc, InstCount insts_since_last_branch);
-
     /**
-     * Interval boundary: classifies the interval, trains the
+     * Interval boundary: classifies the interval's accumulator
+     * snapshot (see PhaseClassifier::classifyRaw()), trains the
      * predictors, and reports classification + predictions.
      *
      * @param cpi the interval's measured CPI (performance feedback)
-     */
-    PhaseTrackerOutput onIntervalEnd(double cpi);
-
-    /**
-     * Replay-path interval boundary: identical to onIntervalEnd() but
-     * classifies a stored accumulator snapshot (see
-     * PhaseClassifier::classifyRaw()) instead of the live
-     * accumulator. The fault harness replays saved interval profiles
-     * through the full tracker with this entry point.
      */
     PhaseTrackerOutput onIntervalRaw(
         const std::vector<std::uint32_t> &raw, InstCount total,
@@ -97,14 +87,6 @@ class PhaseTracker
     PhaseTrackerOutput onIntervalRaw(const std::uint32_t *raw,
                                      std::size_t n, InstCount total,
                                      double cpi);
-
-    /**
-     * Notifies the unit that a reconfiguration affecting CPI was
-     * applied: flushes the classifier's performance-feedback state
-     * (paper section 4.6). Phase IDs and predictor state survive
-     * because they depend only on executed code.
-     */
-    void onReconfiguration();
 
     const phase::PhaseClassifier &classifier() const { return classifier_; }
     const NextPhasePredictor &predictor() const

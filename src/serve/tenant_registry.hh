@@ -62,7 +62,8 @@ namespace tpcp::serve
 
 /** Envelope tag of an evicted tenant's checkpoint ("TSRV"). */
 inline constexpr std::uint32_t kTenantCheckpointMagic = 0x56525354;
-inline constexpr std::uint32_t kTenantCheckpointVersion = 1;
+// v2: the tracker image no longer carries an accumulator block.
+inline constexpr std::uint32_t kTenantCheckpointVersion = 2;
 
 /** Quarantine-and-readmit policy (off by default). */
 struct QuarantineConfig

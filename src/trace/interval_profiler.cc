@@ -15,14 +15,13 @@ constexpr std::size_t kPendingFlushThreshold = 4096;
 IntervalProfiler::IntervalProfiler(const uarch::TimingCore &core,
                                    std::string workload,
                                    InstCount interval_len,
-                                   std::vector<unsigned> dims,
-                                   unsigned counter_bits)
+                                   std::vector<unsigned> dims)
     : core(core), intervalLen(interval_len),
       profile_(std::move(workload), core.name(), interval_len, dims)
 {
     tpcp_assert(interval_len > 0);
     for (unsigned d : dims)
-        accums.emplace_back(d, counter_bits);
+        accums.emplace_back(d);
     pending.reserve(kPendingFlushThreshold);
 }
 
@@ -46,7 +45,7 @@ IntervalProfiler::onCommit(const uarch::DynInst &inst)
     }
 
     if (instsInInterval >= intervalLen)
-        endInterval();
+        closeInterval();
 }
 
 void
@@ -58,7 +57,7 @@ IntervalProfiler::flushPending()
 }
 
 void
-IntervalProfiler::endInterval()
+IntervalProfiler::closeInterval()
 {
     flushPending();
     IntervalRecord rec;

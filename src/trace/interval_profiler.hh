@@ -34,12 +34,10 @@ class IntervalProfiler : public uarch::TraceSink
      * @param interval_len instructions per interval
      * @param dims         accumulator dimension configs to record
      *                     (e.g. {8, 16, 32, 64})
-     * @param counter_bits accumulator counter width
      */
     IntervalProfiler(const uarch::TimingCore &core,
                      std::string workload, InstCount interval_len,
-                     std::vector<unsigned> dims,
-                     unsigned counter_bits = 24);
+                     std::vector<unsigned> dims);
 
     void onCommit(const uarch::DynInst &inst) override;
     void onFinish() override;
@@ -51,7 +49,7 @@ class IntervalProfiler : public uarch::TraceSink
     IntervalProfile takeProfile() { return std::move(profile_); }
 
   private:
-    void endInterval();
+    void closeInterval();
     /** Replays the buffered branch events into every accumulator
      * config (batched recordBranches) and clears the buffer. */
     void flushPending();

@@ -138,7 +138,6 @@ parseTrace(const std::vector<std::uint8_t> &bytes,
     TraceData data;
     data.profile = std::move(profile);
     data.source = std::move(source);
-    data.contentHash = fnv1a64(bytes.data(), bytes.size());
     return data;
 }
 
@@ -154,13 +153,6 @@ TraceData
 readTrace(const std::string &path)
 {
     return parseTrace(readFile(path), path);
-}
-
-std::uint64_t
-traceContentHash(const std::string &path)
-{
-    std::vector<std::uint8_t> bytes = readFile(path);
-    return fnv1a64(bytes.data(), bytes.size());
 }
 
 } // namespace tpcp::trace

@@ -74,9 +74,6 @@ struct TraceData
     IntervalProfile profile;
     /** Free-form provenance note from the header. */
     std::string source;
-    /** FNV-1a 64 hash of the complete file bytes; the cache key of
-     * trace-backed workloads (changing any byte changes it). */
-    std::uint64_t contentHash = 0;
 };
 
 /** FNV-1a 64-bit hash of a byte range (common/bitops.hh). */
@@ -112,10 +109,6 @@ void writeTrace(const std::string &path,
 /** Reads and validates the trace file at @p path (raises
  * tpcp::Error when missing or invalid). */
 TraceData readTrace(const std::string &path);
-
-/** Content hash of the file at @p path without a full parse (raises
- * tpcp::Error when the file cannot be read). */
-std::uint64_t traceContentHash(const std::string &path);
 
 } // namespace tpcp::trace
 

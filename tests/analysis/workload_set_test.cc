@@ -2,12 +2,19 @@
  * @file
  * Unit tests for the command-line workload set: positional names,
  * --trace files or all 11 workloads, with every usage error exiting
- * 2 before anything is simulated.
+ * 2 before anything is simulated. A trace is a first-class workload:
+ * classifying an exported trace yields the exact phase stream of the
+ * profile it was exported from.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "analysis/experiment.hh"
 #include "analysis/workload_set.hh"
+#include "trace/trace_file.hh"
+#include "workload/adversarial.hh"
 #include "workload/workload.hh"
 
 using namespace tpcp;
@@ -27,6 +34,12 @@ argsOf(std::vector<std::string> positional, const std::string &trace = "")
     if (!trace.empty())
         args.values["trace"] = trace;
     return args;
+}
+
+std::string
+tmpPath(const char *name)
+{
+    return std::string(::testing::TempDir()) + name;
 }
 
 } // namespace
@@ -66,6 +79,54 @@ TEST(WorkloadSet, TraceFilesBecomeWorkloadsNamedByTheirHeaders)
               one.traced[0].numIntervals());
 }
 
+TEST(WorkloadSet, TraceListKeepsOrderAndHeaderNames)
+{
+    trace::IntervalProfile small("cachewl", "ooo", 1000, {4});
+    trace::IntervalRecord rec;
+    rec.cpi = 1.0;
+    rec.insts = 1000;
+    rec.accums = {std::vector<std::uint32_t>(4, 100u)};
+    small.push(rec);
+    const std::string p1 = tmpPath("list1.tpcptrace");
+    const std::string p2 = tmpPath("list2.tpcptrace");
+    trace::writeTrace(p1, small, "");
+    workload::AdversarialSpec spec;
+    spec.intervals = 10;
+    trace::writeTrace(p2, workload::makeAdversarial(spec).profile, "");
+
+    // Empty fields of the list are skipped.
+    WorkloadSet set = selectWorkloads(argsOf({}, p1 + ",," + p2 + ","));
+    EXPECT_EQ(set.names,
+              (std::vector<std::string>{"cachewl", "adv:phase-alias/s1"}));
+    ASSERT_EQ(set.traced.size(), 2u);
+    EXPECT_EQ(set.traced[0].numIntervals(), 1u);
+    EXPECT_EQ(set.traced[1].numIntervals(), 10u);
+    std::remove(p1.c_str());
+    std::remove(p2.c_str());
+}
+
+TEST(TraceWorkload, ClassifyTraceEqualsClassifyProfile)
+{
+    // An exported trace is the same workload: identical phase
+    // stream, interval for interval.
+    workload::AdversarialSpec spec;
+    spec.family = "oscillation";
+    spec.intervals = 120;
+    workload::AdversarialTrace adv = workload::makeAdversarial(spec);
+
+    const std::string path = tmpPath("classify.tpcptrace");
+    trace::writeTrace(path, adv.profile, "");
+    WorkloadSet set = selectWorkloads(argsOf({}, path), true);
+    ASSERT_EQ(set.traced.size(), 1u);
+
+    phase::ClassifierConfig cfg = phase::ClassifierConfig::paperDefault();
+    ClassificationResult direct = classifyProfile(adv.profile, cfg);
+    ClassificationResult via = classifyProfile(set.profile(0, {}), cfg);
+    EXPECT_EQ(direct.trace.phases, via.trace.phases);
+    EXPECT_EQ(direct.numPhases, via.numPhases);
+    std::remove(path.c_str());
+}
+
 TEST(WorkloadSetDeathTest, UsageErrorsExitTwo)
 {
     EXPECT_EXIT(selectWorkloads(argsOf({"mcf", "nosuch"})),
@@ -74,7 +135,8 @@ TEST(WorkloadSetDeathTest, UsageErrorsExitTwo)
     EXPECT_EXIT(selectWorkloads(argsOf({"mcf"}, kSeedTrace)),
                 testing::ExitedWithCode(2), "mutually exclusive");
     EXPECT_EXIT(selectWorkloads(argsOf({}, ",")),
-                testing::ExitedWithCode(2), "at least one");
+                testing::ExitedWithCode(2),
+                "error: --trace expects at least one value");
     EXPECT_EXIT(selectWorkloads(argsOf({}), true),
                 testing::ExitedWithCode(2), "a workload name is required");
     EXPECT_EXIT(selectWorkloads(argsOf({"mcf", "ammp"}), true),

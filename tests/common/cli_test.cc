@@ -4,7 +4,8 @@
  * bench harnesses: a typo like --job=4 must fail loudly with the
  * valid options listed, not silently fall back to a serial sweep.
  * The BenchArgs suites are the harness cases; Cli covers positional
- * arguments, the --jobs bound, the --json writer and tripwires.
+ * arguments, the --jobs bound, CSV lists, the --json writer and
+ * tripwires with their floor files.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "common/cli.hh"
 #include "common/parse.hh"
+#include "common/status.hh"
 
 using namespace tpcp::cli;
 
@@ -360,4 +362,88 @@ TEST(Cli, CheckBoundPrintsTheVerdictBothWays)
     testing::internal::CaptureStdout();
     EXPECT_TRUE(checkBound(*none, rate, 0.0));
     EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+}
+
+TEST(CliDeathTest, EmptyListIsAUsageErrorNamingTheFlag)
+{
+    std::string error;
+    auto args = tryParseArgs({"--budgets=,,"}, kExtras, error);
+    ASSERT_TRUE(args.has_value());
+    EXPECT_EXIT(args->getList("budgets", "8"), testing::ExitedWithCode(2),
+                "error: --budgets expects at least one value");
+    EXPECT_EXIT(args->getList("rates", ""), testing::ExitedWithCode(2),
+                "error: --rates expects at least one value");
+}
+
+TEST(Cli, GetListSplitsTheValueOrTheDefault)
+{
+    std::string error;
+    auto args = tryParseArgs({"--budgets=,8,,16"}, kExtras, error);
+    ASSERT_TRUE(args.has_value());
+    EXPECT_EQ(args->getList("budgets", "1"),
+              (std::vector<std::string>{"8", "16"}));
+    EXPECT_EQ(args->getList("rates", "0.1,0.2"),
+              (std::vector<std::string>{"0.1", "0.2"}));
+}
+
+namespace
+{
+
+std::string
+writeFloorFile(const char *name, const std::string &body)
+{
+    const std::string path = testing::TempDir() + name;
+    std::ofstream(path) << body;
+    return path;
+}
+
+} // namespace
+
+TEST(Cli, ReadFloorsTakesKeysAndTheirColumns)
+{
+    const std::string path = writeFloorFile(
+        "floors_ok.txt", "# comment\n\nphase-alias   0.45 0.95\n"
+                         "oscillation 1 0.5e0\n");
+    const auto floors = readFloors(path, 2);
+    ASSERT_EQ(floors.size(), 2u);
+    EXPECT_EQ(floors.at("phase-alias"), (std::vector<double>{0.45, 0.95}));
+    EXPECT_EQ(floors.at("oscillation"), (std::vector<double>{1.0, 0.5}));
+    std::remove(path.c_str());
+}
+
+TEST(Cli, ReadFloorsRejectsWhatTheHarnessesUsedToAccept)
+{
+    // An extra field and a repeated key both loaded before, the last
+    // line winning; a floor file that says two things is an error.
+    const std::string extra = writeFloorFile(
+        "floors_extra.txt", "phase-alias 0.45 0.95 0.99 junk\n");
+    EXPECT_THROW(readFloors(extra, 2), tpcp::Error);
+    const std::string twice = writeFloorFile(
+        "floors_twice.txt", "phase-alias 0.45 0.95\nphase-alias 0.99 "
+                            "0.99\n");
+    EXPECT_THROW(readFloors(twice, 2), tpcp::Error);
+    const std::string few =
+        writeFloorFile("floors_few.txt", "phase-alias 0.45\n");
+    EXPECT_THROW(readFloors(few, 2), tpcp::Error);
+    const std::string junk =
+        writeFloorFile("floors_junk.txt", "phase-alias 0.45x 0.95\n");
+    EXPECT_THROW(readFloors(junk, 2), tpcp::Error);
+    EXPECT_THROW(readFloors(testing::TempDir() + "no_such_floors.txt", 1),
+                 tpcp::Error);
+    for (const std::string &p : {extra, twice, few, junk})
+        std::remove(p.c_str());
+}
+
+TEST(Cli, CheckedInFloorFilesLoad)
+{
+    const std::string bench = std::string(TPCP_SOURCE_DIR) + "/bench/";
+    const auto adversarial =
+        readFloors(bench + "adversarial_floors.txt", 2);
+    EXPECT_EQ(adversarial.size(), 4u);
+    EXPECT_EQ(adversarial.at("phase-alias"),
+              (std::vector<double>{0.45, 0.95}));
+    const auto chaos = readFloors(bench + "chaos_floors.txt", 1);
+    EXPECT_EQ(chaos.size(), 18u);
+    EXPECT_EQ(chaos.at("fairness_resilient_jain"),
+              (std::vector<double>{0.95}));
 }

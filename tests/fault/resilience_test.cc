@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/state_io.hh"
 #include "common/status.hh"
 #include "fault/resilience.hh"
 #include "trace/interval_profile.hh"
@@ -204,6 +205,41 @@ TEST(Resilience, CorruptCheckpointRejectedOnResume)
     resume.checkpointAt = 0;
     resume.resume = true;
     EXPECT_THROW(runResilience(p, resume), Error);
+    std::remove(ckpt.c_str());
+}
+
+TEST(Resilience, ResumeRefusesACheckpointOfTheOldVersion)
+{
+    const std::string ckpt = tmpPath("resilience_v2.ckpt");
+    trace::IntervalProfile p = syntheticProfile();
+    ResilienceOptions opts = baseOptions();
+    opts.injector.target = Target::All;
+    opts.injector.ratePerInterval = 0.3;
+    opts.checkpointPath = ckpt;
+    opts.checkpointAt = 50;
+    ASSERT_TRUE(runResilience(p, opts).checkpointed);
+
+    // Version 2 tracker images carried an accumulator block. The
+    // envelope's u32 version (bytes 4..8) tells the layouts apart;
+    // the payload CRC does not cover it.
+    std::vector<std::uint8_t> bytes = readFile(ckpt);
+    ASSERT_GT(bytes.size(), 8u);
+    ASSERT_EQ(bytes[4], 3u);
+    bytes[4] = 2;
+    ASSERT_TRUE(writeFileAtomic(ckpt, bytes));
+
+    ResilienceOptions resume = opts;
+    resume.checkpointAt = 0;
+    resume.resume = true;
+    try {
+        runResilience(p, resume);
+        ADD_FAILURE() << "resumed a version-2 checkpoint";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "version 2 unsupported (expected 3)"),
+                  std::string::npos)
+            << e.what();
+    }
     std::remove(ckpt.c_str());
 }
 

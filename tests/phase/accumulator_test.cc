@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
+#include "common/rng.hh"
 #include "phase/accumulator_table.hh"
 
 using namespace tpcp;
@@ -67,18 +70,21 @@ TEST(AccumulatorTable, TotalTracksAllIncrements)
 
 TEST(AccumulatorTable, CounterSaturatesAtWidth)
 {
-    AccumulatorTable acc(1, 8); // single 8-bit counter
-    acc.recordBranch(0x4000, 200);
-    acc.recordBranch(0x4000, 200);
-    EXPECT_EQ(acc.counters()[0], 255u) << "saturates, never wraps";
-    EXPECT_EQ(acc.totalIncrement(), 400u)
+    static_assert(kAccumBits == 24 && kAccumMax == (1u << 24) - 1);
+    AccumulatorTable acc(1); // single 24-bit counter
+    acc.recordBranch(0x4000, 10'000'000);
+    acc.recordBranch(0x4000, 10'000'000);
+    EXPECT_EQ(acc.counters()[0], kAccumMax) << "saturates, never wraps";
+    EXPECT_EQ(acc.totalIncrement(), 20'000'000u)
         << "total is tracked exactly";
+    acc.recordBranch(0x4000, 1);
+    EXPECT_EQ(acc.counters()[0], kAccumMax) << "stays saturated";
 }
 
 TEST(AccumulatorTable, TwentyFourBitNeverOverflowsAtPaperScale)
 {
     // 10M-instruction intervals fit in 24-bit counters (paper 4.2).
-    AccumulatorTable acc(1, 24);
+    AccumulatorTable acc(1);
     acc.recordBranch(0x4000, 10'000'000);
     EXPECT_EQ(acc.counters()[0], 10'000'000u);
     EXPECT_LT(acc.counters()[0], 1u << 24);
@@ -100,4 +106,35 @@ TEST(AccumulatorTable, DeterministicHashAcrossInstances)
     a.recordBranch(0xdead0, 3);
     b.recordBranch(0xdead0, 3);
     EXPECT_EQ(a.counters(), b.counters());
+}
+
+TEST(AccumulatorTable, BatchedRecordBranchesMatchesSerial)
+{
+    AccumulatorTable serial(16);
+    AccumulatorTable batched(16);
+
+    // The counters carry across the batches, so the large increments
+    // drive some of them into saturation.
+    Rng rng(std::uint64_t{77});
+    for (int interval = 0; interval < 12; ++interval) {
+        std::vector<BranchEvent> events;
+        unsigned shape = interval % 3;
+        for (int b = 0; b < 300; ++b) {
+            events.push_back({0x2000 * (shape + 1) +
+                                  4 * rng.nextBounded(16),
+                              7 + rng.nextBounded(200000)});
+        }
+        for (const BranchEvent &ev : events)
+            serial.recordBranch(ev.pc, ev.insts);
+        batched.recordBranches(events.data(), events.size());
+
+        EXPECT_EQ(serial.counters(), batched.counters())
+            << "interval " << interval;
+        EXPECT_EQ(serial.totalIncrement(), batched.totalIncrement())
+            << "interval " << interval;
+    }
+    EXPECT_NE(std::count(serial.counters().begin(),
+                         serial.counters().end(), kAccumMax),
+              0)
+        << "no counter saturated";
 }

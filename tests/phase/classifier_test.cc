@@ -264,46 +264,6 @@ TEST(Classifier, StaticConfigNeverHalves)
     EXPECT_EQ(c.stats().thresholdHalvings, 0u);
 }
 
-TEST(Classifier, FlushPerformanceFeedbackKeepsPhases)
-{
-    ClassifierConfig cfg = baseConfig();
-    cfg.adaptiveThreshold = true;
-    PhaseClassifier c(cfg);
-    PhaseId a = c.classifyRaw(rawFor(0), kTotal, 1.0).phase;
-    c.flushPerformanceFeedback();
-    // A wildly different CPI right after the flush must not halve
-    // (no average to deviate from), and the phase ID is stable.
-    ClassifyResult r =
-        c.classifyRaw(rawFor(0, 0.02, 1), kTotal, 50.0);
-    EXPECT_EQ(r.phase, a);
-    EXPECT_FALSE(r.thresholdHalved);
-}
-
-TEST(Classifier, OnlineApiMatchesReplayApi)
-{
-    // recordBranch+endInterval must equal classifyRaw given the same
-    // accumulator contents.
-    ClassifierConfig cfg = baseConfig();
-    PhaseClassifier online(cfg);
-    PhaseClassifier replay(cfg);
-
-    Rng rng(std::uint64_t{12});
-    for (int interval = 0; interval < 20; ++interval) {
-        AccumulatorTable acc(cfg.numCounters, cfg.counterBits);
-        unsigned shape = interval % 3;
-        for (int b = 0; b < 200; ++b) {
-            Addr pc = 0x1000 * (shape + 1) +
-                      4 * rng.nextBounded(8);
-            online.recordBranch(pc, 13);
-            acc.recordBranch(pc, 13);
-        }
-        ClassifyResult a = online.endInterval(1.0 + shape);
-        ClassifyResult b = replay.classifyRaw(
-            acc.counters(), acc.totalIncrement(), 1.0 + shape);
-        EXPECT_EQ(a.phase, b.phase) << "interval " << interval;
-    }
-}
-
 TEST(Classifier, StatsConsistency)
 {
     ClassifierConfig cfg = baseConfig();
@@ -357,35 +317,6 @@ TEST(Classifier, EvictedPhaseGetsFreshIdOnRecurrence)
     EXPECT_NE(r.phase, a) << "recurrence after eviction = fresh ID";
 }
 
-TEST(Classifier, BatchedRecordBranchesMatchesSerial)
-{
-    ClassifierConfig cfg = baseConfig();
-    PhaseClassifier serial(cfg);
-    PhaseClassifier batched(cfg);
-
-    Rng rng(std::uint64_t{77});
-    for (int interval = 0; interval < 12; ++interval) {
-        std::vector<BranchEvent> events;
-        unsigned shape = interval % 3;
-        for (int b = 0; b < 300; ++b) {
-            // Large increments exercise saturation equivalence too.
-            events.push_back({0x2000 * (shape + 1) +
-                                  4 * rng.nextBounded(16),
-                              7 + rng.nextBounded(50000)});
-        }
-        for (const BranchEvent &ev : events)
-            serial.recordBranch(ev.pc, ev.insts);
-        batched.recordBranches(events.data(), events.size());
-
-        ClassifyResult a = serial.endInterval(1.0 + shape);
-        ClassifyResult b = batched.endInterval(1.0 + shape);
-        EXPECT_EQ(a.phase, b.phase) << "interval " << interval;
-        EXPECT_EQ(a.matched, b.matched) << "interval " << interval;
-        EXPECT_DOUBLE_EQ(a.distance, b.distance)
-            << "interval " << interval;
-    }
-}
-
 TEST(Classifier, RestoreRefusesRowsOfAnotherWidth)
 {
     // Rows that are not numCounters bytes wide would trip the match
@@ -394,10 +325,9 @@ TEST(Classifier, RestoreRefusesRowsOfAnotherWidth)
     StateWriter w;
     c.saveState(w);
     std::vector<std::uint8_t> bytes = w.buffer();
-    // The accumulator (u32 counters, u32 bits, the counters, u64
-    // total), then the table's u32 capacity and u32 counter bits
-    // precede its u64 row width.
-    const std::size_t at = 4 + 4 + 4 * kDims + 8 + 4 + 4;
+    // The table's u32 capacity and u32 counter bits precede its u64
+    // row width.
+    const std::size_t at = 4 + 4;
     std::uint64_t width;
     std::memcpy(&width, bytes.data() + at, sizeof(width));
     ASSERT_EQ(width, 0u) << "an empty table has no row width yet";

@@ -237,21 +237,6 @@ TEST(SignatureTable, ReplaceSignatureTracksDrift)
     EXPECT_DOUBLE_EQ(m.distance, 0.0);
 }
 
-TEST(SignatureTable, ClearPerformanceStatsKeepsEntries)
-{
-    SignatureTable t(4, 6);
-    std::uint32_t e = t.insert(sig({1, 2}), 0.25);
-    t.meta(e).phase = 3;
-    t.meta(e).cpi.push(1.5);
-    t.clearPerformanceStats();
-    EXPECT_EQ(t.size(), 1u);
-    auto m = t.match(sig({1, 2}), MatchPolicy::BestMatch);
-    ASSERT_TRUE(m);
-    EXPECT_EQ(t.meta(m.index).phase, 3u)
-        << "phase IDs survive the flush";
-    EXPECT_EQ(t.meta(m.index).cpi.count(), 0u) << "CPI stats flushed";
-}
-
 TEST(SignatureTable, ClearRemovesEverything)
 {
     SignatureTable t(4, 6);

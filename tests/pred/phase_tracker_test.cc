@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the full phase-tracking unit (classifier + predictors
- * behind the online interface).
+ * behind the online interface), fed the way hardware would feed it:
+ * an accumulator table filled from the committed branches, one
+ * snapshot per interval.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "phase/accumulator_table.hh"
 #include "phase/phase_trace.hh"
 #include "pred/phase_tracker.hh"
 
@@ -16,15 +19,20 @@ using namespace tpcp::pred;
 namespace
 {
 
-/** Feeds one interval's worth of branches for a code shape. */
-void
-feedInterval(PhaseTracker &tracker, unsigned shape, Rng &rng,
-             int branches = 200)
+/** Accumulates one interval's worth of branches for a code shape
+ * and hands the snapshot, with @p cpi, to the tracker. */
+PhaseTrackerOutput
+runInterval(PhaseTracker &tracker, unsigned shape, Rng &rng, double cpi,
+            int branches = 200)
 {
+    phase::AccumulatorTable acc(
+        tracker.classifier().config().numCounters);
     for (int b = 0; b < branches; ++b) {
         Addr pc = 0x10000 * (shape + 1) + 4 * rng.nextBounded(12);
-        tracker.onBranch(pc, 13);
+        acc.recordBranch(pc, 13);
     }
+    return tracker.onIntervalRaw(acc.counters(), acc.totalIncrement(),
+                                 cpi);
 }
 
 PhaseTrackerConfig
@@ -41,10 +49,8 @@ TEST(PhaseTracker, ClassifiesAndCounts)
 {
     PhaseTracker tracker(quickConfig());
     Rng rng(std::uint64_t{1});
-    for (int i = 0; i < 10; ++i) {
-        feedInterval(tracker, 0, rng);
-        tracker.onIntervalEnd(1.0);
-    }
+    for (int i = 0; i < 10; ++i)
+        runInterval(tracker, 0, rng, 1.0);
     EXPECT_EQ(tracker.intervals(), 10u);
     EXPECT_EQ(tracker.classifier().numStablePhases(), 1u);
 }
@@ -56,9 +62,8 @@ TEST(PhaseTracker, ReportsPhaseChanges)
     std::vector<bool> changes;
     for (int i = 0; i < 24; ++i) {
         unsigned shape = (i / 6) % 2;
-        feedInterval(tracker, shape, rng);
         changes.push_back(
-            tracker.onIntervalEnd(1.0 + shape).phaseChanged);
+            runInterval(tracker, shape, rng, 1.0 + shape).phaseChanged);
     }
     // Interval 0 inserts (transition, sighting 1); interval 1 is the
     // min_count == 2nd sighting and promotes — a phase change. The
@@ -76,10 +81,8 @@ TEST(PhaseTracker, NextPhasePredictionTracksStability)
     PhaseTracker tracker(quickConfig());
     Rng rng(std::uint64_t{3});
     PhaseTrackerOutput out;
-    for (int i = 0; i < 20; ++i) {
-        feedInterval(tracker, 0, rng);
-        out = tracker.onIntervalEnd(1.0);
-    }
+    for (int i = 0; i < 20; ++i)
+        out = runInterval(tracker, 0, rng, 1.0);
     // After 20 stable intervals, the prediction is the stable phase
     // with last-value confidence.
     EXPECT_EQ(out.nextPhase.phase, out.classification.phase);
@@ -94,38 +97,14 @@ TEST(PhaseTracker, LengthPredictionAppearsAfterChanges)
     Rng rng(std::uint64_t{4});
     std::optional<unsigned> cls;
     for (int rep = 0; rep < 4; ++rep) {
-        for (int i = 0; i < 8; ++i) {
-            feedInterval(tracker, 0, rng);
-            tracker.onIntervalEnd(1.0);
-        }
-        for (int i = 0; i < 4; ++i) {
-            feedInterval(tracker, 1, rng);
-            cls = tracker.onIntervalEnd(2.0).currentRunLengthClass;
-        }
+        for (int i = 0; i < 8; ++i)
+            runInterval(tracker, 0, rng, 1.0);
+        for (int i = 0; i < 4; ++i)
+            cls = runInterval(tracker, 1, rng, 2.0).currentRunLengthClass;
     }
     ASSERT_TRUE(cls.has_value())
         << "a standing length prediction exists after changes";
     EXPECT_LT(*cls, phase::numRunLengthClasses);
-}
-
-TEST(PhaseTracker, ReconfigurationFlushKeepsPhaseIds)
-{
-    PhaseTrackerConfig cfg = quickConfig();
-    cfg.classifier.adaptiveThreshold = true;
-    PhaseTracker tracker(cfg);
-    Rng rng(std::uint64_t{5});
-    PhaseId before = invalidPhaseId;
-    for (int i = 0; i < 8; ++i) {
-        feedInterval(tracker, 0, rng);
-        before = tracker.onIntervalEnd(1.0).classification.phase;
-    }
-    tracker.onReconfiguration();
-    // Radically different CPI after the (hypothetical) frequency
-    // change: no threshold halving, same phase ID.
-    feedInterval(tracker, 0, rng);
-    PhaseTrackerOutput out = tracker.onIntervalEnd(5.0);
-    EXPECT_EQ(out.classification.phase, before);
-    EXPECT_FALSE(out.classification.thresholdHalved);
 }
 
 TEST(PhaseTracker, DefaultConfigIsPaperConfig)

@@ -2,8 +2,8 @@
  * @file
  * Resume-with-damaged-checkpoint coverage: an evicted tenant whose
  * checkpoint image is missing, truncated (at *every* possible
- * length), CRC-corrupt or another tenant's must fail its resume with
- * a recoverable tpcp::Error — counted per tenant and registry-wide —
+ * length), CRC-corrupt, another tenant's or sealed by an older
+ * layout must fail its resume with a recoverable tpcp::Error — counted per tenant and registry-wide —
  * while every other tenant keeps serving, and a restored image must
  * resume cleanly afterwards with an unchanged phase stream.
  */
@@ -56,6 +56,27 @@ struct Fixture
         return r;
     }
 };
+
+/**
+ * @p image laid out and sealed as version 1 wrote it: the tracker
+ * image then began with the classifier's accumulator block (u32
+ * counters, u32 width, the counters, u64 total), all zero in serve.
+ */
+std::vector<std::uint8_t>
+versionOneImage(const std::vector<std::uint8_t> &image, unsigned counters)
+{
+    const std::vector<std::uint8_t> payload = parseStateFile(
+        image, kTenantCheckpointMagic, kTenantCheckpointVersion, "image");
+    StateWriter w;
+    w.raw(payload.data(), 8); // tenant id
+    w.u32(counters);
+    w.u32(24);
+    for (unsigned i = 0; i < counters; ++i)
+        w.u32(0);
+    w.u64(0);
+    w.raw(payload.data() + 8, payload.size() - 8);
+    return sealStateFile(kTenantCheckpointMagic, 1, w);
+}
 
 } // namespace
 
@@ -193,4 +214,32 @@ TEST(DamagedCheckpoint, SealedImageIsTheStateFileBytes)
                                kTenantCheckpointVersion, w));
     EXPECT_EQ(fx.registry->checkpointImage(1), readFile(path));
     std::remove(path.c_str());
+}
+
+TEST(DamagedCheckpoint, ImageOfTheOldVersionFailsResume)
+{
+    Fixture fx;
+    for (int i = 0; i < 4; ++i)
+        fx.deliver(1, fx.seq1);
+    fx.deliver(2, fx.seq2); // evicts tenant 1
+
+    std::vector<std::uint8_t> &image = fx.registry->checkpointImage(1);
+    const std::vector<std::uint8_t> good = image;
+    ASSERT_EQ(kTenantCheckpointVersion, 2u);
+    image = versionOneImage(good, fx.rc.tracker.classifier.numCounters);
+    try {
+        fx.deliver(1, fx.seq1);
+        ADD_FAILURE() << "resumed from a version-1 image";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "version 1 unsupported (expected 2)"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(fx.registry->tenantCounters(1).resumeFailures, 1u);
+    EXPECT_EQ(fx.registry->counters().resumeFailures, 1u);
+    EXPECT_EQ(fx.registry->numResident(), 1u);
+
+    image = good;
+    EXPECT_EQ(fx.deliver(1, fx.seq1).status, DeliverStatus::Delivered);
 }

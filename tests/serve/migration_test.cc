@@ -4,9 +4,9 @@
  * migrate-in handoff must leave every tenant's phase-ID stream
  * byte-identical to an uninterrupted batch run, carry the full
  * counter block across, and reject every shape of damaged bundle —
- * torn manifest, truncated or bit-flipped checkpoint, missing file,
- * missing manifest — with a recoverable error and nothing partially
- * applied.
+ * torn manifest, truncated or bit-flipped checkpoint, a checkpoint
+ * of an older layout, missing file, missing manifest — with a
+ * recoverable error and nothing partially applied.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/state_io.hh"
 #include "common/status.hh"
 #include "serve/migration.hh"
 #include "serve/service.hh"
@@ -102,6 +103,27 @@ runFirstHalfAndMigrate(const EncodedStream &stream,
     feed(*loop, stream, 0, kHandoff);
     loop->migrateOut(bundle);
     return loop;
+}
+
+/**
+ * @p image laid out and sealed as version 1 wrote it: the tracker
+ * image then began with the classifier's accumulator block (u32
+ * counters, u32 width, the counters, u64 total), all zero in serve.
+ */
+std::vector<std::uint8_t>
+versionOneImage(const std::vector<std::uint8_t> &image, unsigned counters)
+{
+    const std::vector<std::uint8_t> payload = parseStateFile(
+        image, kTenantCheckpointMagic, kTenantCheckpointVersion, "image");
+    StateWriter w;
+    w.raw(payload.data(), 8); // tenant id
+    w.u32(counters);
+    w.u32(24);
+    for (unsigned i = 0; i < counters; ++i)
+        w.u32(0);
+    w.u64(0);
+    w.raw(payload.data() + 8, payload.size() - 8);
+    return sealStateFile(kTenantCheckpointMagic, 1, w);
 }
 
 } // namespace
@@ -194,6 +216,31 @@ TEST(Migration, BitFlippedCheckpointRejected)
 
     ServiceLoop dst(opts);
     EXPECT_THROW(dst.migrateIn(bundle), Error);
+    EXPECT_EQ(dst.allTenantIds().size(), 0u);
+}
+
+TEST(Migration, CheckpointOfTheOldVersionRejected)
+{
+    const ServeOptions opts = migrationOptions();
+    const unsigned dims = opts.registry.tracker.classifier.numCounters;
+    const EncodedStream stream =
+        encodeSyntheticStream(7, kPackets, dims);
+    const std::string bundle = tempDir("mig_v_bundle");
+    runFirstHalfAndMigrate(stream, bundle);
+
+    // A bundle whose manifest is intact but whose last checkpoint was
+    // sealed by version 1: every tenant before it checks out, and
+    // still none may be adopted.
+    std::vector<MigratedTenant> tenants = loadMigrationBundle(bundle);
+    ASSERT_EQ(tenants.size(), std::size_t{kTenants});
+    ASSERT_FALSE(tenants.back().checkpoint.empty());
+    tenants.back().checkpoint =
+        versionOneImage(tenants.back().checkpoint, dims);
+    const std::string old = tempDir("mig_v1_bundle");
+    writeMigrationBundle(old, tenants);
+
+    ServiceLoop dst(opts);
+    EXPECT_THROW(dst.migrateIn(old), Error);
     EXPECT_EQ(dst.allTenantIds().size(), 0u);
 }
 

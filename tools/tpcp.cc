@@ -79,7 +79,6 @@
 #include "serve/service.hh"
 #include "trace/profile_cache.hh"
 #include "trace/trace_file.hh"
-#include "trace/trace_workload.hh"
 #include "workload/adversarial.hh"
 #include "uarch/machine_config.hh"
 #include "uarch/simulator.hh"
@@ -907,7 +906,8 @@ cmdTraceInfo(const cli::Args &args)
     if (args.positional.empty())
         cli::usageError("trace info needs a file path");
     const std::string &path = args.positional[0];
-    trace::TraceData data = trace::readTrace(path);
+    const std::vector<std::uint8_t> bytes = readFile(path);
+    trace::TraceData data = trace::parseTrace(bytes, path);
     std::string dims;
     for (unsigned d : data.profile.dims()) {
         if (!dims.empty())
@@ -917,7 +917,7 @@ cmdTraceInfo(const cli::Args &args)
     char hash[32];
     std::snprintf(hash, sizeof(hash), "%016llx",
                   static_cast<unsigned long long>(
-                      data.contentHash));
+                      fnv1a64(bytes.data(), bytes.size())));
     AsciiTable table({"field", "value"});
     table.row().cell("workload").cell(data.profile.workload());
     table.row().cell("core").cell(data.profile.coreName());
