@@ -19,30 +19,34 @@ WorkloadSet::profile(std::size_t i,
 WorkloadSet
 selectWorkloads(const cli::Args &args, bool one)
 {
+    const bool traced = args.has("trace");
+    if (traced && !args.positional.empty())
+        cli::usageError("--trace and workload names are mutually exclusive");
+    const std::vector<std::string> named =
+        traced ? args.getList("trace", "") : args.positional;
+    // The count is checked before any trace file is read.
+    if (one && named.size() != 1)
+        cli::usageError(named.empty()
+                            ? std::string("a workload name is required")
+                            : "this command takes one workload, not " +
+                                  std::to_string(named.size()));
     WorkloadSet set;
-    if (args.has("trace")) {
-        if (!args.positional.empty())
-            cli::usageError(
-                "--trace and workload names are mutually exclusive");
-        for (const std::string &path : args.getList("trace", "")) {
+    if (traced) {
+        for (const std::string &path : named) {
             trace::TraceData data = trace::readTrace(path);
             set.names.push_back(data.profile.workload());
             set.traced.push_back(std::move(data.profile));
+            set.sources.push_back(std::move(data.source));
         }
-    } else if (!args.positional.empty()) {
-        for (const std::string &name : args.positional)
+    } else if (!named.empty()) {
+        for (const std::string &name : named)
             if (!workload::isWorkloadName(name))
                 cli::usageError("unknown workload '" + name +
                                 "'; run 'tpcp workloads'");
-        set.names = args.positional;
-    } else if (one) {
-        cli::usageError("a workload name is required");
+        set.names = named;
     } else {
         set.names = workload::workloadNames();
     }
-    if (one && set.size() != 1)
-        cli::usageError("this command takes one workload, not " +
-                        std::to_string(set.size()));
     return set;
 }
 

@@ -32,6 +32,8 @@ struct WorkloadSet
     /** The traces' profiles, parallel to names; empty for named
      * workloads, whose profiles load on demand. */
     std::vector<trace::IntervalProfile> traced;
+    /** The traces' header source notes, parallel to traced. */
+    std::vector<std::string> sources;
 
     std::size_t size() const { return names.size(); }
 

@@ -90,8 +90,8 @@ bool isAdversarialFamily(const std::string &family);
 /**
  * Generates one adversarial stream. Deterministic: the same spec
  * always produces byte-identical records (the corpus seed files are
- * regenerable and CI checks them for drift). Raises tpcp::Error on
- * an unknown family or degenerate spec.
+ * regenerable and the corpus ctests check them for drift). Raises
+ * tpcp::Error on an unknown family or degenerate spec.
  */
 AdversarialTrace makeAdversarial(const AdversarialSpec &spec);
 

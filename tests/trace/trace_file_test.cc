@@ -6,7 +6,7 @@
  * is covered by a structural check or a CRC), and replay of the
  * checked-in corruption corpus against its MANIFEST. (Corpus drift —
  * regeneration must reproduce the checked-in bytes — is checked by
- * the CI trace-hardening job.)
+ * the corpus_corruption_drift ctest.)
  */
 
 #include <gtest/gtest.h>

@@ -36,8 +36,8 @@
  *                                 stream ('tpcp trace gen
  *                                 --family=help' lists families)
  *   corpus <dir>                  write the deterministic corruption
- *                                 corpus + MANIFEST used by the
- *                                 trace-hardening CI job
+ *                                 corpus + MANIFEST (the corpus
+ *                                 ctests regenerate and replay it)
  *
  * 'profile all' builds/loads every workload profile (in parallel
  * with --jobs) and prints a one-line summary per workload; use it to
@@ -878,22 +878,16 @@ cmdTraceExport(const cli::Args &args)
     const std::string out = args.get("out", "");
     if (out.empty())
         cli::usageError("trace export needs --out=PATH");
-    if (args.has("trace") && args.positional.empty()) {
-        // Re-export an ingested trace: a parse -> encode round trip
-        // is byte-identical (the CI ingest job cmp's the two files).
-        trace::TraceData data =
-            trace::readTrace(args.get("trace", ""));
-        trace::writeTrace(out, data.profile, data.source);
-        std::cout << "re-exported " << data.profile.numIntervals()
-                  << " intervals to " << out << "\n";
-        return 0;
-    }
-    const std::string name =
-        analysis::selectWorkloads(args, true).names[0];
-    trace::IntervalProfile profile =
-        trace::getProfileByName(name, profileOptions(args));
-    std::string source =
-        args.get("source", "tpcp trace export " + name);
+    // A named workload, or an ingested trace whose source note is
+    // kept, so that a re-export reproduces the trace's bytes.
+    const analysis::WorkloadSet set =
+        analysis::selectWorkloads(args, true);
+    const std::string &name = set.names[0];
+    const trace::IntervalProfile profile =
+        set.profile(0, profileOptions(args));
+    const std::string source = args.get(
+        "source",
+        set.sources.empty() ? "tpcp trace export " + name : set.sources[0]);
     trace::writeTrace(out, profile, source);
     std::cout << "exported " << profile.numIntervals()
               << " intervals of " << name << " to " << out << "\n";
