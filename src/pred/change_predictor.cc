@@ -90,37 +90,52 @@ ChangePredictor::ChangePredictor(const ChangePredictorConfig &config)
     tpcp_assert(cfg.order >= 1 && cfg.order <= 8);
 }
 
-std::uint64_t
-ChangePredictor::historyHash() const
+void
+ChangePredictor::foldHistory()
 {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL;
     if (cfg.history == HistoryKind::MarkovUnique) {
-        for (PhaseId id : uniqueHist)
-            h = mix64(h ^ (static_cast<std::uint64_t>(id) + 1));
+        for (unsigned i = 0; i < uniqueHist.size(); ++i)
+            h = mix64(h ^ (static_cast<std::uint64_t>(uniqueHist[i]) +
+                           1));
     } else {
-        // Completed runs first, then the current (phase, run length)
-        // pair: the run length encodes *when* within the run.
-        for (const auto &[id, len] : rleHist) {
+        // Completed runs first, then the current phase; updateIndex()
+        // adds the run length, which encodes *when* within the run.
+        for (unsigned i = 0; i < rleHist.size(); ++i) {
+            const auto &[id, len] = rleHist[i];
             h = mix64(h ^ (static_cast<std::uint64_t>(id) + 1));
             h = mix64(h ^ (len + 0x51ULL));
         }
         h = mix64(h ^ (static_cast<std::uint64_t>(lastPhase) + 1));
-        h = mix64(h ^ (runLen + 0x51ULL));
     }
-    return h;
+    prefixHash = h;
+    updateIndex();
 }
 
-std::vector<PhaseId>
-ChangePredictor::topOutcomes(const Entry &e, unsigned n) const
+void
+ChangePredictor::updateIndex()
 {
-    std::vector<std::pair<PhaseId, std::uint32_t>> items(
-        e.freq.begin(), e.freq.begin() + e.freqCount);
-    std::stable_sort(items.begin(), items.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.second > b.second;
-                     });
-    std::vector<PhaseId> out;
-    for (std::size_t i = 0; i < items.size() && i < n; ++i)
+    curHash = cfg.history == HistoryKind::MarkovUnique
+                  ? prefixHash
+                  : mix64(prefixHash ^ (runLen + 0x51ULL));
+    curSet = static_cast<unsigned>(curHash % numSets);
+}
+
+CandidateSet
+ChangePredictor::topOutcomes(const Entry &e, unsigned n)
+{
+    // Stable insertion sort by descending count: ties keep summary
+    // slot order.
+    auto items = e.freq;
+    for (unsigned i = 1; i < e.freqCount; ++i) {
+        const auto item = items[i];
+        unsigned j = i;
+        for (; j > 0 && items[j - 1].second < item.second; --j)
+            items[j] = items[j - 1];
+        items[j] = item;
+    }
+    CandidateSet out;
+    for (unsigned i = 0; i < e.freqCount && i < n; ++i)
         out.push_back(items[i].first);
     return out;
 }
@@ -145,17 +160,16 @@ ChangePredictor::fillPrediction(const Entry &e,
         break;
       }
       case PayloadView::Top1: {
-        auto top = topOutcomes(e, 1);
-        out.primary = top.empty() ? e.lastOutcome : top.front();
+        CandidateSet top = topOutcomes(e, 1);
+        out.primary = top.empty() ? e.lastOutcome : *top.begin();
         out.candidates = {out.primary};
         break;
       }
       case PayloadView::Top4: {
-        auto top = topOutcomes(e, 4);
-        out.primary = top.empty() ? e.lastOutcome : top.front();
-        out.candidates = top.empty()
-                             ? std::vector<PhaseId>{e.lastOutcome}
-                             : top;
+        CandidateSet top = topOutcomes(e, 4);
+        out.primary = top.empty() ? e.lastOutcome : *top.begin();
+        out.candidates = top.empty() ? CandidateSet{e.lastOutcome}
+                                     : top;
         break;
       }
     }
@@ -167,9 +181,7 @@ ChangePredictor::predict() const
     ChangePrediction out;
     if (!primed)
         return out;
-    std::uint64_t h = historyHash();
-    unsigned set = static_cast<unsigned>(h % numSets);
-    const auto *entry = table.find(set, h);
+    const auto *entry = table.find(curSet, curHash);
     if (!entry)
         return out;
     fillPrediction(entry->value, out);
@@ -227,17 +239,19 @@ ChangePredictor::observe(PhaseId actual)
         primed = true;
         lastPhase = actual;
         runLen = 1;
-        uniqueHist.assign(1, actual);
+        uniqueHist.clear();
+        uniqueHist.push(actual);
+        foldHistory();
         return std::nullopt;
     }
 
-    std::uint64_t h = historyHash();
-    unsigned set = static_cast<unsigned>(h % numSets);
-    auto *entry = table.find(set, h);
+    auto *entry = table.find(curSet, curHash);
     bool changed = actual != lastPhase;
 
     if (!changed) {
         ++runLen;
+        if (cfg.history == HistoryKind::Rle)
+            updateIndex();
         if (entry) {
             // The table predicted a change that did not happen; the
             // last-value fallback would have been right.
@@ -271,21 +285,17 @@ ChangePredictor::observe(PhaseId actual)
         fresh.freq[0] = {actual, 1};
         fresh.freqCount = 1;
         fresh.conf = SatCounter(cfg.confBits, 0);
-        table.insert(set, h, fresh);
+        table.insert(curSet, curHash, fresh);
     }
 
     // ---- History update ----
-    if (cfg.history == HistoryKind::MarkovUnique) {
-        uniqueHist.push_back(actual);
-        while (uniqueHist.size() > cfg.order)
-            uniqueHist.pop_front();
-    } else {
-        rleHist.emplace_back(lastPhase, runLen);
-        while (rleHist.size() + 1 > cfg.order)
-            rleHist.pop_front();
-    }
+    if (cfg.history == HistoryKind::MarkovUnique)
+        uniqueHist.push(actual, cfg.order);
+    else
+        rleHist.push({lastPhase, runLen}, cfg.order - 1);
     lastPhase = actual;
     runLen = 1;
+    foldHistory();
     return outcome;
 }
 
@@ -349,12 +359,12 @@ ChangePredictor::saveState(StateWriter &w) const
     w.u32(lastPhase);
     w.u64(runLen);
     w.u64(uniqueHist.size());
-    for (PhaseId p : uniqueHist)
-        w.u32(p);
+    for (unsigned i = 0; i < uniqueHist.size(); ++i)
+        w.u32(uniqueHist[i]);
     w.u64(rleHist.size());
-    for (const auto &[id, len] : rleHist) {
-        w.u32(id);
-        w.u64(len);
+    for (unsigned i = 0; i < rleHist.size(); ++i) {
+        w.u32(rleHist[i].first);
+        w.u64(rleHist[i].second);
     }
 }
 
@@ -390,23 +400,32 @@ ChangePredictor::loadState(StateReader &r)
     primed = r.b();
     lastPhase = r.u32();
     runLen = r.u64();
+    // observe() keeps the N unique IDs of Markov-N, the N-1
+    // completed runs of RLE-N, and the first phase in RLE's otherwise
+    // unused unique history; anything longer is no state a run
+    // reaches, and would be folded into every later index.
+    const bool markov = cfg.history == HistoryKind::MarkovUnique;
+    const std::uint64_t maxUnique = markov ? cfg.order : 1;
+    const std::uint64_t maxRuns = markov ? 0 : cfg.order - 1;
     std::uint64_t n = r.count(4);
-    if (n > 64)
+    if (n > maxUnique)
         tpcp_raise("change-predictor snapshot: unique history of ", n,
-                   " entries is implausible");
+                   " entries, ", cfg.name, " keeps at most ",
+                   maxUnique);
     uniqueHist.clear();
     for (std::uint64_t i = 0; i < n; ++i)
-        uniqueHist.push_back(r.u32());
+        uniqueHist.push(r.u32());
     n = r.count(4 + 8);
-    if (n > 64)
+    if (n > maxRuns)
         tpcp_raise("change-predictor snapshot: RLE history of ", n,
-                   " entries is implausible");
+                   " entries, ", cfg.name, " keeps at most ", maxRuns);
     rleHist.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
         PhaseId id = r.u32();
         std::uint64_t len = r.u64();
-        rleHist.emplace_back(id, len);
+        rleHist.push({id, len});
     }
+    foldHistory();
 }
 
 } // namespace tpcp::pred

@@ -21,16 +21,18 @@
 #ifndef TPCP_PRED_CHANGE_PREDICTOR_HH
 #define TPCP_PRED_CHANGE_PREDICTOR_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <initializer_list>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/assoc_table.hh"
+#include "common/logging.hh"
 #include "common/sat_counter.hh"
 #include "common/types.hh"
+#include "pred/history_ring.hh"
 #include "pred/predictor_base.hh"
 
 namespace tpcp
@@ -91,6 +93,65 @@ struct ChangePredictorConfig
                                      unsigned entries = 32);
 };
 
+/**
+ * The acceptable outcomes of one prediction, stored inline. Every
+ * predictor offers at most 4: the Last-4/Top-4 payload views, TAGE's
+ * candidate list and the perceptron's top-ranked successors.
+ */
+class CandidateSet
+{
+  public:
+    static constexpr unsigned capacity = 4;
+
+    CandidateSet() = default;
+    CandidateSet(std::initializer_list<PhaseId> ids)
+    {
+        for (PhaseId id : ids)
+            push_back(id);
+    }
+
+    unsigned size() const { return n; }
+    bool empty() const { return n == 0; }
+    const PhaseId *begin() const { return ids.data(); }
+    const PhaseId *end() const { return ids.data() + n; }
+
+    /** True when @p id is one of the outcomes. */
+    bool
+    contains(PhaseId id) const
+    {
+        return std::find(begin(), end(), id) != end();
+    }
+
+    /** Appends @p id; the set must not be full. */
+    void
+    push_back(PhaseId id)
+    {
+        tpcp_assert(n < capacity, "candidate set is full");
+        ids[n++] = id;
+    }
+
+    /** Appends @p id unless it is present or the set is full. */
+    void
+    pushUnique(PhaseId id)
+    {
+        if (n < capacity && !contains(id))
+            ids[n++] = id;
+    }
+
+    /** Keeps only the first @p count outcomes. */
+    void truncate(unsigned count) { n = std::min(n, count); }
+
+    friend bool
+    operator==(const CandidateSet &a, const CandidateSet &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    std::array<PhaseId, capacity> ids{};
+    unsigned n = 0;
+};
+
 /** One prediction of the next phase-change outcome. */
 struct ChangePrediction
 {
@@ -99,7 +160,7 @@ struct ChangePrediction
     /** Primary predicted outcome (per the payload view). */
     PhaseId primary = invalidPhaseId;
     /** All acceptable outcomes (Last4/Top4 views list up to 4). */
-    std::vector<PhaseId> candidates;
+    CandidateSet candidates;
     /** Analog confidence of the primary outcome for predictors that
      * produce one (the perceptron's score margin); 0 otherwise. The
      * boolean `confident` is this thresholded. */
@@ -109,11 +170,7 @@ struct ChangePrediction
     bool
     matches(PhaseId actual) const
     {
-        for (PhaseId c : candidates) {
-            if (c == actual)
-                return true;
-        }
-        return false;
+        return candidates.contains(actual);
     }
 };
 
@@ -184,7 +241,8 @@ class ChangePredictor : public PhaseChangePredictor
     void saveState(StateWriter &w) const override;
 
     /** Restores predictor state from a checkpoint snapshot; counters
-     * and ring/frequency cursors are clamped to their ranges. */
+     * and ring/frequency cursors are clamped to their ranges, and a
+     * history longer than observe() keeps is refused. */
     void loadState(StateReader &r) override;
 
   private:
@@ -200,11 +258,13 @@ class ChangePredictor : public PhaseChangePredictor
         SatCounter conf{1, 0};
     };
 
-    std::uint64_t historyHash() const;
+    /** Recomputes prefixHash from the history, then the index. */
+    void foldHistory();
+    /** Recomputes curHash and curSet from prefixHash and runLen. */
+    void updateIndex();
     void fillPrediction(const Entry &e, ChangePrediction &out) const;
     void train(Entry &e, PhaseId actual, bool was_correct);
-    std::vector<PhaseId> topOutcomes(const Entry &e,
-                                     unsigned n) const;
+    static CandidateSet topOutcomes(const Entry &e, unsigned n);
 
     ChangePredictorConfig cfg;
     AssocTable<std::uint64_t, Entry> table;
@@ -213,11 +273,23 @@ class ChangePredictor : public PhaseChangePredictor
     bool primed = false;
     PhaseId lastPhase = invalidPhaseId;
     std::uint64_t runLen = 0;
-    /** Markov: last N unique phase IDs (back = current). */
-    std::deque<PhaseId> uniqueHist;
-    /** RLE: last N-1 completed (phase, length) runs (back = most
+    /** Markov: last N unique phase IDs (newest = current). */
+    HistoryRing<PhaseId, 8> uniqueHist;
+    /** RLE: last N-1 completed (phase, length) runs (newest = most
      * recent); the current run completes the index. */
-    std::deque<std::pair<PhaseId, std::uint64_t>> rleHist;
+    HistoryRing<std::pair<PhaseId, std::uint64_t>, 8> rleHist;
+
+    // Derived from the history; never serialized, rebuilt by
+    // loadState(). The history changes only at a phase change, so a
+    // run that continues costs one mix64 (RLE) or nothing (Markov).
+    /** Markov: the fold of uniqueHist. RLE: the fold of rleHist and
+     * the current phase. */
+    std::uint64_t prefixHash = 0;
+    /** The table tag of the current state: prefixHash, RLE folded
+     * with the current run length. */
+    std::uint64_t curHash = 0;
+    /** The table set of curHash. */
+    unsigned curSet = 0;
 };
 
 } // namespace tpcp::pred

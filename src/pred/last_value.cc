@@ -3,56 +3,37 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/state_io.hh"
 
 namespace tpcp::pred
 {
 
 LastValuePredictor::LastValuePredictor(const LastValueConfig &config)
-    : cfg(config)
+    : cfg(config), cur(cfg.confBits, 0)
 {
-}
-
-SatCounter &
-LastValuePredictor::counterFor(PhaseId phase)
-{
-    auto it = conf.find(phase);
-    if (it == conf.end()) {
-        it = conf.emplace(phase, SatCounter(cfg.confBits, 0)).first;
-    }
-    return it->second;
 }
 
 bool
 LastValuePredictor::confident() const
 {
-    if (!primed_)
-        return false;
-    auto it = conf.find(last);
-    if (it == conf.end())
-        return false;
-    return it->second.value() >= cfg.confThreshold;
+    return primed_ && cur.value() >= cfg.confThreshold;
 }
 
 void
 LastValuePredictor::observe(PhaseId actual)
 {
     if (primed_) {
-        SatCounter &c = counterFor(last);
-        if (actual == last)
-            c.increment();
-        else
-            c.decrement();
+        if (actual == last) {
+            cur.increment();
+            return;
+        }
+        cur.decrement();
+        conf.at(last) = cur;
     }
     last = actual;
     primed_ = true;
-    counterFor(actual); // ensure the counter exists (reset-on-add)
-}
-
-void
-LastValuePredictor::resetConfidence(PhaseId phase)
-{
-    counterFor(phase).reset();
+    cur = conf.try_emplace(actual, cfg.confBits, 0).first->second;
 }
 
 void
@@ -70,7 +51,8 @@ LastValuePredictor::saveState(StateWriter &w) const
     w.u64(keys.size());
     for (PhaseId id : keys) {
         w.u32(id);
-        w.u64(conf.at(id).value());
+        w.u64(primed_ && id == last ? cur.value()
+                                    : conf.at(id).value());
     }
 }
 
@@ -86,6 +68,14 @@ LastValuePredictor::loadState(StateReader &r)
         SatCounter c(cfg.confBits, 0);
         c.set(r.u64()); // clamps to the counter width
         conf.emplace(id, c);
+    }
+    cur = SatCounter(cfg.confBits, 0);
+    if (primed_) {
+        auto it = conf.find(last);
+        if (it == conf.end())
+            tpcp_raise("last-value snapshot: no confidence counter for "
+                       "the last phase ", last);
+        cur = it->second;
     }
 }
 

@@ -59,22 +59,23 @@ class LastValuePredictor
      */
     void observe(PhaseId actual);
 
-    /** Resets the confidence counter of @p phase (the paper resets a
-     * phase's counter when its signature-table entry is (re)added). */
-    void resetConfidence(PhaseId phase);
-
     /** Appends predictor state to a checkpoint snapshot. */
     void saveState(StateWriter &w) const;
 
-    /** Restores predictor state from a checkpoint snapshot. */
+    /** Restores predictor state from a checkpoint snapshot; a primed
+     * snapshot without a counter for its last phase is refused. */
     void loadState(StateReader &r);
 
   private:
-    SatCounter &counterFor(PhaseId phase);
-
     LastValueConfig cfg;
     PhaseId last = invalidPhaseId;
     bool primed_ = false;
+    /** The counter of the current phase `last`. It lives here while
+     * the run continues, so a repeat interval probes no map, and is
+     * written back to `conf` when the phase changes. */
+    SatCounter cur;
+    /** Counters of every phase seen; `conf[last]` is stale while
+     * `cur` holds it. */
     std::unordered_map<PhaseId, SatCounter> conf;
 };
 

@@ -25,11 +25,11 @@ std::uint64_t
 RunLengthPredictor::historyHash() const
 {
     // Hash over the last (order) completed runs; called right after a
-    // run completes, so rleHist's back entries are the RLE-2 context.
+    // run completes, so rleHist's newest entries are the RLE-2
+    // context.
     std::uint64_t h = 0xc2b2ae3d27d4eb4fULL;
-    std::size_t n = rleHist.size();
-    std::size_t start = n > cfg.order ? n - cfg.order : 0;
-    for (std::size_t i = start; i < n; ++i) {
+    const unsigned n = rleHist.size();
+    for (unsigned i = n > cfg.order ? n - cfg.order : 0; i < n; ++i) {
         h = mix64(h ^ (static_cast<std::uint64_t>(
                            rleHist[i].first) + 1));
         std::uint64_t len = rleHist[i].second;
@@ -86,9 +86,7 @@ RunLengthPredictor::observe(PhaseId actual)
         train(pendingKey, actual_class);
     }
 
-    rleHist.emplace_back(lastPhase, runLen);
-    while (rleHist.size() > 8)
-        rleHist.pop_front();
+    rleHist.push({lastPhase, runLen});
 
     // Predict the class of the run that starts now.
     std::uint64_t key = historyHash();
@@ -162,9 +160,9 @@ RunLengthPredictor::saveState(StateWriter &w) const
     w.u32(lastPhase);
     w.u64(runLen);
     w.u64(rleHist.size());
-    for (const auto &[id, len] : rleHist) {
-        w.u32(id);
-        w.u64(len);
+    for (unsigned i = 0; i < rleHist.size(); ++i) {
+        w.u32(rleHist[i].first);
+        w.u64(rleHist[i].second);
     }
     w.b(havePending);
     w.u64(pendingKey);
@@ -194,14 +192,15 @@ RunLengthPredictor::loadState(StateReader &r)
     lastPhase = r.u32();
     runLen = r.u64();
     std::uint64_t n = r.count(4 + 8);
-    if (n > 64)
+    if (n > rleHist.capacity)
         tpcp_raise("length-predictor snapshot: RLE history of ", n,
-                   " entries is implausible");
+                   " entries, observe keeps at most ",
+                   rleHist.capacity);
     rleHist.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
         PhaseId id = r.u32();
         std::uint64_t len = r.u64();
-        rleHist.emplace_back(id, len);
+        rleHist.push({id, len});
     }
     havePending = r.b();
     pendingKey = r.u64();

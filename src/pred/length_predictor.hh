@@ -12,11 +12,11 @@
 #define TPCP_PRED_LENGTH_PREDICTOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "common/assoc_table.hh"
 #include "common/types.hh"
+#include "pred/history_ring.hh"
 
 namespace tpcp
 {
@@ -110,7 +110,8 @@ class RunLengthPredictor
     void saveState(StateWriter &w) const;
 
     /** Restores predictor state from a checkpoint snapshot; stored
-     * classes are clamped to the valid class range. */
+     * classes are clamped to the valid class range, and a history of
+     * more than 8 runs is refused. */
     void loadState(StateReader &r);
 
   private:
@@ -130,8 +131,8 @@ class RunLengthPredictor
     bool primed = false;
     PhaseId lastPhase = invalidPhaseId;
     std::uint64_t runLen = 0;
-    /** Completed (phase, length) runs, most recent at the back. */
-    std::deque<std::pair<PhaseId, std::uint64_t>> rleHist;
+    /** The last 8 completed (phase, length) runs, oldest first. */
+    HistoryRing<std::pair<PhaseId, std::uint64_t>, 8> rleHist;
 
     /** Prediction standing for the current run. */
     bool havePending = false;

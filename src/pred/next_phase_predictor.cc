@@ -21,7 +21,7 @@ NextPhasePredictor::predict() const
         if (cp.tableHit && cp.confident) {
             out.phase = cp.primary;
             out.source = PredictionSource::ChangeTable;
-            out.candidates = std::move(cp.candidates);
+            out.candidates = cp.candidates;
             return out;
         }
     }

@@ -42,20 +42,15 @@ struct NextPhasePrediction
     bool lvConfident = false;
     /** Acceptable outcomes for multi-outcome payloads (change-table
      * predictions only; Last4/Top4 views list up to 4). */
-    std::vector<PhaseId> candidates;
+    CandidateSet candidates;
 
     /** True when @p actual matches the prediction, honoring the
      * multi-outcome acceptance rule when @p accept_any is set. */
     bool
     matches(PhaseId actual, bool accept_any) const
     {
-        if (accept_any && source == PredictionSource::ChangeTable) {
-            for (PhaseId c : candidates) {
-                if (c == actual)
-                    return true;
-            }
-            return false;
-        }
+        if (accept_any && source == PredictionSource::ChangeTable)
+            return candidates.contains(actual);
         return phase == actual;
     }
 };

@@ -130,27 +130,15 @@ TagePredictor::chosenTagged(const Lookup &l, bool &use_alt_out) const
 }
 
 void
-TagePredictor::pushCandidate(PhaseId c, std::vector<PhaseId> &out)
-{
-    if (out.size() >= 4)
-        return;
-    for (PhaseId seen : out) {
-        if (seen == c)
-            return;
-    }
-    out.push_back(c);
-}
-
-void
 TagePredictor::appendBaseCandidates(const BaseValue &b,
-                                    std::vector<PhaseId> &out) const
+                                    CandidateSet &out) const
 {
     // Most recent outcome first; then ring recency and the sorted
     // frequency summary, in the order the adaptive view vote
     // prefers. The two orderings reproduce the paper's Last-4 and
     // Top-4 payload views, and the vote learns per workload which
     // one pays.
-    pushCandidate(b.outcome, out);
+    out.pushUnique(b.outcome);
     std::array<std::pair<PhaseId, std::uint32_t>, 8> items{};
     for (unsigned k = 0; k < b.freqCount; ++k)
         items[k] = b.freq[k];
@@ -189,16 +177,15 @@ TagePredictor::appendBaseCandidates(const BaseValue &b,
                          return x.second > y.second;
                      });
     for (unsigned k = 0; k < n; ++k)
-        pushCandidate(scored[k].first, out);
+        out.pushUnique(scored[k].first);
 }
 
-std::vector<PhaseId>
+CandidateSet
 TagePredictor::assembleCandidates(const Lookup &l,
                                   const TaggedEntry &chosen,
                                   bool ring_early) const
 {
-    std::vector<PhaseId> out;
-    out.push_back(chosen.outcome);
+    CandidateSet out{chosen.outcome};
     // Every other matching tagged entry is still context-backed
     // evidence; rank their outcomes (longest history first) ahead
     // of the filler.
@@ -211,16 +198,15 @@ TagePredictor::assembleCandidates(const Lookup &l,
          j >= 0 && others < maxOthers; --j) {
         const TaggedEntry &t = tables[j][l.index[j]];
         if (&t != &chosen && t.valid && t.tag == l.tagOf[j]) {
-            pushCandidate(t.outcome, out);
+            out.pushUnique(t.outcome);
             ++others;
         }
     }
     for (int pass = 0; pass < 2; ++pass) {
         if ((pass == 0) == ring_early) {
             for (unsigned k = 0; k < chosen.ringCount; ++k)
-                pushCandidate(
-                    chosen.ring[(chosen.ringHead + 4 - 1 - k) % 4],
-                    out);
+                out.pushUnique(
+                    chosen.ring[(chosen.ringHead + 4 - 1 - k) % 4]);
         } else if (l.baseHit) {
             appendBaseCandidates(*l.baseEntry, out);
         }
@@ -278,7 +264,7 @@ TagePredictor::ownPrediction(bool *alarm_out) const
         appendBaseCandidates(b, out.candidates);
     }
     if (!cfg.acceptAnyRule)
-        out.candidates.resize(1);
+        out.candidates.truncate(1);
     // The history index carries no current-run position, so the raw
     // table hit would confidently alarm "change next interval" from
     // the first interval of every run. The imminence gate defers
@@ -379,11 +365,9 @@ TagePredictor::trainOnChange(PhaseId actual)
     // order that would have held this outcome.
     if (chosen && l.baseEntry && cfg.acceptAnyRule) {
         bool hit[2] = {false, false};
-        for (int order = 0; order < 2; ++order) {
-            for (PhaseId c : assembleCandidates(
-                     l, *chosen, order == 1))
-                hit[order] = hit[order] || c == actual;
-        }
+        for (int order = 0; order < 2; ++order)
+            hit[order] = assembleCandidates(l, *chosen, order == 1)
+                             .contains(actual);
         if (hit[0] != hit[1]) {
             if (hit[1])
                 ringFirstVote.increment();

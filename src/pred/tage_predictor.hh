@@ -181,13 +181,11 @@ class TagePredictor : public PhaseChangePredictor
      * null when nothing hit. @p use_alt_out reports the choice. */
     const TaggedEntry *chosenTagged(const Lookup &l,
                                     bool &use_alt_out) const;
-    /** Appends @p c to @p out unless present or out is full (4). */
-    static void pushCandidate(PhaseId c, std::vector<PhaseId> &out);
     /** Appends the base entry's outcomes to @p out, up to 4
      * candidates total: most recent first, then ring recency and
      * the frequency summary in the order the view vote prefers. */
     void appendBaseCandidates(const BaseValue &b,
-                              std::vector<PhaseId> &out) const;
+                              CandidateSet &out) const;
     /** Bumps @p actual in the entry's frequency summary, evicting
      * the least frequent slot when full. */
     static void bumpFreq(BaseValue &b, PhaseId actual);
@@ -199,7 +197,7 @@ class TagePredictor : public PhaseChangePredictor
     std::uint64_t foldHistory(unsigned hist_len) const;
     /** Builds the accept-any candidate list of @p chosen under one
      * ring-vs-base order, exactly as predict() would emit it. */
-    std::vector<PhaseId> assembleCandidates(
+    CandidateSet assembleCandidates(
         const Lookup &l, const TaggedEntry &chosen,
         bool ring_early) const;
     void trainOnChange(PhaseId actual);

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "common/rng.hh"
+#include "common/state_io.hh"
+#include "common/status.hh"
 #include "pred/change_predictor.hh"
 
 using namespace tpcp;
@@ -300,4 +304,112 @@ TEST(ChangePredictor, NamesAreDescriptive)
     EXPECT_EQ(ChangePredictorConfig::rle(2, PayloadView::Last4, 128)
                   .name,
               "Last4 RLE-2 (128e)");
+}
+
+namespace
+{
+
+std::vector<std::uint8_t>
+saved(const ChangePredictor &p)
+{
+    StateWriter w;
+    p.saveState(w);
+    return w.take();
+}
+
+/** A seeded stream of runs over 5 phases, 1-6 intervals long. */
+std::vector<PhaseId>
+runStream(std::uint64_t seed, std::size_t n)
+{
+    Rng rng(seed);
+    std::vector<PhaseId> out;
+    while (out.size() < n) {
+        const PhaseId id = 1 + rng.nextBounded(5);
+        for (unsigned i = 1 + rng.nextBounded(6); i > 0; --i)
+            out.push_back(id);
+    }
+    out.resize(n);
+    return out;
+}
+
+void
+expectSamePrediction(const ChangePrediction &a,
+                     const ChangePrediction &b, std::size_t at)
+{
+    EXPECT_EQ(a.tableHit, b.tableHit) << "interval " << at;
+    EXPECT_EQ(a.confident, b.confident) << "interval " << at;
+    EXPECT_EQ(a.primary, b.primary) << "interval " << at;
+    EXPECT_TRUE(a.candidates == b.candidates) << "interval " << at;
+}
+
+} // namespace
+
+TEST(ChangePredictor, LoadRefusesMarkovHistoryLongerThanOrder)
+{
+    ChangePredictor deep(ChangePredictorConfig::markov(3));
+    feedPattern(deep, {{1, 2}, {2, 1}, {3, 3}, {4, 1}}, 3);
+    const std::vector<std::uint8_t> image = saved(deep);
+    ChangePredictor same(ChangePredictorConfig::markov(3));
+    StateReader ok(image);
+    same.loadState(ok);
+
+    ChangePredictor shallow(ChangePredictorConfig::markov(2));
+    StateReader r(image);
+    EXPECT_THROW(shallow.loadState(r), Error)
+        << "Markov-2 keeps 2 unique IDs, the image holds 3";
+}
+
+TEST(ChangePredictor, LoadRefusesRleHistoryOfOrderRuns)
+{
+    ChangePredictor deep(ChangePredictorConfig::rle(3));
+    feedPattern(deep, {{1, 2}, {2, 1}, {3, 3}}, 3);
+    const std::vector<std::uint8_t> image = saved(deep);
+    ChangePredictor same(ChangePredictorConfig::rle(3));
+    StateReader ok(image);
+    same.loadState(ok);
+
+    ChangePredictor shallow(ChangePredictorConfig::rle(2));
+    StateReader r(image);
+    EXPECT_THROW(shallow.loadState(r), Error)
+        << "RLE-2 keeps 1 completed run, the image holds 2";
+}
+
+/** Resuming at any mid-run interval rebuilds the cached history
+ * hash: the resumed predictor (which had learned other state) then
+ * predicts exactly like its uninterrupted twin and re-saves to the
+ * same bytes. */
+TEST(ChangePredictor, MidRunResumeMatchesUninterruptedTwin)
+{
+    const std::vector<PhaseId> stream = runStream(77, 300);
+    const std::vector<PhaseId> other = runStream(78, 120);
+    for (unsigned order = 1; order <= 4; ++order) {
+        for (const ChangePredictorConfig &cfg :
+             {ChangePredictorConfig::markov(order),
+              ChangePredictorConfig::rle(order)}) {
+            SCOPED_TRACE(cfg.name);
+            for (std::size_t split = 40; split < 260; split += 23) {
+                while (stream[split] != stream[split - 1])
+                    ++split; // resume in the middle of a run
+                ChangePredictor twin(cfg);
+                for (std::size_t i = 0; i < split; ++i)
+                    twin.observe(stream[i]);
+
+                ChangePredictor resumed(cfg);
+                for (PhaseId id : other)
+                    resumed.observe(id);
+                const std::vector<std::uint8_t> image = saved(twin);
+                StateReader r(image);
+                resumed.loadState(r);
+                ASSERT_TRUE(r.atEnd());
+
+                for (std::size_t i = split; i < stream.size(); ++i) {
+                    expectSamePrediction(twin.predict(),
+                                         resumed.predict(), i);
+                    EXPECT_EQ(twin.observe(stream[i]).has_value(),
+                              resumed.observe(stream[i]).has_value());
+                }
+                EXPECT_EQ(saved(twin), saved(resumed));
+            }
+        }
+    }
 }

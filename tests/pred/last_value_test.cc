@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/state_io.hh"
+#include "common/status.hh"
 #include "pred/last_value.hh"
 
 using namespace tpcp;
@@ -66,18 +68,6 @@ TEST(LastValue, UnstablePhaseNeverConfident)
         << "alternating phases keep counters down";
 }
 
-TEST(LastValue, ResetConfidence)
-{
-    LastValuePredictor p;
-    for (int i = 0; i < 10; ++i)
-        p.observe(4);
-    EXPECT_TRUE(p.confident());
-    p.resetConfidence(4);
-    EXPECT_FALSE(p.confident())
-        << "the paper resets a phase's counter when its signature "
-           "table entry is replaced";
-}
-
 TEST(LastValue, CustomThreshold)
 {
     LastValueConfig cfg;
@@ -99,4 +89,41 @@ TEST(LastValue, TransitionPhaseIsAPhaseToo)
         p.observe(transitionPhaseId);
     EXPECT_EQ(p.predict(), transitionPhaseId);
     EXPECT_TRUE(p.confident());
+}
+
+TEST(LastValue, SaveLoadKeepsCurrentPhaseCounter)
+{
+    LastValuePredictor a;
+    for (PhaseId id : {1, 1, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2})
+        a.observe(id);
+    StateWriter w;
+    a.saveState(w);
+    LastValuePredictor b;
+    b.observe(9);
+    StateReader r(w.buffer());
+    b.loadState(r);
+    EXPECT_EQ(b.confident(), a.confident());
+    for (PhaseId id : {2, 2, 2, 1, 1}) {
+        a.observe(id);
+        b.observe(id);
+        EXPECT_EQ(b.confident(), a.confident());
+    }
+    StateWriter wa, wb;
+    a.saveState(wa);
+    b.saveState(wb);
+    EXPECT_EQ(wa.buffer(), wb.buffer());
+}
+
+TEST(LastValue, LoadRefusesPrimedStateWithoutItsPhaseCounter)
+{
+    // observe() always leaves a counter for the phase it saw last.
+    StateWriter w;
+    w.u32(5);  // last phase
+    w.b(true); // primed
+    w.u64(1);
+    w.u32(3); // a counter for another phase only
+    w.u64(2);
+    LastValuePredictor p;
+    StateReader r(w.buffer());
+    EXPECT_THROW(p.loadState(r), Error);
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/state_io.hh"
+#include "common/status.hh"
 #include "pred/length_predictor.hh"
 
 using namespace tpcp;
@@ -137,4 +139,43 @@ TEST(LengthPredictor, ClassBoundariesExercised)
     auto rec = p.observe(4); // completes the 200-run (class 2)
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->actualClass, 2u);
+}
+
+TEST(LengthPredictor, LoadRefusesMoreThanEightRuns)
+{
+    // observe() keeps the last 8 completed runs; an image holding 9
+    // is no state a run reaches.
+    auto image = [](unsigned runs) {
+        StateWriter w;
+        w.u64(32); // slots of the default 32-entry table
+        for (int i = 0; i < 32; ++i) {
+            w.b(false);
+            w.u64(0);
+            w.u64(0);
+            w.u8(0);
+            w.u8(0);
+        }
+        w.u64(0); // use tick
+        w.b(true);
+        w.u32(1);
+        w.u64(3);
+        w.u64(runs);
+        for (unsigned i = 0; i < runs; ++i) {
+            w.u32(1 + i % 2);
+            w.u64(2 + i);
+        }
+        w.b(false);
+        w.u64(0);
+        w.u32(0);
+        w.b(false);
+        return w.take();
+    };
+    const std::vector<std::uint8_t> eightRuns = image(8);
+    const std::vector<std::uint8_t> nineRuns = image(9);
+    RunLengthPredictor p;
+    StateReader eight(eightRuns);
+    p.loadState(eight);
+    EXPECT_TRUE(eight.atEnd());
+    StateReader nine(nineRuns);
+    EXPECT_THROW(p.loadState(nine), Error);
 }
