@@ -20,9 +20,9 @@ classifyProfile(const trace::IntervalProfile &profile,
     const auto &intervals = profile.intervals();
     std::vector<phase::RawInterval> views;
     views.reserve(intervals.size());
-    for (const trace::IntervalRecord &rec : intervals)
-        views.push_back({rec.accums[dim_idx].data(), rec.accumTotal,
-                         rec.cpi});
+    for (std::size_t i = 0; i < intervals.size(); ++i)
+        views.push_back({profile.counters(i, dim_idx),
+                         intervals[i].accumTotal, intervals[i].cpi});
     std::vector<phase::ClassifyResult> results(views.size());
     classifier.classifyIntervals(views.data(), views.size(),
                                  results.data());

@@ -150,13 +150,13 @@ normalizedIntervalVectors(const trace::IntervalProfile &profile,
     // SimPoint normalizes basic-block vectors.
     std::vector<std::vector<double>> rows;
     rows.reserve(profile.numIntervals());
-    for (const auto &rec : profile.intervals()) {
-        const auto &raw = rec.accums[dim_idx];
+    for (std::size_t i = 0; i < profile.numIntervals(); ++i) {
+        const std::uint32_t *raw = profile.counters(i, dim_idx);
         double total = 0.0;
-        for (auto v : raw)
-            total += static_cast<double>(v);
-        std::vector<double> row(raw.size());
-        for (std::size_t d = 0; d < raw.size(); ++d)
+        for (std::size_t d = 0; d < dims; ++d)
+            total += static_cast<double>(raw[d]);
+        std::vector<double> row(dims);
+        for (std::size_t d = 0; d < dims; ++d)
             row[d] = total > 0.0
                          ? static_cast<double>(raw[d]) / total
                          : 0.0;

@@ -1,8 +1,9 @@
 /**
  * @file
  * The repository's one byte codec. Every binary format — TPKT
- * frames, `.tpcptrace` files, `.tpcpprof` profiles, checkpoint
- * envelopes and TMIG migration manifests — is written with
+ * frames, `.tpcptrace` files (which are also the profile cache's
+ * files), checkpoint envelopes and TMIG migration manifests — is
+ * written with
  * StateWriter and read with StateReader, and every file goes through
  * readFile()/writeFileAtomic().
  *

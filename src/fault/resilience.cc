@@ -60,12 +60,11 @@ struct StreamStats
 
 /** Feeds one interval and folds the output into the bookkeeping. */
 void
-step(pred::PhaseTracker &tracker,
-     const std::vector<std::uint32_t> &raw, InstCount total,
-     double cpi, StreamStats &s)
+step(pred::PhaseTracker &tracker, const std::uint32_t *raw,
+     std::size_t n, InstCount total, double cpi, StreamStats &s)
 {
     pred::PhaseTrackerOutput out =
-        tracker.onIntervalRaw(raw, total, cpi);
+        tracker.onIntervalRaw(raw, n, total, cpi);
     PhaseId id = out.classification.phase;
     if (s.havePrev) {
         ++s.nextTotal;
@@ -261,8 +260,8 @@ runResilience(const trace::IntervalProfile &profile,
         pred::PhaseTracker tracker(trackerConfig(opts));
         for (std::size_t i = 0; i < n; ++i) {
             const trace::IntervalRecord &rec = profile.interval(i);
-            step(tracker, rec.accums[dim_idx], rec.accumTotal,
-                 rec.cpi, base);
+            step(tracker, profile.counters(i, dim_idx), opts.dims,
+                 rec.accumTotal, rec.cpi, base);
         }
         finishLengths(tracker, base);
     }
@@ -289,10 +288,12 @@ runResilience(const trace::IntervalProfile &profile,
     std::vector<std::uint32_t> raw;
     for (std::uint64_t i = start; i < n; ++i) {
         const trace::IntervalRecord &rec = profile.interval(i);
-        raw = rec.accums[dim_idx];
+        const std::uint32_t *stored = profile.counters(i, dim_idx);
+        raw.assign(stored, stored + opts.dims);
         double cpi = rec.cpi;
         injector.beforeInterval(tracker, raw, cpi);
-        step(tracker, raw, rec.accumTotal, cpi, faulty);
+        step(tracker, raw.data(), raw.size(), rec.accumTotal, cpi,
+             faulty);
         if (opts.checkpointAt != 0 && i + 1 == opts.checkpointAt &&
             i + 1 < n) {
             saveHarnessCheckpoint(opts.checkpointPath, profile, opts,

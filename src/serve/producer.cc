@@ -24,9 +24,8 @@ encodeProfileStream(const trace::IntervalProfile &prof,
     EncodedStream stream(n);
     for (std::size_t i = 0; i < n; ++i) {
         const trace::IntervalRecord &rec = prof.interval(i);
-        encodePacket(stream[i], 0, i, rec.accums[dim].data(),
-                     static_cast<std::uint32_t>(rec.accums[dim].size()),
-                     rec.accumTotal, rec.cpi);
+        encodePacket(stream[i], 0, i, prof.counters(i, dim),
+                     num_counters, rec.accumTotal, rec.cpi);
     }
     return stream;
 }

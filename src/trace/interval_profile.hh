@@ -2,7 +2,11 @@
  * @file
  * Stored per-interval profiles: for each fixed-length interval of a
  * workload's execution, the raw accumulator vectors at several
- * dimension configurations plus the measured CPI.
+ * dimension configurations plus the measured CPI. The counters of
+ * all intervals sit in one contiguous array, interval after interval,
+ * each interval's configs in dims() order: the order a `.tpcptrace`
+ * record (trace/trace_file.hh, also the profile cache's format)
+ * stores them in.
  *
  * Profiles decouple simulation from classification: the timing
  * simulation runs once per workload, and every classifier/predictor
@@ -17,18 +21,14 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
-
-namespace tpcp
-{
-class StateReader;
-class StateWriter;
-} // namespace tpcp
 
 namespace tpcp::trace
 {
 
-/** Profile data for one interval. */
+/** Scalar profile data for one interval; its accumulator snapshots
+ * live in the profile's counter array (IntervalProfile::counters). */
 struct IntervalRecord
 {
     /** Measured cycles-per-instruction of the interval. */
@@ -37,24 +37,7 @@ struct IntervalRecord
     InstCount insts = 0;
     /** Total increment applied to each accumulator config. */
     InstCount accumTotal = 0;
-    /** Raw accumulator snapshots, one vector per dimension config
-     * (indexed like IntervalProfile::dims). */
-    std::vector<std::vector<std::uint32_t>> accums;
 };
-
-/** Encoded size of one record recorded at dimension configs
- * @p dims. `.tpcpprof` and `.tpcptrace` files share the record
- * layout: f64 cpi, u64 insts, u64 accumTotal, then each config's
- * u32 counters in dims order. */
-std::size_t recordBytes(const std::vector<unsigned> &dims);
-
-/** Appends @p rec in the shared record layout. */
-void writeRecord(StateWriter &w, const IntervalRecord &rec);
-
-/** Reads one record laid out for @p dims (raises tpcp::Error when
- * the reader runs out). */
-IntervalRecord readRecord(StateReader &r,
-                          const std::vector<unsigned> &dims);
 
 /** A complete per-interval profile of one workload run. */
 class IntervalProfile
@@ -82,12 +65,28 @@ class IntervalProfile
     std::uint64_t machineHash() const { return machineHash_; }
     void setMachineHash(std::uint64_t h) { machineHash_ = h; }
 
-    /** Index into per-interval accums for dimension config @p dim;
-     * fatal when the profile was not recorded at that config. */
+    /** Index of dimension config @p dim for counters(); raises
+     * tpcp::Error when the profile was not recorded at that config. */
     std::size_t dimIndex(unsigned dim) const;
 
-    /** Appends one interval record. */
-    void push(IntervalRecord record);
+    /** Counters one interval holds: the sum of dims(). */
+    std::size_t countersPerInterval() const { return stride; }
+
+    /** Room for @p n intervals without reallocating. */
+    void reserve(std::size_t n);
+
+    /**
+     * Appends one interval and returns its countersPerInterval()
+     * counters, zeroed, for the caller to fill: each dimension
+     * config's snapshot in dims() order. The pointer is valid until
+     * the next append.
+     */
+    std::uint32_t *append(const IntervalRecord &record);
+
+    /** append(), copying the counters from @p counters, which holds
+     * exactly countersPerInterval() values. */
+    void push(const IntervalRecord &record,
+              const std::vector<std::uint32_t> &counters);
 
     std::size_t numIntervals() const { return records.size(); }
     const IntervalRecord &interval(std::size_t i) const;
@@ -96,22 +95,27 @@ class IntervalProfile
         return records;
     }
 
+    /** Interval @p i's snapshot at dimension config index
+     * @p dim_idx (see dimIndex()): dims()[dim_idx] counters. */
+    const std::uint32_t *
+    counters(std::size_t i, std::size_t dim_idx) const
+    {
+        tpcp_assert(i < records.size() && dim_idx < offsets.size());
+        return counterData.data() + i * stride + offsets[dim_idx];
+    }
+
     /** CPI of every interval, in order. */
     std::vector<double> cpis() const;
 
     /**
-     * Serializes to a binary file, atomically: the data is written
-     * to a temporary file in the same directory and renamed over
+     * Writes the profile to @p path as a `.tpcptrace` file with an
+     * empty source note (encodeTrace), atomically: the bytes go to a
+     * temporary file in the same directory that is renamed over
      * @p path, so readers never observe a torn file and a crashed
      * writer leaves the previous contents intact. Returns false on
-     * I/O error.
+     * I/O error; readTrace() reads the file back.
      */
     bool save(const std::string &path) const;
-
-    /** Loads from a binary file. Returns false on I/O or format
-     * error — including truncation and trailing garbage — and
-     * leaves the profile empty in that case. */
-    bool load(const std::string &path);
 
   private:
     std::string workload_;
@@ -119,7 +123,12 @@ class IntervalProfile
     InstCount intervalLen = 0;
     std::uint64_t machineHash_ = 0;
     std::vector<unsigned> dims_;
+    /** Start of each dimension config's block within an interval. */
+    std::vector<std::size_t> offsets;
+    std::size_t stride = 0;
     std::vector<IntervalRecord> records;
+    /** Every interval's counters, stride values per interval. */
+    std::vector<std::uint32_t> counterData;
 };
 
 } // namespace tpcp::trace

@@ -1,5 +1,7 @@
 #include "trace/interval_profiler.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace tpcp::trace
@@ -66,11 +68,12 @@ IntervalProfiler::closeInterval()
     rec.cpi = static_cast<double>(now - cyclesAtIntervalStart) /
               static_cast<double>(instsInInterval);
     rec.accumTotal = accums.front().totalIncrement();
+    std::uint32_t *out = profile_.append(rec);
     for (auto &acc : accums) {
-        rec.accums.push_back(acc.counters());
+        out = std::copy(acc.counters().begin(), acc.counters().end(),
+                        out);
         acc.reset();
     }
-    profile_.push(std::move(rec));
 
     cyclesAtIntervalStart = now;
     instsInInterval = 0;

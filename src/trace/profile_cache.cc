@@ -11,8 +11,10 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 #include "common/status.hh"
 #include "trace/interval_profiler.hh"
+#include "trace/trace_file.hh"
 #include "uarch/simulator.hh"
 
 namespace tpcp::trace
@@ -37,7 +39,10 @@ cacheDirOf(const ProfileOptions &opts)
 {
     if (!opts.cacheDir.empty())
         return opts.cacheDir;
-    if (const char *env = std::getenv("TPCP_PROFILE_DIR"))
+    // An exported but empty variable means unset, not the working
+    // directory.
+    const char *env = std::getenv("TPCP_PROFILE_DIR");
+    if (env && *env)
         return env;
     return "tpcp_profiles";
 }
@@ -107,7 +112,7 @@ profileCachePath(const std::string &workload_name,
     std::uint64_t h = uarch::configHash(opts.machine);
     if (h != uarch::configHash(uarch::MachineConfig::table1()))
         oss << "_m" << std::hex << (h & 0xffffffff) << std::dec;
-    oss << ".tpcpprof";
+    oss << ".tpcptrace";
     return (std::filesystem::path(cacheDirOf(opts)) / oss.str())
         .string();
 }
@@ -134,15 +139,21 @@ loadOrBuild(const std::string &name, const ProfileOptions &opts,
     // freshly written file.
     std::lock_guard<std::mutex> lock(pathMutex(path));
 
-    IntervalProfile cached;
-    if (cached.load(path) && profileMatches(cached, name, opts)) {
-        statHits.fetch_add(1, std::memory_order_relaxed);
-        return cached;
+    const bool existed = std::filesystem::exists(path);
+    if (existed) {
+        try {
+            TraceData cached = parseTrace(readFile(path), path);
+            if (profileMatches(cached.profile, name, opts)) {
+                statHits.fetch_add(1, std::memory_order_relaxed);
+                return std::move(cached.profile);
+            }
+        } catch (const Error &) {
+            // Rejected below, like a mismatched file.
+        }
     }
     // An unreadable (corrupt/truncated/old-version) file and a
     // mismatched one are both rejections; a missing file is a plain
     // cold build.
-    const bool existed = std::filesystem::exists(path);
     if (existed)
         statRejects.fetch_add(1, std::memory_order_relaxed);
     if (opts.requireCache)

@@ -5,6 +5,11 @@
  * length, dimension set, machine) runs once and is reused by every
  * experiment binary afterwards.
  *
+ * Cache files are `.tpcptrace` files (trace/trace_file.hh) with an
+ * empty source note, so every byte is CRC- or structure-checked on
+ * load and a corrupt file is rejected and re-simulated; `tpcp trace
+ * info` and `--trace=` read them like any other trace.
+ *
  * The cache is safe to share between concurrent runners: files are
  * written to a temp name and atomically renamed into place (readers
  * never see a torn file), cached profiles are validated against the
@@ -37,8 +42,8 @@ struct ProfileOptions
     std::vector<unsigned> dims = {8, 16, 32, 64};
     /** Timing core: "ooo" (Table 1) or "simple" (fast cost model). */
     std::string coreName = "ooo";
-    /** Cache directory; empty uses $TPCP_PROFILE_DIR or
-     * "tpcp_profiles". */
+    /** Cache directory; empty uses $TPCP_PROFILE_DIR, or
+     * "tpcp_profiles" when that is unset or empty. */
     std::string cacheDir;
     /** Disable to force re-simulation. */
     bool useCache = true;

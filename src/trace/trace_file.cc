@@ -8,6 +8,15 @@
 namespace tpcp::trace
 {
 
+namespace
+{
+
+/** Bytes of a record payload before its counters: f64 cpi, u64
+ * insts, u64 accumTotal. */
+constexpr std::size_t kScalarBytes = 8 + 8 + 8;
+
+} // namespace
+
 std::vector<std::uint8_t>
 encodeTrace(const IntervalProfile &profile, const std::string &source)
 {
@@ -42,8 +51,9 @@ encodeTrace(const IntervalProfile &profile, const std::string &source)
     header.u64(profile.numIntervals());
 
     StateWriter out;
-    const std::size_t payload_bytes =
-        recordBytes(profile.dims());
+    const std::size_t counter_bytes =
+        4 * profile.countersPerInterval();
+    const std::size_t payload_bytes = kScalarBytes + counter_bytes;
     out.reserve(12 + header.size() + 4 +
                 profile.numIntervals() * (payload_bytes + 8));
     out.u32(kTraceMagic);
@@ -52,11 +62,14 @@ encodeTrace(const IntervalProfile &profile, const std::string &source)
     out.raw(header.buffer().data(), header.size());
     out.u32(crc32(header.buffer().data(), header.size()));
 
-    for (const IntervalRecord &rec : profile.intervals()) {
+    for (std::size_t i = 0; i < profile.numIntervals(); ++i) {
+        const IntervalRecord &rec = profile.interval(i);
         out.u32(static_cast<std::uint32_t>(payload_bytes));
         const std::size_t start = out.size();
-        writeRecord(out, rec);
-        tpcp_assert(out.size() - start == payload_bytes);
+        out.f64(rec.cpi);
+        out.u64(rec.insts);
+        out.u64(rec.accumTotal);
+        out.raw(profile.counters(i, 0), counter_bytes);
         out.u32(crc32(out.buffer().data() + start, payload_bytes));
     }
     return out.take();
@@ -94,20 +107,23 @@ parseTrace(const std::vector<std::uint8_t> &bytes,
                        kTraceMaxDim);
         d = v;
     }
+    IntervalProfile profile(name.empty() ? "trace" : name,
+                            core.empty() ? "trace" : core,
+                            interval_len, std::move(dims));
+    profile.setMachineHash(machine_hash);
+
     // Each record occupies at least its payload plus length and CRC
     // framing, so the bytes after the header bound the record count.
-    const std::size_t payload_bytes = recordBytes(dims);
+    const std::size_t counter_bytes =
+        4 * profile.countersPerInterval();
+    const std::size_t payload_bytes = kScalarBytes + counter_bytes;
     const std::uint64_t record_count =
         c.checkCount(h.u64(), payload_bytes + 8);
     if (!h.atEnd())
         tpcp_raise(label, ": header carries ", h.remaining(),
                    " unexpected trailing bytes");
 
-    IntervalProfile profile(name.empty() ? "trace" : name,
-                            core.empty() ? "trace" : core,
-                            interval_len, dims);
-    profile.setMachineHash(machine_hash);
-
+    profile.reserve(record_count);
     for (std::uint64_t i = 0; i < record_count; ++i) {
         std::uint32_t declared = c.u32();
         if (declared != payload_bytes)
@@ -119,7 +135,10 @@ parseTrace(const std::vector<std::uint8_t> &bytes,
             tpcp_raise(label, ": record ", i,
                        " CRC mismatch (file corrupted)");
 
-        IntervalRecord rec = readRecord(r, dims);
+        IntervalRecord rec;
+        rec.cpi = r.f64();
+        rec.insts = r.u64();
+        rec.accumTotal = r.u64();
         if (!std::isfinite(rec.cpi) || rec.cpi < 0.0)
             tpcp_raise(label, ": record ", i,
                        " carries a non-finite or negative CPI");
@@ -129,7 +148,7 @@ parseTrace(const std::vector<std::uint8_t> &bytes,
         if (rec.accumTotal > kTraceMaxInsts)
             tpcp_raise(label, ": record ", i, " accumulator total ",
                        rec.accumTotal, " exceeds 2^40");
-        profile.push(std::move(rec));
+        r.raw(profile.append(rec), counter_bytes);
     }
     if (!c.atEnd())
         tpcp_raise(label, ": ", c.remaining(),

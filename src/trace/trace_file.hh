@@ -1,11 +1,13 @@
 /**
  * @file
- * The versioned `.tpcptrace` ingest format: recorded per-interval
- * branch-counter vectors plus CPI, the bridge between real profiling
- * tools and the classifier/predictor stack. A trace file carries the
- * same per-interval records an IntervalProfile holds, so an ingested
- * trace is a first-class workload everywhere a synthetic model is
- * accepted.
+ * The versioned `.tpcptrace` format: recorded per-interval
+ * branch-counter vectors plus CPI. It is the one interval file
+ * format: the bridge between real profiling tools and the
+ * classifier/predictor stack, and the profile cache's file
+ * (trace/profile_cache.hh), written by IntervalProfile::save. A trace
+ * file carries the same per-interval records an IntervalProfile
+ * holds, so an ingested trace is a first-class workload everywhere a
+ * synthetic model is accepted.
  *
  * Layout (little-endian, length-prefixed records, every byte covered
  * by a structural check or a CRC):
@@ -33,12 +35,12 @@
  *     u32 payloadCrc         CRC-32 of the payload
  *   (end of file exactly here; trailing bytes are rejected)
  *
- * The reader treats the file as untrusted input in the spirit of the
- * `.tpcpprof` loader and the TPKT packet decoder: magic/version/
- * length mismatches, forged record counts or payload lengths,
- * truncation, bit flips (CRC) and trailing garbage all raise a
- * recoverable tpcp::Error before any caller-visible state is
- * touched — a parse either yields a complete TraceData or nothing.
+ * The reader treats the file as untrusted input, like the TPKT
+ * packet decoder: magic/version/length mismatches, forged record
+ * counts or payload lengths, truncation, bit flips (CRC) and
+ * trailing garbage all raise a recoverable tpcp::Error before any
+ * caller-visible state is touched — a parse either yields a complete
+ * TraceData or nothing.
  */
 
 #ifndef TPCP_TRACE_TRACE_FILE_HH

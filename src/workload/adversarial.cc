@@ -76,15 +76,15 @@ makeBehavior(Rng &rng, unsigned hot, double cpi,
     return b;
 }
 
-/** Folds a leaf-mass vector to the recorded accumulator vector at
- * dimension @p dim (leaf l lands in bucket l % dim). */
-std::vector<std::uint32_t>
-fold(const std::vector<std::uint64_t> &mass, unsigned dim)
+/** Folds a leaf-mass vector into the @p dim zeroed counters at
+ * @p out, the recorded accumulator vector at dimension @p dim (leaf
+ * l lands in bucket l % dim). */
+void
+fold(const std::vector<std::uint64_t> &mass, unsigned dim,
+     std::uint32_t *out)
 {
-    std::vector<std::uint32_t> out(dim, 0);
     for (unsigned l = 0; l < mass.size(); ++l)
         out[l % dim] += static_cast<std::uint32_t>(mass[l]);
-    return out;
 }
 
 /** Blends two behaviors: mass re-apportioned so the integer sum is
@@ -113,10 +113,11 @@ emit(AdversarialTrace &trace, const AdversarialSpec &spec,
     rec.insts = spec.intervalLen;
     rec.accumTotal = spec.intervalLen;
     rec.cpi = std::max(0.05, b.cpi + 0.01 * rng.nextGaussian());
-    rec.accums.reserve(spec.dims.size());
-    for (unsigned dim : spec.dims)
-        rec.accums.push_back(fold(b.mass, dim));
-    trace.profile.push(std::move(rec));
+    std::uint32_t *out = trace.profile.append(rec);
+    for (unsigned dim : spec.dims) {
+        fold(b.mass, dim, out);
+        out += dim;
+    }
     trace.truth.push_back(truthId);
 }
 

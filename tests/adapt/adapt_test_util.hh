@@ -45,8 +45,7 @@ makeLatticeProfiles(std::size_t num_configs,
             rec.insts = 100'000;
             rec.cpi = cell.cpiPerConfig.at(c);
             rec.accumTotal = 1000;
-            rec.accums = {std::vector<std::uint32_t>(16, 0)};
-            p.push(std::move(rec));
+            p.push(rec, std::vector<std::uint32_t>(16, 0));
         }
         profiles.push_back(std::move(p));
     }

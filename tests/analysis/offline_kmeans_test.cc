@@ -54,8 +54,7 @@ shapedProfile(std::size_t n)
         raw[shape * 5 + 1] = 600 + rng.nextBounded(40);
         raw[shape * 5 + 3] = 300 + rng.nextBounded(30);
         rec.accumTotal = raw[shape * 5 + 1] + raw[shape * 5 + 3];
-        rec.accums = {raw};
-        p.push(std::move(rec));
+        p.push(rec, raw);
     }
     return p;
 }
@@ -78,8 +77,7 @@ nearConstantProfile(std::size_t n)
         raw[3] = 1000000;
         raw[4] = static_cast<std::uint32_t>(i % 2);
         rec.accumTotal = raw[3] + raw[4];
-        rec.accums = {raw};
-        p.push(std::move(rec));
+        p.push(rec, raw);
     }
     return p;
 }
@@ -253,8 +251,7 @@ TEST(OfflineClassify, SingleShapeGivesFewClusters)
         std::vector<std::uint32_t> raw(16, 0);
         raw[3] = 1000;
         rec.accumTotal = 1000;
-        rec.accums = {raw};
-        p.push(std::move(rec));
+        p.push(rec, raw);
     }
     OfflineResult r = classifyOffline(p);
     EXPECT_LE(r.k, 2u);

@@ -36,16 +36,15 @@ syntheticProfile(unsigned seed)
         trace::IntervalRecord rec;
         rec.cpi = 1.0 + 0.5 * regime + 0.001 * ((i + seed) % 7);
         rec.insts = 1000;
-        rec.accums = {std::vector<std::uint32_t>(16, 0),
-                      std::vector<std::uint32_t>(32, 0)};
-        for (unsigned d = 0; d < 2; ++d) {
-            for (std::size_t b = 0; b < rec.accums[d].size(); ++b) {
-                rec.accums[d][b] = static_cast<std::uint32_t>(
-                    ((regime * 37 + b * 13 + seed) % 97) * 50);
-                rec.accumTotal += rec.accums[d][b];
+        std::vector<std::uint32_t> counters;
+        for (unsigned dim : p.dims()) {
+            for (std::size_t b = 0; b < dim; ++b) {
+                counters.push_back(static_cast<std::uint32_t>(
+                    ((regime * 37 + b * 13 + seed) % 97) * 50));
+                rec.accumTotal += counters.back();
             }
         }
-        p.push(std::move(rec));
+        p.push(rec, counters);
     }
     return p;
 }

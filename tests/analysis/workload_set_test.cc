@@ -85,8 +85,7 @@ TEST(WorkloadSet, TraceListKeepsOrderAndHeaderNames)
     trace::IntervalRecord rec;
     rec.cpi = 1.0;
     rec.insts = 1000;
-    rec.accums = {std::vector<std::uint32_t>(4, 100u)};
-    small.push(rec);
+    small.push(rec, std::vector<std::uint32_t>(4, 100u));
     const std::string p1 = tmpPath("list1.tpcptrace");
     const std::string p2 = tmpPath("list2.tpcptrace");
     trace::writeTrace(p1, small, "");

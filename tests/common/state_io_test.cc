@@ -246,10 +246,9 @@ TEST(StateIo, CountIsBoundedByTheRemainingPayload)
 
 TEST(StateIo, HeaderCheckPrintsMagicsInHex)
 {
-    // The four magics of the binary formats: TPKT frames, .tpcptrace,
-    // .tpcpprof and the TMIG manifest envelope.
-    for (std::uint32_t magic :
-         {0x544B5054u, 0x52545054u, 0x54504350u, 0x47494D54u}) {
+    // The magics of TPKT frames, .tpcptrace files and the TMIG
+    // manifest envelope.
+    for (std::uint32_t magic : {0x544B5054u, 0x52545054u, 0x47494D54u}) {
         StateWriter good;
         good.u32(magic);
         good.u32(1);

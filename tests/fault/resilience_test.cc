@@ -43,11 +43,10 @@ syntheticProfile(std::size_t n = 200)
         rec.cpi = 1.0 + phase;
         rec.insts = 1000;
         rec.accumTotal = 10000;
-        std::vector<std::uint32_t> accums(16, 0);
+        std::vector<std::uint32_t> counters(16, 0);
         for (int j = 0; j < 4; ++j)
-            accums[phase * 8 + j] = 2500;
-        rec.accums.push_back(std::move(accums));
-        p.push(std::move(rec));
+            counters[phase * 8 + j] = 2500;
+        p.push(rec, counters);
     }
     return p;
 }

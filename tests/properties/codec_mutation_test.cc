@@ -1,9 +1,9 @@
 /**
  * @file
- * Seeded multi-fault mutation test over the five binary decoders —
- * TPKT frames, `.tpcptrace` files, `.tpcpprof` profiles, state_io
- * envelopes and TMIG migration manifests — and over the tracker
- * state a resilience checkpoint restores, plus forged-count
+ * Seeded multi-fault mutation test over the four binary decoders —
+ * TPKT frames, `.tpcptrace` files (also the profile cache's files),
+ * state_io envelopes and TMIG migration manifests — and over the
+ * tracker state a resilience checkpoint restores, plus forged-count
  * regressions for the counts that size allocations.
  *
  * Each mutant stacks several faults on a valid sample: a multi-byte
@@ -11,9 +11,9 @@
  * after which every CRC and length the format carries is recomputed,
  * so the decoder's own validation, not the checksum, has to catch
  * the damage. The property: a mutant either decodes — and the
- * packet, trace, profile and envelope decoders' results re-encode to
- * exactly the mutant's bytes — or it is rejected with tpcp::Error
- * (IntervalProfile::load returns false) and leaves no partial state.
+ * packet, trace and envelope decoders' results re-encode to exactly
+ * the mutant's bytes — or it is rejected with tpcp::Error and leaves
+ * no partial state.
  * A mutated resilience checkpoint, sealed with a valid CRC, either
  * resumes to the end of its campaign or raises tpcp::Error.
  * Seed and mutant count are fixed, so a failure replays exactly.
@@ -77,9 +77,9 @@ smallProfile()
         rec.cpi = 1.0 + 0.25 * i;
         rec.insts = 1000;
         rec.accumTotal = 500 + i;
-        rec.accums = {std::vector<std::uint32_t>(4, 100u + i),
-                      std::vector<std::uint32_t>(8, 50u + i)};
-        p.push(std::move(rec));
+        std::vector<std::uint32_t> counters(4, 100u + i);
+        counters.resize(4 + 8, 50u + i);
+        p.push(rec, counters);
     }
     return p;
 }
@@ -106,9 +106,9 @@ campaignProfile()
         rec.cpi = 1.0 + (i / 10) % 2;
         rec.insts = 1000;
         rec.accumTotal = 10000;
-        rec.accums.push_back(std::vector<std::uint32_t>(16, 625));
-        rec.accums[0][(i / 10) % 2] = 2500;
-        p.push(std::move(rec));
+        std::vector<std::uint32_t> counters(16, 625);
+        counters[(i / 10) % 2] = 2500;
+        p.push(rec, counters);
     }
     return p;
 }
@@ -188,7 +188,6 @@ enum class Format
 {
     Packet,
     Trace,
-    Profile,
     Envelope,
     Manifest,
     /** A resilience checkpoint payload; writeStateFile() seals each
@@ -337,25 +336,6 @@ checkTrace(const Bytes &m, Tally &tally)
 }
 
 void
-checkProfile(const Bytes &m, const std::string &dir, Tally &tally)
-{
-    const std::string in = dir + "/in.tpcpprof";
-    const std::string out = dir + "/out.tpcpprof";
-    ASSERT_TRUE(writeFileAtomic(in, m));
-    trace::IntervalProfile q;
-    if (!q.load(in)) {
-        ++tally.rejected;
-        EXPECT_EQ(q.numIntervals(), 0u);
-        EXPECT_TRUE(q.workload().empty());
-        EXPECT_TRUE(q.dims().empty());
-        return;
-    }
-    ++tally.decoded;
-    ASSERT_TRUE(q.save(out));
-    EXPECT_EQ(readFile(out), m);
-}
-
-void
 checkEnvelope(const Bytes &m, const std::string &dir, Tally &tally)
 {
     Bytes payload;
@@ -413,8 +393,6 @@ TEST(CodecMutation, MultiFaultMutantsDecodeExactlyOrRaiseCleanly)
     const std::string envelopePath = dir + "/sample.state";
     ASSERT_TRUE(writeStateFile(envelopePath, kStateMagic,
                                kStateVersion, payload));
-    const std::string profilePath = dir + "/sample.tpcpprof";
-    ASSERT_TRUE(smallProfile().save(profilePath));
 
     struct Samples
     {
@@ -428,7 +406,6 @@ TEST(CodecMutation, MultiFaultMutantsDecodeExactlyOrRaiseCleanly)
          "trace",
          {corpusFile("corruption/seed.tpcptrace"),
           trace::encodeTrace(smallProfile(), "fresh")}},
-        {Format::Profile, "profile", {readFile(profilePath)}},
         {Format::Envelope, "envelope", {readFile(envelopePath)}},
         {Format::Manifest, "manifest", {readFile(manifestPath)}},
     };
@@ -452,9 +429,6 @@ TEST(CodecMutation, MultiFaultMutantsDecodeExactlyOrRaiseCleanly)
                 break;
             case Format::Trace:
                 checkTrace(m, tally);
-                break;
-            case Format::Profile:
-                checkProfile(m, dir, tally);
                 break;
             case Format::Envelope:
                 checkEnvelope(m, dir, tally);

@@ -53,8 +53,7 @@ makeProfile(const std::vector<Cell> &cells)
         raw[base] = total - hi;
         raw[base + 1] = hi;
         rec.accumTotal = total;
-        rec.accums = {raw};
-        p.push(std::move(rec));
+        p.push(rec, raw);
     }
     return p;
 }

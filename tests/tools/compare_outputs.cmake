@@ -8,15 +8,16 @@
 # stay in the build tree, pass or fail. Command <i> (from 1) runs in
 # its own directory WORK_DIR/<i>, with stdout in WORK_DIR/<i>.stdout
 # and stderr in WORK_DIR/<i>.stderr; any exit status but 0 fails.
-# Unless the environment sets TPCP_PROFILE_DIR, it is set to
-# PROFILE_DIR.
+# Unless the environment sets TPCP_PROFILE_DIR to a non-empty value
+# (empty means unset, as it does to tpcp), it is set to PROFILE_DIR.
+# In a command argument, <profiles> stands for that directory.
 #
 # Each SAME compares <actual> with <expected> byte for byte, relative
 # paths resolving in WORK_DIR: two files, or two directories with the
 # same file names, file by file. An <actual> of the form a+b stands
 # for the text of a followed by that of b (file by file, for
 # directories), written to WORK_DIR/a+b with '/' read as '_'.
-if(PROFILE_DIR AND NOT DEFINED ENV{TPCP_PROFILE_DIR})
+if(PROFILE_DIR AND "$ENV{TPCP_PROFILE_DIR}" STREQUAL "")
     set(ENV{TPCP_PROFILE_DIR} "${PROFILE_DIR}")
 endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -32,6 +33,7 @@ foreach(i RANGE ${last})
     elseif(arg STREQUAL "SAME")
         set(into pairs)
     elseif(into)
+        string(REPLACE "<profiles>" "$ENV{TPCP_PROFILE_DIR}" arg "${arg}")
         list(APPEND ${into} "${arg}")
     endif()
 endforeach()

@@ -1,19 +1,23 @@
 /**
  * @file
- * Unit tests for interval-profile storage: construction constraints
- * and binary save/load round trips.
+ * Unit tests for interval-profile storage: construction constraints,
+ * the flat counter layout, and save() round trips through the trace
+ * reader (the profile cache's load path).
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
-#include "trace/interval_profile.hh"
+#include "common/state_io.hh"
+#include "common/status.hh"
+#include "trace/trace_file.hh"
 
 using namespace tpcp;
 using namespace tpcp::trace;
@@ -30,9 +34,9 @@ sampleProfile()
         rec.cpi = 1.0 + 0.1 * i;
         rec.insts = 1000;
         rec.accumTotal = 900 + i;
-        rec.accums = {std::vector<std::uint32_t>(4, 10u + i),
-                      std::vector<std::uint32_t>(8, 20u + i)};
-        p.push(std::move(rec));
+        std::vector<std::uint32_t> counters(4, 10u + i);
+        counters.resize(4 + 8, 20u + i);
+        p.push(rec, counters);
     }
     return p;
 }
@@ -61,6 +65,19 @@ TEST(IntervalProfile, DimIndexLookup)
     EXPECT_EQ(p.dimIndex(8), 1u);
 }
 
+TEST(IntervalProfile, CountersAreFlatInDimsOrder)
+{
+    IntervalProfile p = sampleProfile();
+    EXPECT_EQ(p.countersPerInterval(), 12u);
+    for (std::size_t i = 0; i < p.numIntervals(); ++i) {
+        // The 8-counter block follows the 4-counter block directly.
+        EXPECT_EQ(p.counters(i, 1), p.counters(i, 0) + 4);
+        EXPECT_EQ(p.counters(i, 0)[3], 10u + i);
+        EXPECT_EQ(p.counters(i, 1)[0], 20u + i);
+        EXPECT_EQ(p.counters(i, 1)[7], 20u + i);
+    }
+}
+
 TEST(IntervalProfile, CpisInOrder)
 {
     IntervalProfile p = sampleProfile();
@@ -73,11 +90,12 @@ TEST(IntervalProfile, CpisInOrder)
 TEST(IntervalProfile, SaveLoadRoundTrip)
 {
     IntervalProfile p = sampleProfile();
-    std::string path = tmpPath("roundtrip.tpcpprof");
+    std::string path = tmpPath("roundtrip.tpcptrace");
     ASSERT_TRUE(p.save(path));
 
-    IntervalProfile q;
-    ASSERT_TRUE(q.load(path));
+    TraceData t = readTrace(path);
+    const IntervalProfile &q = t.profile;
+    EXPECT_TRUE(t.source.empty());
     EXPECT_EQ(q.workload(), p.workload());
     EXPECT_EQ(q.coreName(), p.coreName());
     EXPECT_EQ(q.intervalLength(), p.intervalLength());
@@ -88,120 +106,83 @@ TEST(IntervalProfile, SaveLoadRoundTrip)
         EXPECT_EQ(q.interval(i).insts, p.interval(i).insts);
         EXPECT_EQ(q.interval(i).accumTotal,
                   p.interval(i).accumTotal);
-        EXPECT_EQ(q.interval(i).accums, p.interval(i).accums);
+        EXPECT_TRUE(std::equal(p.counters(i, 0),
+                               p.counters(i, 0) + 12,
+                               q.counters(i, 0)));
     }
+    EXPECT_EQ(readFile(path), encodeTrace(p, ""));
     std::remove(path.c_str());
-}
-
-TEST(IntervalProfile, LoadMissingFileFails)
-{
-    IntervalProfile p;
-    EXPECT_FALSE(p.load(tmpPath("does_not_exist.tpcpprof")));
-    EXPECT_EQ(p.numIntervals(), 0u);
 }
 
 TEST(IntervalProfile, LoadGarbageFails)
 {
-    std::string path = tmpPath("garbage.tpcpprof");
+    std::string path = tmpPath("garbage.tpcptrace");
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("not a profile", f);
     std::fclose(f);
-    IntervalProfile p;
-    EXPECT_FALSE(p.load(path));
+    EXPECT_THROW(readTrace(path), Error);
     std::remove(path.c_str());
 }
 
 TEST(IntervalProfile, LoadTruncatedFails)
 {
     IntervalProfile p = sampleProfile();
-    std::string path = tmpPath("trunc.tpcpprof");
+    std::string path = tmpPath("trunc.tpcptrace");
     ASSERT_TRUE(p.save(path));
     // Truncate the file to half size.
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-    IntervalProfile q;
-    EXPECT_FALSE(q.load(path));
+    const auto size = std::filesystem::file_size(path);
+    ASSERT_EQ(truncate(path.c_str(), static_cast<off_t>(size / 2)), 0);
+    EXPECT_THROW(readTrace(path), Error);
     std::remove(path.c_str());
 }
 
 TEST(IntervalProfile, PushRejectsWrongShape)
 {
     IntervalProfile p("w", "ooo", 100, {4});
-    IntervalRecord bad;
-    bad.accums = {std::vector<std::uint32_t>(8, 1)};
-    EXPECT_DEATH(p.push(std::move(bad)), "width|mismatch");
+    EXPECT_DEATH(p.push(IntervalRecord{},
+                        std::vector<std::uint32_t>(8, 1)),
+                 "mismatch");
 }
 
 TEST(IntervalProfile, MachineHashRoundTrip)
 {
     IntervalProfile p = sampleProfile();
     p.setMachineHash(0xdeadbeefcafef00dull);
-    std::string path = tmpPath("mhash.tpcpprof");
+    std::string path = tmpPath("mhash.tpcptrace");
     ASSERT_TRUE(p.save(path));
-
-    IntervalProfile q;
-    ASSERT_TRUE(q.load(path));
-    EXPECT_EQ(q.machineHash(), 0xdeadbeefcafef00dull);
+    EXPECT_EQ(readTrace(path).profile.machineHash(),
+              0xdeadbeefcafef00dull);
     std::remove(path.c_str());
 }
 
 TEST(IntervalProfile, LoadRejectsTrailingGarbage)
 {
     IntervalProfile p = sampleProfile();
-    std::string path = tmpPath("trailing.tpcpprof");
+    std::string path = tmpPath("trailing.tpcptrace");
     ASSERT_TRUE(p.save(path));
     std::FILE *f = std::fopen(path.c_str(), "ab");
     ASSERT_NE(f, nullptr);
     std::fputs("extra", f);
     std::fclose(f);
-
-    IntervalProfile q;
-    EXPECT_FALSE(q.load(path));
+    EXPECT_THROW(readTrace(path), Error);
     std::remove(path.c_str());
 }
 
 TEST(IntervalProfile, LoadRejectsOldVersion)
 {
     IntervalProfile p = sampleProfile();
-    std::string path = tmpPath("oldver.tpcpprof");
+    std::string path = tmpPath("oldver.tpcptrace");
     ASSERT_TRUE(p.save(path));
     // Patch the version field (second uint32 in the header) back to
-    // the pre-machine-hash version 1.
+    // one before the current format version.
     std::FILE *f = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 4, SEEK_SET);
-    std::uint32_t old_version = 1;
+    std::uint32_t old_version = kTraceVersion - 1;
     ASSERT_EQ(std::fwrite(&old_version, 4, 1, f), 1u);
     std::fclose(f);
-
-    IntervalProfile q;
-    EXPECT_FALSE(q.load(path));
-    std::remove(path.c_str());
-}
-
-TEST(IntervalProfile, FailedLoadLeavesProfileEmpty)
-{
-    // A profile that already holds data must come out empty after a
-    // failed load, not with a mix of old and half-read state.
-    IntervalProfile p = sampleProfile();
-    std::string path = tmpPath("halfread.tpcpprof");
-    ASSERT_TRUE(p.save(path));
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    std::fseek(f, 0, SEEK_END);
-    long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(truncate(path.c_str(), size - 8), 0);
-
-    IntervalProfile q = sampleProfile();
-    ASSERT_GT(q.numIntervals(), 0u);
-    EXPECT_FALSE(q.load(path));
-    EXPECT_EQ(q.numIntervals(), 0u);
-    EXPECT_TRUE(q.workload().empty());
-    EXPECT_TRUE(q.dims().empty());
+    EXPECT_THROW(readTrace(path), Error);
     std::remove(path.c_str());
 }
 
@@ -213,11 +194,11 @@ TEST(IntervalProfile, SaveLeavesNoTempFiles)
     fs::remove_all(dir);
     fs::create_directories(dir);
     IntervalProfile p = sampleProfile();
-    ASSERT_TRUE(p.save(dir + "/x.tpcpprof"));
+    ASSERT_TRUE(p.save(dir + "/x.tpcptrace"));
     std::size_t entries = 0;
     for (const auto &e : fs::directory_iterator(dir)) {
         ++entries;
-        EXPECT_EQ(e.path().extension(), ".tpcpprof")
+        EXPECT_EQ(e.path().extension(), ".tpcptrace")
             << "unexpected leftover: " << e.path();
     }
     EXPECT_EQ(entries, 1u);

@@ -74,8 +74,8 @@ TEST(IntervalProfiler, AccumulatorsSumToBranchedInsts)
     IntervalProfile prof = profileLoop(8'000, 1'000);
     for (std::size_t i = 0; i < prof.numIntervals(); ++i) {
         const auto &rec = prof.interval(i);
-        std::uint64_t sum = std::accumulate(
-            rec.accums[0].begin(), rec.accums[0].end(), 0ull);
+        const std::uint32_t *c = prof.counters(i, 0);
+        std::uint64_t sum = std::accumulate(c, c + 8, 0ull);
         EXPECT_EQ(sum, rec.accumTotal);
         EXPECT_NEAR(static_cast<double>(rec.accumTotal),
                     static_cast<double>(rec.insts),
@@ -88,16 +88,13 @@ TEST(IntervalProfiler, MultipleDimConfigsConsistent)
 {
     IntervalProfile prof = profileLoop(5'000, 1'000, {8, 16, 32});
     ASSERT_EQ(prof.dims().size(), 3u);
-    for (const auto &rec : prof.intervals()) {
-        std::uint64_t s8 = std::accumulate(rec.accums[0].begin(),
-                                           rec.accums[0].end(),
-                                           0ull);
-        std::uint64_t s16 = std::accumulate(rec.accums[1].begin(),
-                                            rec.accums[1].end(),
-                                            0ull);
-        std::uint64_t s32 = std::accumulate(rec.accums[2].begin(),
-                                            rec.accums[2].end(),
-                                            0ull);
+    for (std::size_t i = 0; i < prof.numIntervals(); ++i) {
+        const std::uint32_t *c8 = prof.counters(i, 0);
+        const std::uint32_t *c16 = prof.counters(i, 1);
+        const std::uint32_t *c32 = prof.counters(i, 2);
+        std::uint64_t s8 = std::accumulate(c8, c8 + 8, 0ull);
+        std::uint64_t s16 = std::accumulate(c16, c16 + 16, 0ull);
+        std::uint64_t s32 = std::accumulate(c32, c32 + 32, 0ull);
         EXPECT_EQ(s8, s16);
         EXPECT_EQ(s16, s32)
             << "all dimension configs see the same increments";
@@ -109,10 +106,11 @@ TEST(IntervalProfiler, SingleBranchPcConcentratesMass)
     // The loop program has exactly one branch PC, so each interval's
     // accumulator vector must have exactly one non-zero counter.
     IntervalProfile prof = profileLoop(4'000, 1'000);
-    for (const auto &rec : prof.intervals()) {
+    for (std::size_t i = 0; i < prof.numIntervals(); ++i) {
+        const std::uint32_t *c = prof.counters(i, 0);
         int nonzero = 0;
-        for (auto c : rec.accums[0])
-            nonzero += c ? 1 : 0;
+        for (unsigned d = 0; d < prof.dims()[0]; ++d)
+            nonzero += c[d] ? 1 : 0;
         EXPECT_EQ(nonzero, 1);
     }
 }

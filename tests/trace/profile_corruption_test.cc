@@ -1,21 +1,27 @@
 /**
  * @file
- * Deterministic corruption corpus for the .tpcpprof loader: every
- * single-bit flip, every truncation, and a forged record count must
- * either fail the load cleanly or yield a structurally consistent
- * profile — never crash, over-allocate, or return torn data. Runs
- * under the ASan CI job like every other test.
+ * Deterministic corruption corpus for the profile cache's files:
+ * every single-bit flip, every truncation, trailing bytes and a
+ * forged record count in a cached `.tpcptrace` profile must be
+ * rejected — getProfile() counts a reject and serves the rebuilt,
+ * clean profile, and a --require-cache lookup raises — never crash,
+ * over-allocate, or serve damaged data. Runs under the ASan CI job
+ * like every other test.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "trace/interval_profile.hh"
+#include "../test_helpers.hh"
+#include "common/state_io.hh"
+#include "common/status.hh"
+#include "trace/profile_cache.hh"
+#include "trace/trace_file.hh"
 
 using namespace tpcp;
 using namespace tpcp::trace;
@@ -23,154 +29,131 @@ using namespace tpcp::trace;
 namespace
 {
 
-std::string
-tmpPath(const char *name)
+using Bytes = std::vector<std::uint8_t>;
+
+/** A workload small enough to re-simulate once per corrupted file:
+ * two code regions, four 1000-instruction intervals. */
+workload::Workload
+tinyWorkload()
 {
-    return std::string(::testing::TempDir()) + name;
+    workload::Workload w;
+    w.name = "tiny";
+    w.program = test::twoRegionProgram();
+    w.script = workload::scriptSeq({workload::scriptRun(0, 2000, 0.0),
+                                    workload::scriptRun(1, 2000, 0.0)});
+    w.seed = 3;
+    return w;
 }
 
-/** A small but fully populated profile: two dimension configs and a
- * handful of records keep the corpus loop fast (~2 x file size loads)
- * while covering every field of the format. */
-IntervalProfile
-sampleProfile()
+/** Options that cache tinyWorkload() in @p dir at two dimension
+ * configs, so the file covers every field of the format. */
+ProfileOptions
+cacheOptions(const std::string &dir)
 {
-    IntervalProfile p("w", "ooo", 1000, {4, 8});
-    p.setMachineHash(0x1234abcd5678ef00ull);
-    for (int i = 0; i < 3; ++i) {
-        IntervalRecord rec;
-        rec.cpi = 1.0 + 0.25 * i;
-        rec.insts = 1000;
-        rec.accumTotal = 500 + i;
-        rec.accums = {std::vector<std::uint32_t>(4, 100u + i),
-                      std::vector<std::uint32_t>(8, 50u + i)};
-        p.push(std::move(rec));
+    ProfileOptions opts;
+    opts.intervalLen = 1000;
+    opts.dims = {4, 8};
+    opts.coreName = "simple";
+    opts.cacheDir = dir;
+    return opts;
+}
+
+/** A fresh cache directory holding tinyWorkload()'s profile. */
+class ProfileCorruption : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        dir = std::string(::testing::TempDir()) + "tpcp_corruption_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()
+                  ->name();
+        std::filesystem::remove_all(dir);
+        opts = cacheOptions(dir);
+        strict = opts;
+        strict.requireCache = true;
+        getProfile(w, opts);
+        path = profileCachePath(w.name, opts);
+        clean = readFile(path);
+        ASSERT_GT(clean.size(), 100u);
     }
-    return p;
-}
 
-std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::vector<std::uint8_t> bytes;
-    int c;
-    while ((c = std::fgetc(f)) != EOF)
-        bytes.push_back(static_cast<std::uint8_t>(c));
-    std::fclose(f);
-    return bytes;
-}
+    void TearDown() override { std::filesystem::remove_all(dir); }
 
-void
-writeFileBytes(const std::string &path,
-               const std::vector<std::uint8_t> &bytes)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    // An empty vector's data() may be null, which fwrite must not
-    // be given even for a zero-byte write.
-    if (!bytes.empty()) {
-        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                  bytes.size());
+    /** Writes @p bytes over the cache file, then checks that a strict
+     * lookup raises and a normal one rejects the file, rebuilds the
+     * clean profile and rewrites the clean file. */
+    void
+    expectRejected(const Bytes &bytes)
+    {
+        ASSERT_TRUE(writeFileAtomic(path, bytes));
+        EXPECT_THROW(getProfile(w, strict), Error);
+        resetProfileCacheStats();
+        const IntervalProfile served = getProfile(w, opts);
+        const ProfileCacheStats stats = profileCacheStats();
+        EXPECT_EQ(stats.rejects, 1u);
+        EXPECT_EQ(stats.builds, 1u);
+        EXPECT_EQ(stats.hits, 0u);
+        EXPECT_EQ(encodeTrace(served, ""), clean);
+        EXPECT_EQ(readFile(path), clean);
     }
-    std::fclose(f);
-}
 
-/** Whatever the loader accepted must at least be self-consistent:
- * record shapes match the declared dimension configs. The format has
- * no checksum (flips inside CPI payloads are legitimately invisible),
- * so structural consistency is the contract. */
-void
-expectConsistent(const IntervalProfile &p)
-{
-    for (std::size_t i = 0; i < p.numIntervals(); ++i) {
-        const IntervalRecord &rec = p.interval(i);
-        ASSERT_EQ(rec.accums.size(), p.dims().size());
-        for (std::size_t d = 0; d < p.dims().size(); ++d)
-            ASSERT_EQ(rec.accums[d].size(), p.dims()[d]);
-    }
-}
+    workload::Workload w = tinyWorkload();
+    ProfileOptions opts;
+    ProfileOptions strict;
+    std::string dir;
+    std::string path;
+    Bytes clean;
+};
 
 } // namespace
 
-TEST(ProfileCorruption, EverySingleBitFlipLoadsCleanlyOrFails)
+TEST_F(ProfileCorruption, EverySingleBitFlipLoadsCleanlyOrFails)
 {
-    const std::string path = tmpPath("corpus_flip.tpcpprof");
-    ASSERT_TRUE(sampleProfile().save(path));
-    const std::vector<std::uint8_t> clean = readFileBytes(path);
-    ASSERT_GT(clean.size(), 50u);
-
     for (std::size_t i = 0; i < clean.size(); ++i) {
-        for (std::uint8_t mask : {0x01, 0x80}) {
-            std::vector<std::uint8_t> bad = clean;
-            bad[i] = static_cast<std::uint8_t>(bad[i] ^ mask);
-            writeFileBytes(path, bad);
-            IntervalProfile q;
-            if (q.load(path)) {
-                expectConsistent(q);
-            } else {
-                EXPECT_EQ(q.numIntervals(), 0u)
-                    << "failed load left partial data (byte " << i
-                    << ")";
-            }
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            SCOPED_TRACE("byte " + std::to_string(i) + " bit " +
+                         std::to_string(bit));
+            Bytes bad = clean;
+            bad[i] = static_cast<std::uint8_t>(bad[i] ^ (1u << bit));
+            expectRejected(bad);
+            if (HasFailure())
+                return;
         }
     }
-    std::remove(path.c_str());
 }
 
-TEST(ProfileCorruption, EveryTruncationFailsCleanly)
+TEST_F(ProfileCorruption, EveryTruncationFailsCleanly)
 {
-    const std::string path = tmpPath("corpus_trunc.tpcpprof");
-    ASSERT_TRUE(sampleProfile().save(path));
-    const std::vector<std::uint8_t> clean = readFileBytes(path);
-
     for (std::size_t len = 0; len < clean.size(); ++len) {
-        writeFileBytes(path, {clean.begin(), clean.begin() + len});
-        IntervalProfile q;
-        EXPECT_FALSE(q.load(path))
-            << "truncation to " << len << " bytes accepted";
-        EXPECT_EQ(q.numIntervals(), 0u);
+        SCOPED_TRACE("truncated to " + std::to_string(len) + " bytes");
+        ASSERT_TRUE(writeFileAtomic(path, {clean.begin(),
+                                           clean.begin() + len}));
+        EXPECT_THROW(getProfile(w, strict), Error);
     }
-    std::remove(path.c_str());
+    expectRejected({clean.begin(), clean.end() - 1});
 }
 
-TEST(ProfileCorruption, TrailingGarbageRejected)
+TEST_F(ProfileCorruption, TrailingGarbageRejected)
 {
-    const std::string path = tmpPath("corpus_trailing.tpcpprof");
-    ASSERT_TRUE(sampleProfile().save(path));
-    std::vector<std::uint8_t> bytes = readFileBytes(path);
+    Bytes bytes = clean;
     bytes.push_back(0);
-    writeFileBytes(path, bytes);
-    IntervalProfile q;
-    EXPECT_FALSE(q.load(path));
-    EXPECT_EQ(q.numIntervals(), 0u);
+    expectRejected(bytes);
 }
 
-TEST(ProfileCorruption, ForgedRecordCountDoesNotAllocate)
+TEST_F(ProfileCorruption, ForgedRecordCountDoesNotAllocate)
 {
-    // Regression: a corrupted record count used to drive
-    // records.resize() straight into a multi-gigabyte allocation. The
-    // loader now bounds the count by the remaining file length before
-    // allocating anything.
-    const std::string path = tmpPath("corpus_count.tpcpprof");
-    IntervalProfile p = sampleProfile();
-    ASSERT_TRUE(p.save(path));
-    std::vector<std::uint8_t> bytes = readFileBytes(path);
-
-    // Offset of the u64 record count, mirroring the writer: magic,
-    // version, two length-prefixed strings, interval, machine hash,
-    // dimension count, one u32 per dimension config.
-    std::size_t off = 4 + 4 + (4 + p.workload().size()) +
-                      (4 + p.coreName().size()) + 8 + 8 + 4 +
-                      4 * p.dims().size();
-    ASSERT_LE(off + 8, bytes.size());
-    const std::uint64_t forged = (1ull << 32); // passes the old cap
+    // A record count whose header CRC is valid must still be bounded
+    // by the bytes that follow before it sizes any allocation. The
+    // u64 count ends the header payload, which starts after magic,
+    // version and length; the header CRC follows it.
+    Bytes bytes = clean;
+    std::uint32_t header_len;
+    std::memcpy(&header_len, &bytes[8], 4);
+    const std::size_t off = 12 + header_len - 8;
+    const std::uint64_t forged = 1ull << 40;
     std::memcpy(&bytes[off], &forged, sizeof(forged));
-    writeFileBytes(path, bytes);
-
-    IntervalProfile q;
-    EXPECT_FALSE(q.load(path));
-    EXPECT_EQ(q.numIntervals(), 0u);
-    std::remove(path.c_str());
+    const std::uint32_t crc = crc32(&bytes[12], header_len);
+    std::memcpy(&bytes[12 + header_len], &crc, 4);
+    expectRejected(bytes);
 }

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -44,9 +45,9 @@ sampleProfile()
         rec.cpi = 0.75 + 0.25 * i;
         rec.insts = 1000;
         rec.accumTotal = 500 + i;
-        rec.accums = {std::vector<std::uint32_t>(4, 100u + i),
-                      std::vector<std::uint32_t>(8, 50u + i)};
-        p.push(std::move(rec));
+        std::vector<std::uint32_t> counters(4, 100u + i);
+        counters.resize(4 + 8, 50u + i);
+        p.push(rec, counters);
     }
     return p;
 }
@@ -66,7 +67,9 @@ expectProfilesEqual(const IntervalProfile &a,
         EXPECT_EQ(a.interval(i).insts, b.interval(i).insts);
         EXPECT_EQ(a.interval(i).accumTotal,
                   b.interval(i).accumTotal);
-        EXPECT_EQ(a.interval(i).accums, b.interval(i).accums);
+        EXPECT_TRUE(std::equal(a.counters(i, 0),
+                               a.counters(i, 0) + a.countersPerInterval(),
+                               b.counters(i, 0)));
     }
 }
 

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -63,13 +65,16 @@ TEST(Adversarial, PhaseAliasCollidesAtLowDimsOnly)
     ASSERT_EQ(adv.numBehaviors, 2u);
     ASSERT_EQ(adv.truth[0], 0u);
     ASSERT_EQ(adv.truth[40], 1u);
-    const auto &a = adv.profile.interval(0).accums;
-    const auto &b = adv.profile.interval(40).accums;
-    ASSERT_EQ(a.size(), 4u);
-    EXPECT_EQ(a[0], b[0]); // dim 8: aliased
-    EXPECT_EQ(a[1], b[1]); // dim 16: aliased
-    EXPECT_NE(a[2], b[2]); // dim 32: distinct
-    EXPECT_NE(a[3], b[3]); // dim 64: distinct
+    const trace::IntervalProfile &p = adv.profile;
+    ASSERT_EQ(p.dims().size(), 4u);
+    auto same = [&](std::size_t d) {
+        return std::equal(p.counters(0, d), p.counters(0, d) + p.dims()[d],
+                          p.counters(40, d));
+    };
+    EXPECT_TRUE(same(0));  // dim 8: aliased
+    EXPECT_TRUE(same(1));  // dim 16: aliased
+    EXPECT_FALSE(same(2)); // dim 32: distinct
+    EXPECT_FALSE(same(3)); // dim 64: distinct
     // ... while the CPIs are far apart (0.8 vs 2.4, tiny jitter).
     EXPECT_GT(adv.profile.interval(40).cpi -
                   adv.profile.interval(0).cpi,
@@ -92,10 +97,10 @@ TEST(Adversarial, CounterSumsAreConserved)
         for (std::size_t i = 0; i < spec.intervals; ++i) {
             const auto &rec = adv.profile.interval(i);
             EXPECT_EQ(rec.accumTotal, spec.intervalLen);
-            for (const auto &vec : rec.accums) {
-                std::uint64_t sum = 0;
-                for (std::uint32_t c : vec)
-                    sum += c;
+            for (std::size_t d = 0; d < spec.dims.size(); ++d) {
+                const std::uint32_t *c = adv.profile.counters(i, d);
+                const std::uint64_t sum =
+                    std::accumulate(c, c + spec.dims[d], 0ull);
                 EXPECT_EQ(sum, rec.accumTotal)
                     << family << " interval " << i;
             }
