@@ -20,9 +20,11 @@
 #ifndef TPCP_ANALYSIS_OFFLINE_KMEANS_HH
 #define TPCP_ANALYSIS_OFFLINE_KMEANS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/row_matrix.hh"
 #include "common/types.hh"
 #include "trace/interval_profile.hh"
 
@@ -78,29 +80,40 @@ OfflineResult classifyOffline(const trace::IntervalProfile &profile,
 
 /**
  * One frequency-normalized accumulator vector per interval at
- * dimension config @p dims (each vector sums to 1, or is all zero
- * for an empty interval) — the row representation k-means clusters,
- * exposed for other signature-space consumers (e.g. the sampling
- * subsystem's centroid-nearest selector).
+ * dimension config @p dims (each row sums to 1, or is all zero for
+ * an empty interval), row i for interval i — the rows k-means
+ * clusters, exposed for other signature-space consumers (e.g. the
+ * sampling subsystem's centroid-nearest selector).
  */
-std::vector<std::vector<double>> normalizedIntervalVectors(
-    const trace::IntervalProfile &profile, unsigned dims);
+RowMatrix normalizedIntervalVectors(const trace::IntervalProfile &profile,
+                                    unsigned dims);
 
 /**
- * Low-level k-means on arbitrary row vectors (exposed for testing):
- * k-means++ seeding, Lloyd iterations, returns assignments and
- * inertia for a fixed @p k.
+ * Low-level k-means on arbitrary rows (exposed for testing):
+ * k-means++ seeding, Lloyd iterations, returns assignments, centroids
+ * and inertia for a fixed @p k.
+ *
+ * The Lloyd assignment pass keeps Hamerly's bounds and skips a row
+ * only when they prove, with a margin far above the rounding error
+ * of a distance sum, that its centroid is strictly nearest; every
+ * other row scans all centroids in index order. The result is
+ * therefore bit-identical to a brute-force Lloyd loop (nearest
+ * centroid, first on ties, every row every pass).
  */
 struct KMeansResult
 {
     std::vector<std::uint32_t> assignments;
-    std::vector<std::vector<double>> centroids;
+    /** k rows, one centroid per cluster. */
+    RowMatrix centroids;
     double inertia = 0.0;
+    /** Row visits over all assignment passes, and how many of them
+     * the bounds skipped without a distance scan. */
+    std::size_t visits = 0;
+    std::size_t skips = 0;
 };
 
-KMeansResult kMeans(const std::vector<std::vector<double>> &rows,
-                    unsigned k, unsigned max_iterations,
-                    std::uint64_t seed);
+KMeansResult kMeans(const RowMatrix &rows, unsigned k,
+                    unsigned max_iterations, std::uint64_t seed);
 
 } // namespace tpcp::analysis
 

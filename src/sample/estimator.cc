@@ -1,11 +1,9 @@
 #include "sample/estimator.hh"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/running_stats.hh"
-#include "sample/strata.hh"
 
 namespace tpcp::sample
 {
@@ -95,13 +93,11 @@ combine(const std::vector<StratumSample> &strata, double total_weight,
 } // namespace
 
 Estimate
-estimateCpi(const trace::IntervalProfile &profile,
-            const std::vector<PhaseId> &phases,
+estimateCpi(const trace::IntervalProfile &profile, const Strata &strata,
             const Selection &selection)
 {
     tpcp_assert(!selection.intervals.empty(),
                 "cannot estimate from an empty selection");
-    Strata strata = buildStrata(profile, phases);
 
     Estimate est;
     est.totalIntervals = profile.numIntervals();
@@ -117,14 +113,10 @@ estimateCpi(const trace::IntervalProfile &profile,
     est.trueCpi = true_insts > 0.0 ? true_cycles / true_insts : 0.0;
 
     // Fold the sampled intervals into their strata.
-    std::unordered_map<PhaseId, std::size_t> index;
     std::vector<StratumSample> tallies(strata.order.size());
     for (std::size_t h = 0; h < strata.order.size(); ++h) {
-        PhaseId id = strata.order[h];
-        index[id] = h;
-        tallies[h].weight =
-            static_cast<double>(strata.insts.at(id));
-        tallies[h].population = strata.members.at(id).size();
+        tallies[h].weight = static_cast<double>(strata.insts[h]);
+        tallies[h].population = strata.members[h].size();
     }
     // (stratum, cpi*insts, insts) per sample, for the jackknife.
     std::vector<std::size_t> sample_stratum;
@@ -133,7 +125,7 @@ estimateCpi(const trace::IntervalProfile &profile,
         tpcp_assert(i < profile.numIntervals(),
                     "selection index out of range");
         const trace::IntervalRecord &rec = profile.interval(i);
-        std::size_t h = index.at(phases[i]);
+        std::size_t h = strata.stratumOf[i];
         double w = static_cast<double>(rec.insts);
         tallies[h].cycles += rec.cpi * w;
         tallies[h].insts += w;

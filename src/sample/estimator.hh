@@ -25,6 +25,7 @@
 
 #include "common/types.hh"
 #include "sample/selector.hh"
+#include "sample/strata.hh"
 #include "trace/interval_profile.hh"
 
 namespace tpcp::sample
@@ -66,13 +67,13 @@ struct Estimate
 
 /**
  * Estimates whole-program CPI from the intervals in @p selection,
- * stratified by @p phases. Strata with no sampled member are
+ * stratified by @p strata (buildStrata of the profile and its phase
+ * stream). Strata with no sampled member are
  * extrapolated from the pooled (instruction-weighted) sample mean.
  * The selection must be non-empty.
  */
 Estimate estimateCpi(const trace::IntervalProfile &profile,
-                     const std::vector<PhaseId> &phases,
-                     const Selection &selection);
+                     const Strata &strata, const Selection &selection);
 
 } // namespace tpcp::sample
 

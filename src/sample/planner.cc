@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/running_stats.hh"
-#include "sample/strata.hh"
 
 namespace tpcp::sample
 {
@@ -12,14 +11,16 @@ namespace tpcp::sample
 namespace
 {
 
-/** Instruction-weighted CPI mean of a set of intervals. */
+/** Instruction-weighted CPI mean of the first @p count of
+ * @p intervals. */
 double
 weightedCpi(const trace::IntervalProfile &profile,
-            const std::vector<std::size_t> &intervals)
+            const std::vector<std::size_t> &intervals, std::size_t count)
 {
     double cycles = 0.0, insts = 0.0;
-    for (std::size_t i : intervals) {
-        const trace::IntervalRecord &rec = profile.interval(i);
+    for (std::size_t j = 0; j < count; ++j) {
+        const trace::IntervalRecord &rec =
+            profile.interval(intervals[j]);
         double w = static_cast<double>(rec.insts);
         cycles += rec.cpi * w;
         insts += w;
@@ -32,16 +33,21 @@ weightedCpi(const trace::IntervalProfile &profile,
 Plan
 planBudget(const SelectorContext &ctx, std::size_t budget)
 {
-    Strata strata = buildStrata(ctx.profile, ctx.phases);
+    return planBudget(ctx, buildStrata(ctx.profile, ctx.phases), budget);
+}
+
+Plan
+planBudget(const SelectorContext &ctx, const Strata &strata,
+           std::size_t budget)
+{
     Plan plan;
     plan.budget = budget;
-    plan.allocations.reserve(strata.order.size());
-    for (PhaseId id : strata.order) {
-        PhaseAllocation a;
-        a.phase = id;
-        a.population = strata.members.at(id).size();
-        a.insts = strata.insts.at(id);
-        plan.allocations.push_back(a);
+    plan.allocations.resize(strata.order.size());
+    for (std::size_t h = 0; h < strata.order.size(); ++h) {
+        PhaseAllocation &a = plan.allocations[h];
+        a.phase = strata.order[h];
+        a.population = strata.members[h].size();
+        a.insts = strata.insts[h];
     }
 
     // Stage 1: pilot coverage. One sample for each phase in
@@ -72,27 +78,25 @@ planBudget(const SelectorContext &ctx, std::size_t budget)
     }
 
     // Measure the pilot: per-phase CPI spread and the pilot-only
-    // whole-program estimate.
-    std::vector<std::vector<double>> rows = signatureRows(ctx);
+    // whole-program estimate. Each reached phase's sampling order is
+    // kept; its first `samples` entries become the picks.
+    RowMatrix rows = signatureRows(ctx);
     RunningStats pooled;
     double pilot_cycles = 0.0;
     InstCount pilot_insts = 0;
-    for (PhaseAllocation &a : plan.allocations) {
+    for (std::size_t h = 0; h < plan.allocations.size(); ++h) {
+        PhaseAllocation &a = plan.allocations[h];
         a.samples = a.pilot;
         if (a.pilot == 0)
             continue;
-        const std::vector<std::size_t> &members =
-            strata.members.at(a.phase);
-        std::vector<std::size_t> perm =
-            phasePermutation(members, rows);
-        perm.resize(a.pilot);
+        a.picks = phasePermutation(strata.members[h], rows);
         RunningStats st;
-        for (std::size_t i : perm)
-            st.push(ctx.profile.interval(i).cpi);
-        for (std::size_t i : perm)
-            pooled.push(ctx.profile.interval(i).cpi);
+        for (std::size_t j = 0; j < a.pilot; ++j)
+            st.push(ctx.profile.interval(a.picks[j]).cpi);
+        for (std::size_t j = 0; j < a.pilot; ++j)
+            pooled.push(ctx.profile.interval(a.picks[j]).cpi);
         a.pilotStddev = st.stddev();
-        pilot_cycles += weightedCpi(ctx.profile, perm) *
+        pilot_cycles += weightedCpi(ctx.profile, a.picks, a.pilot) *
                         static_cast<double>(a.insts);
         pilot_insts += a.insts;
     }
@@ -164,26 +168,20 @@ planBudget(const SelectorContext &ctx, std::size_t budget)
         plan.pilotCpi > 0.0
             ? 1.96 * plan.predictedSe / plan.pilotCpi
             : 0.0;
-    for (const PhaseAllocation &a : plan.allocations)
+    for (PhaseAllocation &a : plan.allocations) {
+        a.picks.resize(a.samples);
         plan.planned += a.samples;
+    }
     return plan;
 }
 
 Selection
-realizePlan(const Plan &plan, const SelectorContext &ctx)
+realizePlan(const Plan &plan)
 {
-    Strata strata = buildStrata(ctx.profile, ctx.phases);
-    std::vector<std::vector<double>> rows = signatureRows(ctx);
     std::vector<std::size_t> picks;
     picks.reserve(plan.planned);
-    for (const PhaseAllocation &a : plan.allocations) {
-        if (a.samples == 0)
-            continue;
-        std::vector<std::size_t> perm = phasePermutation(
-            strata.members.at(a.phase), rows);
-        perm.resize(std::min(a.samples, perm.size()));
-        picks.insert(picks.end(), perm.begin(), perm.end());
-    }
+    for (const PhaseAllocation &a : plan.allocations)
+        picks.insert(picks.end(), a.picks.begin(), a.picks.end());
     std::sort(picks.begin(), picks.end());
     picks.erase(std::unique(picks.begin(), picks.end()),
                 picks.end());

@@ -29,6 +29,7 @@
 
 #include "common/types.hh"
 #include "sample/selector.hh"
+#include "sample/strata.hh"
 
 namespace tpcp::sample
 {
@@ -48,6 +49,10 @@ struct PhaseAllocation
     /** CPI standard deviation measured on the pilot (0 when the
      * pilot has fewer than 2 samples). */
     double pilotStddev = 0.0;
+    /** The intervals to simulate: the first `samples` entries of
+     * the phase's sampling order (see phasePermutation), so the
+     * pilot's intervals lead. */
+    std::vector<std::size_t> picks;
 };
 
 /** A complete budget allocation for one workload. */
@@ -74,14 +79,17 @@ struct Plan
  */
 Plan planBudget(const SelectorContext &ctx, std::size_t budget);
 
+/** Same, over @p strata, which buildStrata made from ctx. */
+Plan planBudget(const SelectorContext &ctx, const Strata &strata,
+                std::size_t budget);
+
 /**
- * Materializes a plan into concrete interval picks. Within each
- * phase, samples are the first `samples` entries of a seeded
- * Fisher-Yates permutation of the phase's members, so the pilot is
+ * The plan's picks as one selection. Within each phase, samples are
+ * a prefix of its deterministic sampling order, so the pilot is
  * always a prefix of the final sample (pilot intervals are never
  * simulated twice).
  */
-Selection realizePlan(const Plan &plan, const SelectorContext &ctx);
+Selection realizePlan(const Plan &plan);
 
 } // namespace tpcp::sample
 

@@ -84,13 +84,18 @@ runSampledSimulation(const trace::IntervalProfile &profile,
     r.selector = sel->name();
     r.phaseSource = phaseSourceName(source);
     r.budget = budget;
+    Strata strata = buildStrata(profile, phases);
+    Selection selection;
     if (selector == "stratified") {
-        Plan plan = planBudget(ctx, budget);
+        // StratifiedSelector::select, planning once: the plan that
+        // predicts the error is the one realized.
+        Plan plan = planBudget(ctx, strata, budget);
         r.predictedRelError = plan.predictedRelError;
+        selection = realizePlan(plan);
+    } else {
+        selection = sel->select(ctx, budget);
     }
-
-    Selection selection = sel->select(ctx, budget);
-    Estimate est = estimateCpi(profile, phases, selection);
+    Estimate est = estimateCpi(profile, strata, selection);
     r.sampled = est.sampled;
     r.totalIntervals = est.totalIntervals;
     r.phasesTotal = est.phasesTotal;

@@ -55,25 +55,25 @@ phaseIdStream(const trace::IntervalProfile &profile,
 namespace
 {
 
-/** Phases sorted by descending instruction share (stable on the
+/** Strata sorted by descending instruction share (stable on the
  * first-appearance order), truncated to @p budget entries. */
-std::vector<PhaseId>
-topPhasesByInsts(const Strata &strata, std::size_t budget)
+std::vector<std::size_t>
+topStrataByInsts(const Strata &strata, std::size_t budget)
 {
-    std::vector<PhaseId> phases = strata.order;
-    std::stable_sort(phases.begin(), phases.end(),
-                     [&](PhaseId a, PhaseId b) {
-                         return strata.insts.at(a) >
-                                strata.insts.at(b);
+    std::vector<std::size_t> top(strata.order.size());
+    std::iota(top.begin(), top.end(), std::size_t{0});
+    std::stable_sort(top.begin(), top.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return strata.insts[a] > strata.insts[b];
                      });
-    if (phases.size() > budget)
-        phases.resize(budget);
-    return phases;
+    if (top.size() > budget)
+        top.resize(budget);
+    return top;
 }
 
 } // namespace
 
-std::vector<std::vector<double>>
+RowMatrix
 signatureRows(const SelectorContext &ctx)
 {
     unsigned dims = ctx.dims;
@@ -109,8 +109,8 @@ class FirstPerPhaseSelector : public Selector
     {
         Strata strata = buildStrata(ctx.profile, ctx.phases);
         std::vector<std::size_t> picks;
-        for (PhaseId id : topPhasesByInsts(strata, budget))
-            picks.push_back(strata.members.at(id).front());
+        for (std::size_t h : topStrataByInsts(strata, budget))
+            picks.push_back(strata.members[h].front());
         return finish(std::move(picks));
     }
 };
@@ -130,12 +130,10 @@ class CentroidSelector : public Selector
            std::size_t budget) const override
     {
         Strata strata = buildStrata(ctx.profile, ctx.phases);
-        std::vector<std::vector<double>> rows =
-            signatureRows(ctx);
+        RowMatrix rows = signatureRows(ctx);
         std::vector<std::size_t> picks;
-        for (PhaseId id : topPhasesByInsts(strata, budget))
-            picks.push_back(
-                centroidNearest(strata.members.at(id), rows));
+        for (std::size_t h : topStrataByInsts(strata, budget))
+            picks.push_back(centroidNearest(strata.members[h], rows));
         return finish(std::move(picks));
     }
 };
@@ -151,8 +149,7 @@ class StratifiedSelector : public Selector
     select(const SelectorContext &ctx,
            std::size_t budget) const override
     {
-        Plan plan = planBudget(ctx, budget);
-        return realizePlan(plan, ctx);
+        return realizePlan(planBudget(ctx, budget));
     }
 };
 

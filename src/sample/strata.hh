@@ -17,19 +17,23 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/row_matrix.hh"
 #include "common/types.hh"
 #include "sample/selector.hh"
 
 namespace tpcp::sample
 {
 
-/** Distinct phases in first-appearance order with their member
- * interval lists (ascending) and instruction totals. */
+/** The strata of a phase stream: stratum h is phase order[h], the
+ * h-th distinct phase in first-appearance order, with its member
+ * intervals (ascending) and instruction total. */
 struct Strata
 {
     std::vector<PhaseId> order;
-    std::unordered_map<PhaseId, std::vector<std::size_t>> members;
-    std::unordered_map<PhaseId, InstCount> insts;
+    std::vector<std::vector<std::size_t>> members;
+    std::vector<InstCount> insts;
+    /** The stratum of each interval. */
+    std::vector<std::size_t> stratumOf;
     InstCount totalInsts = 0;
 };
 
@@ -40,14 +44,20 @@ buildStrata(const trace::IntervalProfile &profile,
     tpcp_assert(phases.size() == profile.numIntervals(),
                 "phase stream / profile length mismatch");
     Strata s;
+    s.stratumOf.reserve(phases.size());
+    std::unordered_map<PhaseId, std::size_t> index;
     for (std::size_t i = 0; i < phases.size(); ++i) {
-        PhaseId id = phases[i];
-        auto [it, fresh] = s.members.try_emplace(id);
-        if (fresh)
-            s.order.push_back(id);
-        it->second.push_back(i);
+        auto [it, fresh] = index.try_emplace(phases[i], s.order.size());
+        if (fresh) {
+            s.order.push_back(phases[i]);
+            s.members.emplace_back();
+            s.insts.push_back(0);
+        }
+        std::size_t h = it->second;
+        s.members[h].push_back(i);
+        s.stratumOf.push_back(h);
         InstCount insts = profile.interval(i).insts;
-        s.insts[id] += insts;
+        s.insts[h] += insts;
         s.totalInsts += insts;
     }
     return s;
@@ -62,10 +72,10 @@ buildStrata(const trace::IntervalProfile &profile,
  */
 inline std::size_t
 centroidNearest(const std::vector<std::size_t> &members,
-                const std::vector<std::vector<double>> &rows)
+                const RowMatrix &rows)
 {
     tpcp_assert(!members.empty(), "centroid of an empty phase");
-    std::vector<double> centroid(rows[members.front()].size(), 0.0);
+    std::vector<double> centroid(rows.dims(), 0.0);
     for (std::size_t m : members)
         for (std::size_t d = 0; d < centroid.size(); ++d)
             centroid[d] += rows[m][d];
@@ -103,7 +113,7 @@ centroidNearest(const std::vector<std::size_t> &members,
  */
 inline std::vector<std::size_t>
 phasePermutation(const std::vector<std::size_t> &members,
-                 const std::vector<std::vector<double>> &rows)
+                 const RowMatrix &rows)
 {
     std::size_t representative = centroidNearest(members, rows);
     std::size_t n = members.size();
@@ -128,8 +138,7 @@ phasePermutation(const std::vector<std::size_t> &members,
  * dimensionality (falling back to the profile's first recorded
  * config). Declared here, defined in selector.cc, so strata.hh
  * does not pull the analysis headers into every includer. */
-std::vector<std::vector<double>> signatureRows(
-    const SelectorContext &ctx);
+RowMatrix signatureRows(const SelectorContext &ctx);
 
 } // namespace tpcp::sample
 

@@ -21,21 +21,32 @@ using namespace tpcp::analysis;
 namespace
 {
 
-/** Three well-separated 2-D blobs of @p per points each. */
-std::vector<std::vector<double>>
-threeBlobs(std::size_t per, std::uint64_t seed = 1)
+/** The rows of @p values as one matrix. */
+RowMatrix
+matrixOf(const std::vector<std::vector<double>> &values)
+{
+    RowMatrix rows(values.size(), values.empty() ? 0 : values[0].size());
+    for (std::size_t i = 0; i < values.size(); ++i)
+        std::copy(values[i].begin(), values[i].end(), rows[i]);
+    return rows;
+}
+
+/** Three well-separated 2-D blobs of @p per points each, centred at
+ * (0, 0), (10, 0) and (0, 10) times @p scale. */
+RowMatrix
+threeBlobs(std::size_t per, std::uint64_t seed = 1, double scale = 1.0)
 {
     Rng rng(seed);
     std::vector<std::vector<double>> rows;
     const double centers[3][2] = {{0, 0}, {10, 0}, {0, 10}};
     for (int c = 0; c < 3; ++c) {
         for (std::size_t i = 0; i < per; ++i) {
-            rows.push_back({centers[c][0] + 0.3 * rng.nextGaussian(),
-                            centers[c][1] +
-                                0.3 * rng.nextGaussian()});
+            rows.push_back(
+                {scale * (centers[c][0] + 0.3 * rng.nextGaussian()),
+                 scale * (centers[c][1] + 0.3 * rng.nextGaussian())});
         }
     }
-    return rows;
+    return matrixOf(rows);
 }
 
 /** A profile with @p n intervals cycling through 3 accumulator
@@ -83,6 +94,167 @@ nearConstantProfile(std::size_t n)
 }
 
 /**
+ * The brute-force k-means kMeans must equal bit for bit: k-means++
+ * seeding, then Lloyd passes that give every row the nearest
+ * centroid (first on ties) by scanning all centroids, until no
+ * assignment changes after the first pass.
+ */
+struct ReferenceKMeans
+{
+    std::vector<std::uint32_t> assignments;
+    std::vector<std::vector<double>> centroids;
+    double inertia = 0.0;
+};
+
+double
+referenceSqDist(const std::vector<double> &a, const std::vector<double> &b)
+{
+    double d = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        double delta = a[i] - b[i];
+        d += delta * delta;
+    }
+    return d;
+}
+
+ReferenceKMeans
+referenceKMeans(const RowMatrix &matrix, unsigned k,
+                unsigned max_iterations, std::uint64_t seed)
+{
+    std::vector<std::vector<double>> rows;
+    for (std::size_t i = 0; i < matrix.size(); ++i)
+        rows.emplace_back(matrix[i], matrix[i] + matrix.dims());
+    Rng rng(seed);
+    ReferenceKMeans res;
+    res.centroids.push_back(rows[rng.nextBounded(
+        static_cast<std::uint32_t>(rows.size()))]);
+    std::vector<double> dist(rows.size(),
+                             std::numeric_limits<double>::max());
+    while (res.centroids.size() < k) {
+        double total = 0.0;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            dist[i] = std::min(
+                dist[i], referenceSqDist(rows[i], res.centroids.back()));
+            total += dist[i];
+        }
+        if (total <= 0.0) {
+            res.centroids.push_back(res.centroids.back());
+            continue;
+        }
+        double target = rng.nextDouble() * total;
+        double acc = 0.0;
+        std::size_t pick = rows.size() - 1;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            acc += dist[i];
+            if (target < acc) {
+                pick = i;
+                break;
+            }
+        }
+        res.centroids.push_back(rows[pick]);
+    }
+
+    res.assignments.assign(rows.size(), 0);
+    std::size_t dims = rows[0].size();
+    for (unsigned iter = 0; iter < max_iterations; ++iter) {
+        bool changed = false;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            std::uint32_t best = 0;
+            double best_d = std::numeric_limits<double>::max();
+            for (std::uint32_t c = 0; c < k; ++c) {
+                double d = referenceSqDist(rows[i], res.centroids[c]);
+                if (d < best_d) {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            if (res.assignments[i] != best) {
+                res.assignments[i] = best;
+                changed = true;
+            }
+        }
+        if (!changed && iter > 0)
+            break;
+        std::vector<std::vector<double>> sums(
+            k, std::vector<double>(dims, 0.0));
+        std::vector<std::size_t> counts(k, 0);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            std::uint32_t c = res.assignments[i];
+            ++counts[c];
+            for (std::size_t d = 0; d < dims; ++d)
+                sums[c][d] += rows[i][d];
+        }
+        for (std::uint32_t c = 0; c < k; ++c) {
+            if (counts[c] == 0)
+                continue;
+            for (std::size_t d = 0; d < dims; ++d)
+                res.centroids[c][d] =
+                    sums[c][d] / static_cast<double>(counts[c]);
+        }
+    }
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        res.inertia += referenceSqDist(
+            rows[i], res.centroids[res.assignments[i]]);
+    return res;
+}
+
+/** kMeans(rows, k, ...) equals referenceKMeans bit for bit. */
+void
+expectMatchesReference(const RowMatrix &rows, unsigned k,
+                       unsigned max_iterations, std::uint64_t seed)
+{
+    SCOPED_TRACE(testing::Message() << "n=" << rows.size() << " k=" << k
+                                    << " seed=" << seed);
+    ReferenceKMeans ref = referenceKMeans(rows, k, max_iterations, seed);
+    KMeansResult got = kMeans(rows, k, max_iterations, seed);
+    EXPECT_EQ(got.assignments, ref.assignments);
+    ASSERT_EQ(got.centroids.size(), k);
+    ASSERT_EQ(got.centroids.dims(), rows.dims());
+    for (unsigned c = 0; c < k; ++c)
+        for (std::size_t d = 0; d < rows.dims(); ++d)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got.centroids[c][d]),
+                      std::bit_cast<std::uint64_t>(ref.centroids[c][d]))
+                << "centroid " << c << " coordinate " << d;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.inertia),
+              std::bit_cast<std::uint64_t>(ref.inertia));
+}
+
+/**
+ * Rows shaped like a paper profile's: @p n frequency-normalized
+ * 16-counter intervals in runs of 5 to 40 drawn from @p shapes code
+ * shapes, each a few hot counters, with per-interval jitter.
+ */
+RowMatrix
+paperShapedRows(std::size_t n, unsigned shapes, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::vector<double>> mass(shapes,
+                                          std::vector<double>(16, 1.0));
+    for (auto &shape : mass)
+        for (int hot = 0; hot < 4; ++hot)
+            shape[rng.nextBounded(16)] += 50.0 + rng.nextBounded(200);
+    trace::IntervalProfile p("t", "ooo", 1000, {16});
+    while (p.numIntervals() < n) {
+        const std::vector<double> &shape = mass[rng.nextBounded(shapes)];
+        std::size_t run = 5 + rng.nextBounded(36);
+        for (std::size_t j = 0; j < run && p.numIntervals() < n; ++j) {
+            trace::IntervalRecord rec;
+            rec.insts = 1000;
+            rec.cpi = 1.0;
+            std::vector<std::uint32_t> raw(16);
+            rec.accumTotal = 0;
+            for (std::size_t d = 0; d < 16; ++d) {
+                raw[d] = static_cast<std::uint32_t>(
+                    shape[d] * (0.7 + 0.6 * rng.nextDouble()));
+                rec.accumTotal += raw[d];
+            }
+            p.push(rec, raw);
+        }
+    }
+    return normalizedIntervalVectors(p, 16);
+}
+
+/**
  * The offline classifier's specification as an exhaustive sweep:
  * best-of-restarts k-means for every k in 1..maxK on one
  * Rng(cfg.seed) stream, then the scree rule over all candidates
@@ -112,7 +284,7 @@ exhaustiveSweep(const trace::IntervalProfile &profile,
     }
 
     double n = static_cast<double>(rows.size());
-    double d = static_cast<double>(rows[0].size());
+    double d = static_cast<double>(rows.dims());
     double total_variance = best[0].inertia;
     unsigned k = max_k;
     if (total_variance / n < 1e-9) {
@@ -163,7 +335,7 @@ expectMatchesExhaustiveSweep(const trace::IntervalProfile &profile,
 
 TEST(KMeans, SingleClusterCentroidIsMean)
 {
-    std::vector<std::vector<double>> rows = {{0, 0}, {2, 0}, {4, 0}};
+    RowMatrix rows = matrixOf({{0, 0}, {2, 0}, {4, 0}});
     KMeansResult r = kMeans(rows, 1, 20, 1);
     ASSERT_EQ(r.centroids.size(), 1u);
     EXPECT_NEAR(r.centroids[0][0], 2.0, 1e-9);
@@ -327,12 +499,12 @@ TEST(NormalizedVectors, RowsAreUnitSumFrequencies)
     trace::IntervalProfile profile = shapedProfile(60);
     auto rows = normalizedIntervalVectors(profile, 16);
     ASSERT_EQ(rows.size(), profile.numIntervals());
-    for (const auto &row : rows) {
-        ASSERT_EQ(row.size(), 16u);
+    ASSERT_EQ(rows.dims(), 16u);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
         double sum = 0.0;
-        for (double v : row) {
-            EXPECT_GE(v, 0.0);
-            sum += v;
+        for (std::size_t d = 0; d < rows.dims(); ++d) {
+            EXPECT_GE(rows[i][d], 0.0);
+            sum += rows[i][d];
         }
         EXPECT_NEAR(sum, 1.0, 1e-9);
     }
@@ -346,10 +518,70 @@ TEST(NormalizedVectors, SameShapeGivesSimilarRows)
     auto rows = normalizedIntervalVectors(profile, 16);
     auto dist = [&](std::size_t a, std::size_t b) {
         double d = 0.0;
-        for (std::size_t i = 0; i < rows[a].size(); ++i)
+        for (std::size_t i = 0; i < rows.dims(); ++i)
             d += (rows[a][i] - rows[b][i]) *
                  (rows[a][i] - rows[b][i]);
         return std::sqrt(d);
     };
     EXPECT_LT(dist(2, 32), dist(2, 12));
+}
+
+TEST(OfflineKMeans, PrunedMatchesReferenceLloyd)
+{
+    // Duplicate rows: six distinct rows, ten copies each.
+    std::vector<std::vector<double>> dup;
+    for (int copy = 0; copy < 10; ++copy)
+        for (int r = 0; r < 6; ++r)
+            dup.push_back({static_cast<double>(r % 3), r * 0.25, 1.0});
+    for (unsigned k : {1u, 3u, 6u, 9u})
+        expectMatchesReference(matrixOf(dup), k, 50, 17 + k);
+
+    // All rows identical: seeding's total <= 0 branch duplicates
+    // centroids, so every distance ties.
+    RowMatrix same = matrixOf(
+        std::vector<std::vector<double>>(30, {0.125, 0.5, 0.375}));
+    for (unsigned k : {1u, 2u, 7u, 30u})
+        expectMatchesReference(same, k, 50, 3);
+
+    // Rows on an integer lattice: many rows equidistant from two
+    // centroids, where the first index must win.
+    std::vector<std::vector<double>> grid;
+    for (int x = 0; x < 7; ++x)
+        for (int y = 0; y < 7; ++y)
+            grid.push_back({static_cast<double>(x),
+                            static_cast<double>(y)});
+    for (unsigned k : {2u, 3u, 4u, 5u, 8u})
+        for (std::uint64_t seed : {1u, 2u, 3u})
+            expectMatchesReference(matrixOf(grid), k, 50, seed);
+
+    // k = 1 and k = n.
+    RowMatrix small = threeBlobs(4, 9);
+    expectMatchesReference(small, 1, 50, 5);
+    expectMatchesReference(small, static_cast<unsigned>(small.size()),
+                           50, 5);
+
+    // Unnormalized blobs of magnitude ~10 and ~1e6.
+    for (double scale : {1.0, 1e5})
+        for (unsigned k : {2u, 3u, 5u, 12u})
+            expectMatchesReference(threeBlobs(40, 4, scale), k, 50, k);
+
+    // Paper-shaped rows up to the cap abl_offline sweeps to.
+    RowMatrix paper = paperShapedRows(600, 12, 21);
+    for (unsigned k : {2u, 8u, 20u, 40u})
+        expectMatchesReference(paper, k, 50, 100 + k);
+}
+
+TEST(OfflineKMeans, BoundsSkipMostRowVisits)
+{
+    // A bound that never holds would fall back to brute force and
+    // still match the reference; on paper-shaped rows the bounds
+    // must spare at least half of the row visits.
+    RowMatrix rows = paperShapedRows(2000, 10, 5);
+    std::size_t visits = 0, skips = 0;
+    for (unsigned k : {4u, 10u, 20u}) {
+        KMeansResult r = kMeans(rows, k, 50, k);
+        visits += r.visits;
+        skips += r.skips;
+    }
+    EXPECT_GE(2 * skips, visits) << skips << " of " << visits;
 }

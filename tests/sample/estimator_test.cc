@@ -22,6 +22,15 @@ using sample_test::trueCpiOf;
 namespace
 {
 
+/** estimateCpi over the strata of the phases @p cells planted. */
+Estimate
+estimate(const trace::IntervalProfile &profile,
+         const std::vector<Cell> &cells, const Selection &selection)
+{
+    return estimateCpi(profile, buildStrata(profile, phasesOf(cells)),
+                       selection);
+}
+
 Selection
 all(std::size_t n)
 {
@@ -39,8 +48,8 @@ TEST(Estimator, FullCensusIsExactWithZeroAnalyticError)
     std::vector<Cell> cells = {{1, 1.0}, {1, 1.5}, {2, 3.0},
                                {2, 2.0}, {1, 1.25}};
     trace::IntervalProfile profile = makeProfile(cells);
-    Estimate est = estimateCpi(profile, phasesOf(cells),
-                               all(cells.size()));
+    Estimate est = estimate(profile, cells,
+                            all(cells.size()));
     EXPECT_NEAR(est.estimatedCpi, trueCpiOf(cells), 1e-12);
     EXPECT_NEAR(est.trueCpi, trueCpiOf(cells), 1e-12);
     EXPECT_DOUBLE_EQ(est.standardError, 0.0)
@@ -60,8 +69,8 @@ TEST(Estimator, OneSamplePerHomogeneousPhaseIsExact)
             {static_cast<PhaseId>(i % 3 + 1),
              1.0 + static_cast<double>(i % 3)});
     trace::IntervalProfile profile = makeProfile(cells);
-    Estimate est = estimateCpi(profile, phasesOf(cells),
-                               Selection{{0, 1, 2}});
+    Estimate est = estimate(profile, cells,
+                            Selection{{0, 1, 2}});
     EXPECT_NEAR(est.estimatedCpi, trueCpiOf(cells), 1e-12);
     EXPECT_DOUBLE_EQ(est.standardError, 0.0);
     EXPECT_EQ(est.sampled, 3u);
@@ -75,7 +84,7 @@ TEST(Estimator, HonorsInstructionWeights)
     std::vector<Cell> cells = {{1, 1.0, 3000}, {2, 2.0, 1000}};
     trace::IntervalProfile profile = makeProfile(cells);
     Estimate est =
-        estimateCpi(profile, phasesOf(cells), all(2));
+        estimate(profile, cells, all(2));
     EXPECT_NEAR(est.trueCpi, 1.25, 1e-12);
     EXPECT_NEAR(est.estimatedCpi, 1.25, 1e-12);
 }
@@ -88,7 +97,7 @@ TEST(Estimator, UncoveredPhaseFallsBackToPooledMean)
                                {2, 3.0}, {2, 3.0}};
     trace::IntervalProfile profile = makeProfile(cells);
     Estimate est =
-        estimateCpi(profile, phasesOf(cells), Selection{{0, 1}});
+        estimate(profile, cells, Selection{{0, 1}});
     EXPECT_EQ(est.phasesTotal, 2u);
     EXPECT_EQ(est.phasesCovered, 1u);
     EXPECT_NEAR(est.estimatedCpi, 1.0, 1e-12)
@@ -106,8 +115,8 @@ TEST(Estimator, JackknifeCiBracketsTheEstimate)
                          1.0 + static_cast<double>(i % 2) + wiggle});
     }
     trace::IntervalProfile profile = makeProfile(cells);
-    Estimate est = estimateCpi(profile, phasesOf(cells),
-                               Selection{{0, 1, 5, 10, 11, 23}});
+    Estimate est = estimate(profile, cells,
+                            Selection{{0, 1, 5, 10, 11, 23}});
     EXPECT_GT(est.jackknifeSe, 0.0)
         << "heterogeneous samples must show jackknife spread";
     EXPECT_LE(est.ciLow, est.estimatedCpi);
@@ -122,7 +131,7 @@ TEST(Estimator, SingleSampleUsesAnalyticSeForTheCi)
     std::vector<Cell> cells = {{1, 1.0}, {1, 2.0}, {1, 3.0}};
     trace::IntervalProfile profile = makeProfile(cells);
     Estimate est =
-        estimateCpi(profile, phasesOf(cells), Selection{{1}});
+        estimate(profile, cells, Selection{{1}});
     EXPECT_DOUBLE_EQ(est.jackknifeSe, 0.0);
     EXPECT_NEAR(est.ciLow,
                 est.estimatedCpi - 1.96 * est.standardError, 1e-12);
@@ -134,8 +143,7 @@ TEST(Estimator, EmptySelectionIsFatal)
 {
     std::vector<Cell> cells = {{1, 1.0}};
     trace::IntervalProfile profile = makeProfile(cells);
-    EXPECT_DEATH((void)estimateCpi(profile, phasesOf(cells),
-                                   Selection{}),
+    EXPECT_DEATH((void)estimate(profile, cells, Selection{}),
                  "empty selection");
 }
 
@@ -143,7 +151,6 @@ TEST(Estimator, OutOfRangeSelectionIsFatal)
 {
     std::vector<Cell> cells = {{1, 1.0}, {1, 2.0}};
     trace::IntervalProfile profile = makeProfile(cells);
-    EXPECT_DEATH((void)estimateCpi(profile, phasesOf(cells),
-                                   Selection{{0, 17}}),
+    EXPECT_DEATH((void)estimate(profile, cells, Selection{{0, 17}}),
                  "out of range");
 }

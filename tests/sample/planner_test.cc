@@ -148,7 +148,7 @@ TEST(Planner, RealizedSelectionMatchesTheAllocations)
     std::vector<PhaseId> phases = phasesOf(cells);
     SelectorContext ctx{profile, phases, 0, 16};
     Plan plan = planBudget(ctx, 14);
-    Selection sel = realizePlan(plan, ctx);
+    Selection sel = realizePlan(plan);
     EXPECT_EQ(sel.intervals.size(), plan.planned);
     auto counts = perPhaseCounts(sel, phases);
     for (const PhaseAllocation &a : plan.allocations)
