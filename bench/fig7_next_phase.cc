@@ -96,11 +96,7 @@ main(int argc, char **argv)
         bars.size(), args.jobs, [&](std::size_t b) {
             pred::NextPhaseStats agg;
             for (const auto &trace : traces)
-                agg.merge(bars[b].spec
-                              ? pred::evalNextPhase(trace,
-                                                    *bars[b].spec)
-                              : pred::evalNextPhase(trace,
-                                                    std::nullopt));
+                agg.merge(pred::evalNextPhase(trace, bars[b].spec));
             return agg;
         });
     for (std::size_t b = 0; b < bars.size(); ++b) {

@@ -2,12 +2,12 @@
  * @file
  * A generic set-associative table with LRU replacement.
  *
- * This models the storage common to the phase-tracking hardware: the
- * Past Signature Table (1 set x 32 ways, i.e. fully associative) and
- * the phase-change prediction tables (8 sets x 4 ways = 32 entries,
- * paper section 5). Exact-tag lookup is provided for the predictors;
- * set iteration is exposed so the signature table can implement
- * nearest-signature matching within a similarity threshold.
+ * This models the storage of the phase-change prediction tables
+ * (8 sets x 4 ways = 32 entries, paper section 5): the Markov/RLE
+ * tables, the run-length predictor and TAGE's base table. Lookup is
+ * by exact tag. The table also owns what every owner needs around
+ * it: the checkpoint codec of its slots and the choice of a
+ * fault-injection victim among its valid slots.
  */
 
 #ifndef TPCP_COMMON_ASSOC_TABLE_HH
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/state_io.hh"
 
 namespace tpcp
 {
@@ -52,9 +53,6 @@ class AssocTable
 
     /** Number of sets. */
     unsigned numSets() const { return numSets_; }
-
-    /** Number of ways per set. */
-    unsigned numWays() const { return numWays_; }
 
     /** Total capacity in entries. */
     std::size_t capacity() const { return slots.size(); }
@@ -92,39 +90,18 @@ class AssocTable
         return const_cast<AssocTable *>(this)->find(set, tag);
     }
 
-    /**
-     * Returns the first entry in @p set satisfying @p pred, or nullptr.
-     */
-    template <typename Pred>
-    Entry *
-    findIf(unsigned set, Pred pred)
-    {
-        tpcp_assert(set < numSets_);
-        for (unsigned w = 0; w < numWays_; ++w) {
-            Entry &e = slot(set, w);
-            if (e.valid && pred(e))
-                return &e;
-        }
-        return nullptr;
-    }
-
     /** Marks @p e as most recently used. */
     void touch(Entry &e) { e.lastUse = ++tick; }
 
     /**
      * Inserts (tag, value) into @p set, evicting the LRU entry if the
      * set is full. Returns the entry written. The new entry becomes
-     * most recently used. If @p evicted is non-null and a valid entry
-     * was displaced, the victim is copied there and *evicted_valid is
-     * set.
+     * most recently used.
      */
     Entry &
-    insert(unsigned set, const Tag &tag, const Value &value,
-           Entry *evicted = nullptr, bool *evicted_valid = nullptr)
+    insert(unsigned set, const Tag &tag, const Value &value)
     {
         tpcp_assert(set < numSets_);
-        if (evicted_valid)
-            *evicted_valid = false;
         Entry *victim = nullptr;
         for (unsigned w = 0; w < numWays_; ++w) {
             Entry &e = slot(set, w);
@@ -134,11 +111,6 @@ class AssocTable
             }
             if (!victim || e.lastUse < victim->lastUse)
                 victim = &e;
-        }
-        if (victim->valid && evicted) {
-            *evicted = *victim;
-            if (evicted_valid)
-                *evicted_valid = true;
         }
         victim->tag = tag;
         victim->value = value;
@@ -156,73 +128,54 @@ class AssocTable
         e.tag = Tag{};
     }
 
-    /** Invalidates every entry. */
-    void
-    clear()
-    {
-        for (auto &e : slots)
-            e = Entry{};
-        tick = 0;
-    }
-
-    /** Applies @p fn to every valid entry in @p set. */
-    template <typename Fn>
-    void
-    forEachInSet(unsigned set, Fn fn)
-    {
-        tpcp_assert(set < numSets_);
-        for (unsigned w = 0; w < numWays_; ++w) {
-            Entry &e = slot(set, w);
-            if (e.valid)
-                fn(e);
-        }
-    }
-
-    /** Applies @p fn to every valid entry in the table. */
-    template <typename Fn>
-    void
-    forEach(Fn fn)
+    /**
+     * The @p k-th valid entry in slot order (k < size()). A fault
+     * injector draws k once, uniformly over the live entries, so the
+     * choice does not depend on where they sit in the storage array.
+     */
+    Entry &
+    nthValid(std::size_t k)
     {
         for (auto &e : slots) {
-            if (e.valid)
-                fn(e);
+            if (e.valid && k-- == 0)
+                return e;
         }
+        tpcp_panic("nthValid: only ", size(), " valid entries");
     }
 
-    /** Const iteration over every valid entry. */
-    template <typename Fn>
+    /**
+     * Checkpoint codec: every slot, valid or not, in slot order as
+     * valid (b), tag (u64) and use tick (u64) followed by
+     * @p payload(value), then the table's LRU tick (u64). The owner
+     * writes its own geometry header ahead of it.
+     */
+    template <typename WritePayload>
     void
-    forEach(Fn fn) const
+    save(StateWriter &w, WritePayload payload) const
     {
         for (const auto &e : slots) {
-            if (e.valid)
-                fn(e);
+            w.b(e.valid);
+            w.u64(e.tag);
+            w.u64(e.lastUse);
+            payload(e.value);
         }
+        w.u64(tick);
     }
 
-    /** Iteration over every slot, valid or not, in slot order
-     * (serialization: the full storage array is the state). */
-    template <typename Fn>
+    /** Restores what save() wrote; @p payload(value) reads a slot's
+     * value. */
+    template <typename ReadPayload>
     void
-    forEachSlot(Fn fn)
+    load(StateReader &r, ReadPayload payload)
     {
-        for (auto &e : slots)
-            fn(e);
+        for (auto &e : slots) {
+            e.valid = r.b();
+            e.tag = r.u64();
+            e.lastUse = r.u64();
+            payload(e.value);
+        }
+        tick = r.u64();
     }
-
-    template <typename Fn>
-    void
-    forEachSlot(Fn fn) const
-    {
-        for (const auto &e : slots)
-            fn(e);
-    }
-
-    /** Current LRU tick (serialization). */
-    std::uint64_t useTick() const { return tick; }
-
-    /** Restores the LRU tick (serialization). */
-    void setUseTick(std::uint64_t t) { tick = t; }
 
   private:
     Entry &

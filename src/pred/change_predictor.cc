@@ -1,7 +1,5 @@
 #include "pred/change_predictor.hh"
 
-#include <algorithm>
-
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -84,8 +82,7 @@ ChangePredictor::ChangePredictor(const ChangePredictorConfig &config)
     : cfg(config),
       table(predictorNumSets(config.tableEntries, config.tableWays,
                              "change predictor"),
-            config.tableWays),
-      numSets(table.numSets())
+            config.tableWays)
 {
     tpcp_assert(cfg.order >= 1 && cfg.order <= 8);
 }
@@ -118,24 +115,15 @@ ChangePredictor::updateIndex()
     curHash = cfg.history == HistoryKind::MarkovUnique
                   ? prefixHash
                   : mix64(prefixHash ^ (runLen + 0x51ULL));
-    curSet = static_cast<unsigned>(curHash % numSets);
+    curSet = static_cast<unsigned>(curHash % table.numSets());
 }
 
 CandidateSet
 ChangePredictor::topOutcomes(const Entry &e, unsigned n)
 {
-    // Stable insertion sort by descending count: ties keep summary
-    // slot order.
-    auto items = e.freq;
-    for (unsigned i = 1; i < e.freqCount; ++i) {
-        const auto item = items[i];
-        unsigned j = i;
-        for (; j > 0 && items[j - 1].second < item.second; --j)
-            items[j] = items[j - 1];
-        items[j] = item;
-    }
+    const auto items = e.freq.ranked();
     CandidateSet out;
-    for (unsigned i = 0; i < e.freqCount && i < n; ++i)
+    for (unsigned i = 0; i < e.freq.size() && i < n; ++i)
         out.push_back(items[i].first);
     return out;
 }
@@ -148,28 +136,24 @@ ChangePredictor::fillPrediction(const Entry &e,
     out.confident = !cfg.useConfidence || e.conf.saturatedHigh();
     switch (cfg.payload) {
       case PayloadView::Last:
-        out.primary = e.lastOutcome;
-        out.candidates = {e.lastOutcome};
+        out.primary = e.last;
+        out.candidates = {e.last};
         break;
       case PayloadView::Last4: {
-        out.primary = e.lastOutcome;
-        for (unsigned i = 0; i < e.ringCount; ++i)
-            out.candidates.push_back(e.ring[i]);
+        // The ring's slot order, as the hardware would read it out.
+        out.primary = e.last;
+        for (unsigned s = 0; s < e.ring.size(); ++s)
+            out.candidates.push_back(e.ring.slot(s));
         if (out.candidates.empty())
-            out.candidates = {e.lastOutcome};
+            out.candidates = {e.last};
         break;
       }
-      case PayloadView::Top1: {
-        CandidateSet top = topOutcomes(e, 1);
-        out.primary = top.empty() ? e.lastOutcome : *top.begin();
-        out.candidates = {out.primary};
-        break;
-      }
+      case PayloadView::Top1:
       case PayloadView::Top4: {
-        CandidateSet top = topOutcomes(e, 4);
-        out.primary = top.empty() ? e.lastOutcome : *top.begin();
-        out.candidates = top.empty() ? CandidateSet{e.lastOutcome}
-                                     : top;
+        CandidateSet top = topOutcomes(
+            e, cfg.payload == PayloadView::Top1 ? 1 : 4);
+        out.primary = top.empty() ? e.last : *top.begin();
+        out.candidates = top.empty() ? CandidateSet{e.last} : top;
         break;
       }
     }
@@ -186,50 +170,6 @@ ChangePredictor::predict() const
         return out;
     fillPrediction(entry->value, out);
     return out;
-}
-
-void
-ChangePredictor::train(Entry &e, PhaseId actual, bool was_correct)
-{
-    if (was_correct)
-        e.conf.increment();
-    else
-        e.conf.decrement();
-
-    e.lastOutcome = actual;
-
-    // Last-4 unique ring: only push when not already present.
-    bool in_ring = false;
-    for (unsigned i = 0; i < e.ringCount; ++i)
-        in_ring = in_ring || e.ring[i] == actual;
-    if (!in_ring) {
-        if (e.ringCount < e.ring.size()) {
-            e.ring[e.ringCount++] = actual;
-        } else {
-            e.ring[e.ringHead] = actual;
-            e.ringHead = static_cast<std::uint8_t>(
-                (e.ringHead + 1) % e.ring.size());
-        }
-    }
-
-    // Frequency summary for Top-N.
-    for (unsigned i = 0; i < e.freqCount; ++i) {
-        if (e.freq[i].first == actual) {
-            ++e.freq[i].second;
-            return;
-        }
-    }
-    if (e.freqCount < e.freq.size()) {
-        e.freq[e.freqCount++] = {actual, 1};
-        return;
-    }
-    // Evict the least frequent summary slot.
-    auto min_it = std::min_element(
-        e.freq.begin(), e.freq.end(),
-        [](const auto &a, const auto &b) {
-            return a.second < b.second;
-        });
-    *min_it = {actual, 1};
 }
 
 std::optional<ChangeOutcome>
@@ -271,19 +211,15 @@ ChangePredictor::observe(PhaseId actual)
         outcome.confident = pred.confident;
         outcome.primaryCorrect = pred.primary == actual;
         outcome.anyCorrect = pred.matches(actual);
-        bool correct = (cfg.payload == PayloadView::Last4 ||
-                        cfg.payload == PayloadView::Top4)
-                           ? outcome.anyCorrect
-                           : outcome.primaryCorrect;
-        train(entry->value, actual, correct);
+        if (acceptAny() ? outcome.anyCorrect : outcome.primaryCorrect)
+            entry->value.conf.increment();
+        else
+            entry->value.conf.decrement();
+        entry->value.record(actual);
         table.touch(*entry);
     } else {
         Entry fresh;
-        fresh.lastOutcome = actual;
-        fresh.ring[0] = actual;
-        fresh.ringCount = 1;
-        fresh.freq[0] = {actual, 1};
-        fresh.freqCount = 1;
+        fresh.record(actual);
         fresh.conf = SatCounter(cfg.confBits, 0);
         table.insert(curSet, curHash, fresh);
     }
@@ -302,17 +238,11 @@ ChangePredictor::observe(PhaseId actual)
 bool
 ChangePredictor::injectFault(Rng &rng, bool invalidate)
 {
-    // Collect the valid slots so the victim choice is uniform over
-    // live entries regardless of where they sit in the storage array.
-    std::vector<AssocTable<std::uint64_t, Entry>::Entry *> live;
-    table.forEachSlot([&](auto &e) {
-        if (e.valid)
-            live.push_back(&e);
-    });
-    if (live.empty())
+    const std::size_t live = table.size();
+    if (live == 0)
         return false;
-    auto &victim = *live[rng.nextBounded(
-        static_cast<std::uint32_t>(live.size()))];
+    auto &victim = table.nthValid(
+        rng.nextBounded(static_cast<std::uint32_t>(live)));
     if (invalidate) {
         // ECC detects the error on access; the entry is dropped and
         // will retrain from scratch (last-value fallback meanwhile).
@@ -321,7 +251,7 @@ ChangePredictor::injectFault(Rng &rng, bool invalidate)
     }
     switch (rng.nextBounded(3)) {
       case 0: // stored outcome: predicts a wrong next phase
-        victim.value.lastOutcome ^=
+        victim.value.last ^=
             PhaseId(1) << rng.nextBounded(32);
         break;
       case 1: // tag: the entry now answers for a different history
@@ -338,23 +268,10 @@ void
 ChangePredictor::saveState(StateWriter &w) const
 {
     w.u64(table.capacity());
-    table.forEachSlot([&](const auto &e) {
-        w.b(e.valid);
-        w.u64(e.tag);
-        w.u64(e.lastUse);
-        w.u32(e.value.lastOutcome);
-        for (PhaseId p : e.value.ring)
-            w.u32(p);
-        w.u8(e.value.ringCount);
-        w.u8(e.value.ringHead);
-        for (const auto &[id, count] : e.value.freq) {
-            w.u32(id);
-            w.u32(count);
-        }
-        w.u8(e.value.freqCount);
-        w.u64(e.value.conf.value());
+    table.save(w, [&](const Entry &e) {
+        e.save(w, OutcomeRing::Head::Oldest);
+        w.u64(e.conf.value());
     });
-    w.u64(table.useTick());
     w.b(primed);
     w.u32(lastPhase);
     w.u64(runLen);
@@ -376,27 +293,11 @@ ChangePredictor::loadState(StateReader &r)
         tpcp_raise("change-predictor snapshot has ", savedSlots,
                    " slots, table is configured with ",
                    table.capacity());
-    table.forEachSlot([&](auto &e) {
-        e.valid = r.b();
-        e.tag = r.u64();
-        e.lastUse = r.u64();
-        e.value.lastOutcome = r.u32();
-        for (PhaseId &p : e.value.ring)
-            p = r.u32();
-        e.value.ringCount = std::min<std::uint8_t>(
-            r.u8(), static_cast<std::uint8_t>(e.value.ring.size()));
-        e.value.ringHead = static_cast<std::uint8_t>(
-            r.u8() % e.value.ring.size());
-        for (auto &[id, count] : e.value.freq) {
-            id = r.u32();
-            count = r.u32();
-        }
-        e.value.freqCount = std::min<std::uint8_t>(
-            r.u8(), static_cast<std::uint8_t>(e.value.freq.size()));
-        e.value.conf = SatCounter(cfg.confBits, 0);
-        e.value.conf.set(r.u64()); // clamps to the counter width
+    table.load(r, [&](Entry &e) {
+        e.load(r, OutcomeRing::Head::Oldest);
+        e.conf = SatCounter(cfg.confBits, 0);
+        e.conf.set(r.u64()); // clamps to the counter width
     });
-    table.setUseTick(r.u64());
     primed = r.b();
     lastPhase = r.u32();
     runLen = r.u64();

@@ -33,6 +33,7 @@
 #include "common/sat_counter.hh"
 #include "common/types.hh"
 #include "pred/history_ring.hh"
+#include "pred/outcome_payload.hh"
 #include "pred/predictor_base.hh"
 
 namespace tpcp
@@ -219,8 +220,6 @@ class ChangePredictor : public PhaseChangePredictor
                cfg.payload == PayloadView::Top4;
     }
 
-    const ChangePredictorConfig &config() const { return cfg; }
-
     /** Current phase (last observed); invalid before priming. */
     PhaseId currentPhase() const { return lastPhase; }
 
@@ -246,15 +245,10 @@ class ChangePredictor : public PhaseChangePredictor
     void loadState(StateReader &r) override;
 
   private:
-    /** Stored per-entry learning state. */
-    struct Entry
+    /** Stored per-entry learning state: the outcome payload and the
+     * confidence counter. */
+    struct Entry : OutcomePayload
     {
-        PhaseId lastOutcome = invalidPhaseId;
-        std::array<PhaseId, 4> ring{};
-        std::uint8_t ringCount = 0;
-        std::uint8_t ringHead = 0;
-        std::array<std::pair<PhaseId, std::uint32_t>, 8> freq{};
-        std::uint8_t freqCount = 0;
         SatCounter conf{1, 0};
     };
 
@@ -263,12 +257,10 @@ class ChangePredictor : public PhaseChangePredictor
     /** Recomputes curHash and curSet from prefixHash and runLen. */
     void updateIndex();
     void fillPrediction(const Entry &e, ChangePrediction &out) const;
-    void train(Entry &e, PhaseId actual, bool was_correct);
     static CandidateSet topOutcomes(const Entry &e, unsigned n);
 
     ChangePredictorConfig cfg;
     AssocTable<std::uint64_t, Entry> table;
-    unsigned numSets;
 
     bool primed = false;
     PhaseId lastPhase = invalidPhaseId;

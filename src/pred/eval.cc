@@ -22,18 +22,17 @@ NextPhaseStats::merge(const NextPhaseStats &other)
     phaseChanges += other.phaseChanges;
 }
 
-namespace
-{
-
-/** Shared next-phase replay over any change-predictor instance. */
 NextPhaseStats
-runNextPhase(const std::vector<PhaseId> &trace,
-             std::unique_ptr<PhaseChangePredictor> change,
-             const LastValueConfig &lv_cfg)
+evalNextPhase(const std::vector<PhaseId> &trace,
+              const std::optional<PredictorSpec> &change,
+              const LastValueConfig &lv_cfg)
 {
     NextPhaseStats stats;
-    const bool accept_any = change && change->acceptAny();
-    NextPhasePredictor predictor(std::move(change), lv_cfg);
+    std::unique_ptr<PhaseChangePredictor> table;
+    if (change)
+        table = change->make();
+    const bool accept_any = table && table->acceptAny();
+    NextPhasePredictor predictor(std::move(table), lv_cfg);
 
     PhaseId prev = invalidPhaseId;
     for (PhaseId actual : trace) {
@@ -66,16 +65,26 @@ runNextPhase(const std::vector<PhaseId> &trace,
     return stats;
 }
 
-/** Shared change-outcome replay over any change-predictor
- * instance. */
+void
+ChangeOutcomeStats::merge(const ChangeOutcomeStats &other)
+{
+    changes += other.changes;
+    confCorrect += other.confCorrect;
+    unconfCorrect += other.unconfCorrect;
+    tagMiss += other.tagMiss;
+    unconfIncorrect += other.unconfIncorrect;
+    confIncorrect += other.confIncorrect;
+}
+
 ChangeOutcomeStats
-runChangeOutcome(const std::vector<PhaseId> &trace,
-                 PhaseChangePredictor &predictor)
+evalChangeOutcome(const std::vector<PhaseId> &trace,
+                  const PredictorSpec &spec)
 {
     ChangeOutcomeStats stats;
-    const bool accept_any = predictor.acceptAny();
+    std::unique_ptr<PhaseChangePredictor> predictor = spec.make();
+    const bool accept_any = predictor->acceptAny();
     for (PhaseId actual : trace) {
-        std::optional<ChangeOutcome> out = predictor.observe(actual);
+        std::optional<ChangeOutcome> out = predictor->observe(actual);
         if (!out)
             continue;
         ++stats.changes;
@@ -98,54 +107,6 @@ runChangeOutcome(const std::vector<PhaseId> &trace,
         }
     }
     return stats;
-}
-
-} // namespace
-
-NextPhaseStats
-evalNextPhase(const std::vector<PhaseId> &trace,
-              const std::optional<ChangePredictorConfig> &change_cfg,
-              const LastValueConfig &lv_cfg)
-{
-    std::unique_ptr<PhaseChangePredictor> change;
-    if (change_cfg)
-        change = std::make_unique<ChangePredictor>(*change_cfg);
-    return runNextPhase(trace, std::move(change), lv_cfg);
-}
-
-NextPhaseStats
-evalNextPhase(const std::vector<PhaseId> &trace,
-              const PredictorSpec &spec,
-              const LastValueConfig &lv_cfg)
-{
-    return runNextPhase(trace, spec.make(), lv_cfg);
-}
-
-void
-ChangeOutcomeStats::merge(const ChangeOutcomeStats &other)
-{
-    changes += other.changes;
-    confCorrect += other.confCorrect;
-    unconfCorrect += other.unconfCorrect;
-    tagMiss += other.tagMiss;
-    unconfIncorrect += other.unconfIncorrect;
-    confIncorrect += other.confIncorrect;
-}
-
-ChangeOutcomeStats
-evalChangeOutcome(const std::vector<PhaseId> &trace,
-                  const ChangePredictorConfig &cfg)
-{
-    ChangePredictor predictor(cfg);
-    return runChangeOutcome(trace, predictor);
-}
-
-ChangeOutcomeStats
-evalChangeOutcome(const std::vector<PhaseId> &trace,
-                  const PredictorSpec &spec)
-{
-    std::unique_ptr<PhaseChangePredictor> predictor = spec.make();
-    return runChangeOutcome(trace, *predictor);
 }
 
 void

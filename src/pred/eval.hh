@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "pred/change_predictor.hh"
 #include "pred/last_value.hh"
 #include "pred/length_predictor.hh"
 #include "pred/predictor_spec.hh"
@@ -82,20 +81,14 @@ struct NextPhaseStats
 /**
  * Replays @p trace through a composite next-phase predictor.
  *
- * @param trace      classified phase ID per interval
- * @param change_cfg phase-change-table configuration; nullopt gives
- *                   the pure last-value predictor
- * @param lv_cfg     last-value confidence configuration
+ * @param trace  classified phase ID per interval
+ * @param change the phase-change predictor, of any family
+ *               (Markov/RLE tables, TAGE, perceptron); nullopt gives
+ *               the pure last-value predictor
+ * @param lv_cfg last-value confidence configuration
  */
-NextPhaseStats evalNextPhase(
-    const std::vector<PhaseId> &trace,
-    const std::optional<ChangePredictorConfig> &change_cfg,
-    const LastValueConfig &lv_cfg = {});
-
-/** Spec-driven variant covering every predictor family (Markov/RLE
- * tables, TAGE, perceptron). */
 NextPhaseStats evalNextPhase(const std::vector<PhaseId> &trace,
-                             const PredictorSpec &spec,
+                             const std::optional<PredictorSpec> &change,
                              const LastValueConfig &lv_cfg = {});
 
 /** Figure-8 category counts over phase-change outcomes. */
@@ -132,15 +125,11 @@ struct ChangeOutcomeStats
 };
 
 /**
- * Replays @p trace through a phase-change predictor, scoring only at
- * actual phase changes (Figure 8). Correctness uses the payload
- * view's acceptance rule (Top-4/Last-4 accept any candidate).
+ * Replays @p trace through a phase-change predictor of any family,
+ * scoring only at actual phase changes (Figure 8). Correctness uses
+ * the predictor's acceptance rule (Top-4/Last-4 accept any
+ * candidate).
  */
-ChangeOutcomeStats evalChangeOutcome(
-    const std::vector<PhaseId> &trace,
-    const ChangePredictorConfig &cfg);
-
-/** Spec-driven variant covering every predictor family. */
 ChangeOutcomeStats evalChangeOutcome(
     const std::vector<PhaseId> &trace, const PredictorSpec &spec);
 

@@ -15,8 +15,7 @@ RunLengthPredictor::RunLengthPredictor(
     : cfg(config),
       table(predictorNumSets(config.tableEntries, config.tableWays,
                              "run-length predictor"),
-            config.tableWays),
-      numSets(table.numSets())
+            config.tableWays)
 {
     tpcp_assert(cfg.order >= 1 && cfg.order <= 8);
 }
@@ -43,7 +42,7 @@ RunLengthPredictor::historyHash() const
 void
 RunLengthPredictor::train(std::uint64_t key, unsigned actual_class)
 {
-    unsigned set = static_cast<unsigned>(key % numSets);
+    unsigned set = static_cast<unsigned>(key % table.numSets());
     auto *entry = table.find(set, key);
     if (entry) {
         // Hysteresis: adopt the new class only when seen twice in a
@@ -90,7 +89,7 @@ RunLengthPredictor::observe(PhaseId actual)
 
     // Predict the class of the run that starts now.
     std::uint64_t key = historyHash();
-    unsigned set = static_cast<unsigned>(key % numSets);
+    unsigned set = static_cast<unsigned>(key % table.numSets());
     const auto *entry = table.find(set, key);
     havePending = true;
     pendingKey = key;
@@ -121,15 +120,11 @@ RunLengthPredictor::finish()
 bool
 RunLengthPredictor::injectFault(Rng &rng, bool invalidate)
 {
-    std::vector<AssocTable<std::uint64_t, Entry>::Entry *> live;
-    table.forEachSlot([&](auto &e) {
-        if (e.valid)
-            live.push_back(&e);
-    });
-    if (live.empty())
+    const std::size_t live = table.size();
+    if (live == 0)
         return false;
-    auto &victim = *live[rng.nextBounded(
-        static_cast<std::uint32_t>(live.size()))];
+    auto &victim = table.nthValid(
+        rng.nextBounded(static_cast<std::uint32_t>(live)));
     if (invalidate) {
         table.erase(victim);
         return true;
@@ -148,14 +143,10 @@ void
 RunLengthPredictor::saveState(StateWriter &w) const
 {
     w.u64(table.capacity());
-    table.forEachSlot([&](const auto &e) {
-        w.b(e.valid);
-        w.u64(e.tag);
-        w.u64(e.lastUse);
-        w.u8(e.value.cls);
-        w.u8(e.value.lastSeen);
+    table.save(w, [&](const Entry &e) {
+        w.u8(e.cls);
+        w.u8(e.lastSeen);
     });
-    w.u64(table.useTick());
     w.b(primed);
     w.u32(lastPhase);
     w.u64(runLen);
@@ -180,14 +171,10 @@ RunLengthPredictor::loadState(StateReader &r)
                    table.capacity());
     const auto maxCls =
         static_cast<std::uint8_t>(phase::numRunLengthClasses - 1);
-    table.forEachSlot([&](auto &e) {
-        e.valid = r.b();
-        e.tag = r.u64();
-        e.lastUse = r.u64();
-        e.value.cls = std::min(r.u8(), maxCls);
-        e.value.lastSeen = std::min(r.u8(), maxCls);
+    table.load(r, [&](Entry &e) {
+        e.cls = std::min(r.u8(), maxCls);
+        e.lastSeen = std::min(r.u8(), maxCls);
     });
-    table.setUseTick(r.u64());
     primed = r.b();
     lastPhase = r.u32();
     runLen = r.u64();

@@ -126,7 +126,6 @@ class RunLengthPredictor
 
     LengthPredictorConfig cfg;
     AssocTable<std::uint64_t, Entry> table;
-    unsigned numSets;
 
     bool primed = false;
     PhaseId lastPhase = invalidPhaseId;

@@ -14,13 +14,19 @@ TagePredictor::TagePredictor(const TagePredictorConfig &config)
     : cfg(config),
       base(predictorNumSets(config.baseEntries, config.baseWays,
                             "TAGE base table"),
-           config.baseWays),
-      baseSets(base.numSets())
+           config.baseWays)
 {
     if (cfg.tableEntries == 0)
         tpcp_raise("TAGE predictor: zero-entry tagged table");
     if (cfg.historyLengths.empty())
         tpcp_raise("TAGE predictor: no tagged-table history lengths");
+    if (cfg.historyLengths.size() > maxTables)
+        tpcp_raise("TAGE predictor: ", cfg.historyLengths.size(),
+                   " tagged tables, at most ", maxTables);
+    if (cfg.historyLengths.back() > maxHistory)
+        tpcp_raise("TAGE predictor: history of ",
+                   cfg.historyLengths.back(), " runs, at most ",
+                   maxHistory);
     for (std::size_t i = 1; i < cfg.historyLengths.size(); ++i) {
         if (cfg.historyLengths[i] <= cfg.historyLengths[i - 1])
             tpcp_raise("TAGE predictor: history lengths must be "
@@ -37,82 +43,71 @@ TagePredictor::TagePredictor(const TagePredictorConfig &config)
     if (cfg.usefulHalvePeriod == 0)
         tpcp_raise("TAGE predictor: useful-halving period is zero");
 
-    tables.resize(cfg.historyLengths.size());
-    for (auto &t : tables) {
-        t.resize(cfg.tableEntries);
-        for (auto &e : t) {
-            e.conf = SatCounter(cfg.confBits, 0);
-            e.useful = SatCounter(cfg.usefulBits, 0);
-        }
-    }
+    TaggedEntry blank;
+    blank.conf = SatCounter(cfg.confBits, 0);
+    blank.useful = SatCounter(cfg.usefulBits, 0);
+    tables.assign(cfg.historyLengths.size(),
+                  std::vector<TaggedEntry>(cfg.tableEntries, blank));
     if (cfg.rleAssist)
         rle = std::make_unique<ChangePredictor>(
             ChangePredictorConfig::rle(2));
 }
 
-std::uint64_t
-TagePredictor::foldHistory(unsigned hist_len) const
+void
+TagePredictor::updateIndex()
 {
-    // Fold the last hist_len completed (phase, class) runs and the
-    // current phase into one hash; salting with the length keeps the
-    // tables' index spaces decorrelated even when the histories they
-    // see are identical (short traces).
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL ^
-                      (static_cast<std::uint64_t>(hist_len) *
-                       0x100000001b3ULL);
-    std::size_t n = history.size();
-    std::size_t start = n > hist_len ? n - hist_len : 0;
-    for (std::size_t i = start; i < n; ++i) {
-        h = mix64(h ^ (static_cast<std::uint64_t>(
-                           history[i].first) + 1));
-        h = mix64(h ^ (history[i].second + 0x51ULL));
+    const std::uint16_t tagMask = static_cast<std::uint16_t>(
+        (1u << cfg.tagBits) - 1);
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+        // Fold the table's last hist_len completed (phase, class)
+        // runs and the current phase into one hash; salting with the
+        // length keeps the tables' index spaces decorrelated even
+        // when the histories they see are identical (short traces).
+        const unsigned hist_len = cfg.historyLengths[t];
+        std::uint64_t h = 0x9e3779b97f4a7c15ULL ^
+                          (static_cast<std::uint64_t>(hist_len) *
+                           0x100000001b3ULL);
+        const unsigned n = history.size();
+        for (unsigned i = n > hist_len ? n - hist_len : 0; i < n; ++i) {
+            h = mix64(h ^ (static_cast<std::uint64_t>(
+                               history[i].first) + 1));
+            h = mix64(h ^ (history[i].second + 0x51ULL));
+        }
+        h = mix64(h ^ (static_cast<std::uint64_t>(lastPhase) + 1));
+        index[t] = static_cast<std::uint32_t>(h % cfg.tableEntries);
+        tagOf[t] = static_cast<std::uint16_t>(
+            mix64(h ^ 0xa24baed4963ee407ULL) & tagMask);
     }
-    h = mix64(h ^ (static_cast<std::uint64_t>(lastPhase) + 1));
-    return h;
+    baseSet = static_cast<std::uint32_t>(
+        mix64(static_cast<std::uint64_t>(lastPhase) + 1) %
+        base.numSets());
 }
 
 TagePredictor::Lookup
 TagePredictor::lookup() const
 {
+    // Walking short-to-long leaves the provider as the longest match
+    // and alt as the second longest.
     Lookup l;
-    l.index.resize(tables.size());
-    l.tagOf.resize(tables.size());
-    const std::uint16_t tagMask = static_cast<std::uint16_t>(
-        (1u << cfg.tagBits) - 1);
     for (std::size_t i = 0; i < tables.size(); ++i) {
-        std::uint64_t h = foldHistory(cfg.historyLengths[i]);
-        l.index[i] =
-            static_cast<std::uint32_t>(h % cfg.tableEntries);
-        l.tagOf[i] = static_cast<std::uint16_t>(
-            mix64(h ^ 0xa24baed4963ee407ULL) & tagMask);
-        const TaggedEntry &e = tables[i][l.index[i]];
-        if (e.valid && e.tag == l.tagOf[i]) {
-            if (l.provider < 0 ||
-                static_cast<std::size_t>(l.provider) < i) {
-                l.alt = l.provider;
-                l.provider = static_cast<int>(i);
-            }
+        const TaggedEntry &e = tables[i][index[i]];
+        if (e.valid && e.tag == tagOf[i]) {
+            l.alt = l.provider;
+            l.provider = static_cast<int>(i);
         }
     }
-    // The scan above walks short-to-long, so the provider ends up as
-    // the longest match and alt as the second longest.
-    l.baseSet = static_cast<std::uint32_t>(
-        mix64(static_cast<std::uint64_t>(lastPhase) + 1) %
-        baseSets);
     const auto *slot =
-        base.find(l.baseSet, static_cast<std::uint64_t>(lastPhase));
-    l.baseHit = slot != nullptr;
+        base.find(baseSet, static_cast<std::uint64_t>(lastPhase));
     l.baseEntry = slot ? &slot->value : nullptr;
     return l;
 }
 
 const TagePredictor::TaggedEntry *
-TagePredictor::chosenTagged(const Lookup &l, bool &use_alt_out) const
+TagePredictor::chosenTagged(const Lookup &l) const
 {
-    use_alt_out = false;
     if (l.provider < 0)
         return nullptr;
-    const TaggedEntry &prov = tables[l.provider][l.index[l.provider]];
+    const TaggedEntry &prov = tables[l.provider][index[l.provider]];
     // Alt-on-weak: a freshly allocated, never-confirmed provider
     // (weak confidence, no usefulness yet) defers to the longest
     // older match — or the base when there is none — while the
@@ -121,10 +116,9 @@ TagePredictor::chosenTagged(const Lookup &l, bool &use_alt_out) const
     // workload settles its own policy.
     if (prov.conf.value() <= 1 && prov.useful.value() == 0 &&
         useAltOnNa.value() >= 8) {
-        use_alt_out = true;
         if (l.alt < 0)
             return nullptr;
-        return &tables[l.alt][l.index[l.alt]];
+        return &tables[l.alt][index[l.alt]];
     }
     return &prov;
 }
@@ -138,14 +132,8 @@ TagePredictor::appendBaseCandidates(const BaseValue &b,
     // prefers. The two orderings reproduce the paper's Last-4 and
     // Top-4 payload views, and the vote learns per workload which
     // one pays.
-    out.pushUnique(b.outcome);
-    std::array<std::pair<PhaseId, std::uint32_t>, 8> items{};
-    for (unsigned k = 0; k < b.freqCount; ++k)
-        items[k] = b.freq[k];
-    std::stable_sort(items.begin(), items.begin() + b.freqCount,
-                     [](const auto &x, const auto &y) {
-                         return x.second > y.second;
-                     });
+    out.pushUnique(b.last);
+    const auto items = b.freq.ranked();
     const std::uint64_t v = b.view.value();
     const bool freqFirst =
         v >= 7 ? true : v == 0 ? false : viewVote.value() >= 32;
@@ -155,11 +143,11 @@ TagePredictor::appendBaseCandidates(const BaseValue &b,
     std::array<std::pair<PhaseId, double>, 12> scored{};
     unsigned n = 0;
     const double recencyWeight = freqFirst ? 2.0 : 16.0;
-    for (unsigned k = 0; k < b.freqCount; ++k)
+    for (unsigned k = 0; k < b.freq.size(); ++k)
         scored[n++] = {items[k].first,
                        static_cast<double>(items[k].second)};
-    for (unsigned k = 0; k < b.ringCount; ++k) {
-        PhaseId c = b.ring[(b.ringHead + 4 - 1 - k) % 4];
+    for (unsigned k = 0; k < b.ring.size(); ++k) {
+        PhaseId c = b.ring[b.ring.size() - 1 - k];
         double bonus = recencyWeight * (4.0 - k);
         bool found = false;
         for (unsigned j = 0; j < n; ++j) {
@@ -172,10 +160,7 @@ TagePredictor::appendBaseCandidates(const BaseValue &b,
         if (!found)
             scored[n++] = {c, bonus};
     }
-    std::stable_sort(scored.begin(), scored.begin() + n,
-                     [](const auto &x, const auto &y) {
-                         return x.second > y.second;
-                     });
+    rankDescending(scored, n);
     for (unsigned k = 0; k < n; ++k)
         out.pushUnique(scored[k].first);
 }
@@ -196,18 +181,18 @@ TagePredictor::assembleCandidates(const Lookup &l,
     unsigned others = 0;
     for (int j = static_cast<int>(tables.size()) - 1;
          j >= 0 && others < maxOthers; --j) {
-        const TaggedEntry &t = tables[j][l.index[j]];
-        if (&t != &chosen && t.valid && t.tag == l.tagOf[j]) {
+        const TaggedEntry &t = tables[j][index[j]];
+        if (&t != &chosen && t.valid && t.tag == tagOf[j]) {
             out.pushUnique(t.outcome);
             ++others;
         }
     }
     for (int pass = 0; pass < 2; ++pass) {
         if ((pass == 0) == ring_early) {
-            for (unsigned k = 0; k < chosen.ringCount; ++k)
+            for (unsigned k = 0; k < chosen.ring.size(); ++k)
                 out.pushUnique(
-                    chosen.ring[(chosen.ringHead + 4 - 1 - k) % 4]);
-        } else if (l.baseHit) {
+                    chosen.ring[chosen.ring.size() - 1 - k]);
+        } else if (l.baseEntry) {
             appendBaseCandidates(*l.baseEntry, out);
         }
     }
@@ -232,9 +217,8 @@ TagePredictor::ownPrediction(bool *alarm_out) const
 {
     ChangePrediction out;
     Lookup l = lookup();
-    bool use_alt = false;
-    const TaggedEntry *e = chosenTagged(l, use_alt);
-    if (!e && !l.baseHit)
+    const TaggedEntry *e = chosenTagged(l);
+    if (!e && !l.baseEntry)
         return out;
     out.tableHit = true;
     // The chosen tagged entry supplies the primary; the base entry,
@@ -257,7 +241,7 @@ TagePredictor::ownPrediction(bool *alarm_out) const
             out.candidates.push_back(e->outcome);
     } else {
         const BaseValue &b = *l.baseEntry;
-        out.primary = b.outcome;
+        out.primary = b.last;
         conf = b.conf.value();
         expect_len = b.lastLen;
         len_stable = b.lenStable;
@@ -283,7 +267,7 @@ TagePredictor::ownPrediction(bool *alarm_out) const
     // exactly the runs where a reactive controller has zero lead
     // time.
     const bool pure_base =
-        !e && l.baseEntry && l.baseEntry->freqCount == 1;
+        !e && l.baseEntry && l.baseEntry->freq.size() == 1;
     const bool imminent = expect_len != 0 &&
                           runLen == expect_len && len_stable &&
                           (!rle || ((e || pure_base) &&
@@ -299,65 +283,16 @@ TagePredictor::ownPrediction(bool *alarm_out) const
 }
 
 void
-TagePredictor::pushRing(std::array<PhaseId, 4> &ring,
-                        std::uint8_t &count, std::uint8_t &head,
-                        PhaseId outcome)
-{
-    for (unsigned k = 0; k < count; ++k) {
-        if (ring[k] == outcome)
-            return; // ring keeps unique outcomes only
-    }
-    ring[head] = outcome;
-    head = static_cast<std::uint8_t>((head + 1) % 4);
-    if (count < 4)
-        ++count;
-}
-
-bool
-TagePredictor::ringHas(const std::array<PhaseId, 4> &ring,
-                       std::uint8_t count, PhaseId outcome)
-{
-    for (unsigned k = 0; k < count; ++k) {
-        if (ring[k] == outcome)
-            return true;
-    }
-    return false;
-}
-
-void
-TagePredictor::bumpFreq(BaseValue &b, PhaseId actual)
-{
-    for (unsigned k = 0; k < b.freqCount; ++k) {
-        if (b.freq[k].first == actual) {
-            ++b.freq[k].second;
-            return;
-        }
-    }
-    if (b.freqCount < b.freq.size()) {
-        b.freq[b.freqCount++] = {actual, 1};
-        return;
-    }
-    // Evict the least frequent summary slot (first minimum).
-    unsigned victim = 0;
-    for (unsigned k = 1; k < b.freqCount; ++k) {
-        if (b.freq[k].second < b.freq[victim].second)
-            victim = k;
-    }
-    b.freq[victim] = {actual, 1};
-}
-
-void
 TagePredictor::trainOnChange(PhaseId actual)
 {
     Lookup l = lookup();
-    bool use_alt = false;
-    const TaggedEntry *chosen = chosenTagged(l, use_alt);
+    const TaggedEntry *chosen = chosenTagged(l);
 
     PhaseId finalPrimary = invalidPhaseId;
     if (chosen)
         finalPrimary = chosen->outcome;
-    else if (l.baseHit)
-        finalPrimary = l.baseEntry->outcome;
+    else if (l.baseEntry)
+        finalPrimary = l.baseEntry->last;
     const bool finalCorrect = finalPrimary == actual;
 
     // Candidate-order vote: compose the full accept-any list both
@@ -379,12 +314,12 @@ TagePredictor::trainOnChange(PhaseId actual)
     // Provider update (confidence hysteresis + last-4 ring) and the
     // useful bookkeeping against the alternate prediction.
     if (l.provider >= 0) {
-        TaggedEntry &prov = tables[l.provider][l.index[l.provider]];
+        TaggedEntry &prov = tables[l.provider][index[l.provider]];
         PhaseId altPrimary = invalidPhaseId;
         if (l.alt >= 0)
-            altPrimary = tables[l.alt][l.index[l.alt]].outcome;
-        else if (l.baseHit)
-            altPrimary = l.baseEntry->outcome;
+            altPrimary = tables[l.alt][index[l.alt]].outcome;
+        else if (l.baseEntry)
+            altPrimary = l.baseEntry->last;
         const bool provCorrect = prov.outcome == actual;
         const bool altCorrect = altPrimary == actual;
         if (provCorrect != altCorrect) {
@@ -407,35 +342,25 @@ TagePredictor::trainOnChange(PhaseId actual)
             if (prov.conf.saturatedLow())
                 prov.outcome = actual;
         }
-        pushRing(prov.ring, prov.ringCount, prov.ringHead, actual);
+        prov.ring.pushUnique(actual);
         prov.lenStable = prov.lastLen == runLen;
         prov.lastLen = static_cast<std::uint32_t>(runLen);
     }
 
     // Base (Markov-1) component always trains.
     auto *slot =
-        base.find(l.baseSet, static_cast<std::uint64_t>(lastPhase));
+        base.find(baseSet, static_cast<std::uint64_t>(lastPhase));
     if (slot) {
         BaseValue &b = slot->value;
         // View vote: score the pre-update Last-4 and Top-4 views
         // against this change; train the vote when exactly one of
         // them would have accepted the outcome.
         const bool last4Hit =
-            b.outcome == actual ||
-            ringHas(b.ring, b.ringCount, actual);
+            b.last == actual || b.ring.contains(actual);
         bool top4Hit = false;
-        {
-            std::array<std::pair<PhaseId, std::uint32_t>, 8> items{};
-            for (unsigned k = 0; k < b.freqCount; ++k)
-                items[k] = b.freq[k];
-            std::stable_sort(items.begin(),
-                             items.begin() + b.freqCount,
-                             [](const auto &x, const auto &y) {
-                                 return x.second > y.second;
-                             });
-            for (unsigned k = 0; k < b.freqCount && k < 4; ++k)
-                top4Hit = top4Hit || items[k].first == actual;
-        }
+        const auto items = b.freq.ranked();
+        for (unsigned k = 0; k < b.freq.size() && k < 4; ++k)
+            top4Hit = top4Hit || items[k].first == actual;
         if (last4Hit != top4Hit) {
             if (top4Hit) {
                 b.view.increment();
@@ -445,26 +370,21 @@ TagePredictor::trainOnChange(PhaseId actual)
                 viewVote.decrement();
             }
         }
-        if (b.outcome == actual)
+        if (b.last == actual)
             b.conf.increment();
         else
             b.conf.decrement();
-        b.outcome = actual;
-        pushRing(b.ring, b.ringCount, b.ringHead, actual);
-        bumpFreq(b, actual);
+        b.record(actual);
         b.lenStable = b.lastLen == runLen;
         b.lastLen = static_cast<std::uint32_t>(runLen);
         base.touch(*slot);
     } else {
         BaseValue fresh;
-        fresh.outcome = actual;
-        pushRing(fresh.ring, fresh.ringCount, fresh.ringHead,
-                 actual);
-        bumpFreq(fresh, actual);
+        fresh.record(actual);
         fresh.conf = SatCounter(cfg.confBits, 1);
         fresh.lastLen = static_cast<std::uint32_t>(runLen);
-        base.insert(l.baseSet,
-                    static_cast<std::uint64_t>(lastPhase), fresh);
+        base.insert(baseSet, static_cast<std::uint64_t>(lastPhase),
+                    fresh);
     }
 
     // Mispredict: allocate one entry in a longer-history table whose
@@ -474,15 +394,13 @@ TagePredictor::trainOnChange(PhaseId actual)
         unsigned allocated = 0;
         for (std::size_t j = l.provider + 1;
              j < tables.size() && allocated < 1; ++j) {
-            TaggedEntry &e = tables[j][l.index[j]];
+            TaggedEntry &e = tables[j][index[j]];
             if (!e.valid || e.useful.value() == 0) {
                 e.valid = true;
-                e.tag = l.tagOf[j];
+                e.tag = tagOf[j];
                 e.outcome = actual;
-                e.ring = {};
-                e.ringCount = 0;
-                e.ringHead = 0;
-                pushRing(e.ring, e.ringCount, e.ringHead, actual);
+                e.ring = OutcomeRing{};
+                e.ring.pushUnique(actual);
                 e.conf = SatCounter(cfg.confBits, 1);
                 e.useful = SatCounter(cfg.usefulBits, 0);
                 e.lastLen = static_cast<std::uint32_t>(runLen);
@@ -492,7 +410,7 @@ TagePredictor::trainOnChange(PhaseId actual)
         if (allocated == 0) {
             for (std::size_t j = l.provider + 1; j < tables.size();
                  ++j)
-                tables[j][l.index[j]].useful.decrement();
+                tables[j][index[j]].useful.decrement();
         }
     }
 
@@ -514,6 +432,7 @@ TagePredictor::observe(PhaseId actual)
         primed = true;
         lastPhase = actual;
         runLen = 1;
+        updateIndex();
         if (rle)
             rle->observe(actual);
         return std::nullopt;
@@ -567,68 +486,68 @@ TagePredictor::observe(PhaseId actual)
     if (rle)
         rle->observe(actual);
 
-    history.emplace_back(
-        lastPhase,
-        static_cast<std::uint8_t>(phase::runLengthClass(runLen)));
-    while (history.size() > cfg.historyLengths.back())
-        history.pop_front();
-
+    history.push({lastPhase, static_cast<std::uint8_t>(
+                                 phase::runLengthClass(runLen))},
+                 cfg.historyLengths.back());
     lastPhase = actual;
     runLen = 1;
+    updateIndex();
     return rec;
 }
 
 bool
 TagePredictor::injectFault(Rng &rng, bool invalidate)
 {
-    // Enumerate live entries in a fixed order: base first, then the
-    // tagged tables short-to-long.
-    struct Victim
-    {
-        AssocTable<std::uint64_t, BaseValue>::Entry *b = nullptr;
-        TaggedEntry *t = nullptr;
-    };
-    std::vector<Victim> live;
-    base.forEachSlot([&](auto &e) {
-        if (e.valid)
-            live.push_back({&e, nullptr});
-    });
-    for (auto &t : tables) {
-        for (auto &e : t) {
-            if (e.valid)
-                live.push_back({nullptr, &e});
+    // Live entries in a fixed order: base first, then the tagged
+    // tables short-to-long; one draw picks among them.
+    const std::size_t baseLive = base.size();
+    std::size_t live = baseLive;
+    for (const auto &t : tables) {
+        for (const TaggedEntry &e : t)
+            live += e.valid ? 1 : 0;
+    }
+    if (live == 0)
+        return false;
+    std::size_t k = rng.nextBounded(static_cast<std::uint32_t>(live));
+    AssocTable<std::uint64_t, BaseValue>::Entry *b = nullptr;
+    TaggedEntry *t = nullptr;
+    if (k < baseLive) {
+        b = &base.nthValid(k);
+    } else {
+        k -= baseLive;
+        for (auto &table : tables) {
+            for (TaggedEntry &e : table) {
+                if (!t && e.valid && k-- == 0)
+                    t = &e;
+            }
         }
     }
-    if (live.empty())
-        return false;
-    Victim v = live[rng.nextBounded(
-        static_cast<std::uint32_t>(live.size()))];
     if (invalidate) {
         // ECC model: the error is detected and the entry dropped,
         // degrading to a miss that retrains.
-        if (v.b)
-            base.erase(*v.b);
+        if (b)
+            base.erase(*b);
         else
-            v.t->valid = false;
+            t->valid = false;
         return true;
     }
     // Raw bit flip in the outcome, tag or confidence field.
     switch (rng.nextBounded(3)) {
       case 0:
-        if (v.b)
-            v.b->value.outcome ^= PhaseId(1) << rng.nextBounded(32);
+        if (b)
+            b->value.last ^= PhaseId(1) << rng.nextBounded(32);
         else
-            v.t->outcome ^= PhaseId(1) << rng.nextBounded(32);
+            t->outcome ^= PhaseId(1) << rng.nextBounded(32);
         break;
       case 1:
-        if (v.b)
-            v.b->tag ^= std::uint64_t(1) << rng.nextBounded(32);
+        if (b)
+            b->tag ^= std::uint64_t(1) << rng.nextBounded(32);
         else
-            v.t->tag = static_cast<std::uint16_t>(
-                v.t->tag ^ (1u << rng.nextBounded(cfg.tagBits)));
+            t->tag = static_cast<std::uint16_t>(
+                t->tag ^ (1u << rng.nextBounded(cfg.tagBits)));
         break;
       default: {
-        SatCounter &c = v.b ? v.b->value.conf : v.t->conf;
+        SatCounter &c = b ? b->value.conf : t->conf;
         c.set(c.value() ^
               (std::uint64_t(1) << rng.nextBounded(cfg.confBits)));
         break;
@@ -643,35 +562,19 @@ TagePredictor::saveState(StateWriter &w) const
     w.u64(base.capacity());
     w.u32(static_cast<std::uint32_t>(tables.size()));
     w.u32(cfg.tableEntries);
-    base.forEachSlot([&](const auto &e) {
-        w.b(e.valid);
-        w.u64(e.tag);
-        w.u64(e.lastUse);
-        w.u32(e.value.outcome);
-        for (PhaseId p : e.value.ring)
-            w.u32(p);
-        w.u8(e.value.ringCount);
-        w.u8(e.value.ringHead);
-        for (const auto &[ph, cnt] : e.value.freq) {
-            w.u32(ph);
-            w.u32(cnt);
-        }
-        w.u8(e.value.freqCount);
-        w.u8(static_cast<std::uint8_t>(e.value.conf.value()));
-        w.u8(static_cast<std::uint8_t>(e.value.view.value()));
-        w.u32(e.value.lastLen);
-        w.b(e.value.lenStable);
+    base.save(w, [&](const BaseValue &b) {
+        b.save(w, OutcomeRing::Head::NextWrite);
+        w.u8(static_cast<std::uint8_t>(b.conf.value()));
+        w.u8(static_cast<std::uint8_t>(b.view.value()));
+        w.u32(b.lastLen);
+        w.b(b.lenStable);
     });
-    w.u64(base.useTick());
     for (const auto &t : tables) {
         for (const TaggedEntry &e : t) {
             w.b(e.valid);
             w.u32(e.tag);
             w.u32(e.outcome);
-            for (PhaseId p : e.ring)
-                w.u32(p);
-            w.u8(e.ringCount);
-            w.u8(e.ringHead);
+            e.ring.save(w, OutcomeRing::Head::NextWrite);
             w.u8(static_cast<std::uint8_t>(e.conf.value()));
             w.u8(static_cast<std::uint8_t>(e.useful.value()));
             w.u32(e.lastLen);
@@ -686,9 +589,9 @@ TagePredictor::saveState(StateWriter &w) const
     w.u64(runLen);
     w.u64(changesSeen);
     w.u64(history.size());
-    for (const auto &[id, cls] : history) {
-        w.u32(id);
-        w.u8(cls);
+    for (unsigned i = 0; i < history.size(); ++i) {
+        w.u32(history[i].first);
+        w.u8(history[i].second);
     }
     if (rle) {
         w.u8(static_cast<std::uint8_t>(assistVote.value()));
@@ -712,35 +615,19 @@ TagePredictor::loadState(StateReader &r)
                    cfg.tableEntries);
     const std::uint16_t tagMask = static_cast<std::uint16_t>(
         (1u << cfg.tagBits) - 1);
-    base.forEachSlot([&](auto &e) {
-        e.valid = r.b();
-        e.tag = r.u64();
-        e.lastUse = r.u64();
-        e.value.outcome = r.u32();
-        for (PhaseId &p : e.value.ring)
-            p = r.u32();
-        e.value.ringCount = std::min<std::uint8_t>(r.u8(), 4);
-        e.value.ringHead = static_cast<std::uint8_t>(r.u8() % 4);
-        for (auto &[ph, cnt] : e.value.freq) {
-            ph = r.u32();
-            cnt = r.u32();
-        }
-        e.value.freqCount = std::min<std::uint8_t>(r.u8(), 8);
-        e.value.conf = SatCounter(cfg.confBits, r.u8());
-        e.value.view = SatCounter(3, r.u8());
-        e.value.lastLen = r.u32();
-        e.value.lenStable = r.b();
+    base.load(r, [&](BaseValue &b) {
+        b.load(r, OutcomeRing::Head::NextWrite);
+        b.conf = SatCounter(cfg.confBits, r.u8());
+        b.view = SatCounter(3, r.u8());
+        b.lastLen = r.u32();
+        b.lenStable = r.b();
     });
-    base.setUseTick(r.u64());
     for (auto &t : tables) {
         for (TaggedEntry &e : t) {
             e.valid = r.b();
             e.tag = static_cast<std::uint16_t>(r.u32() & tagMask);
             e.outcome = r.u32();
-            for (PhaseId &p : e.ring)
-                p = r.u32();
-            e.ringCount = std::min<std::uint8_t>(r.u8(), 4);
-            e.ringHead = static_cast<std::uint8_t>(r.u8() % 4);
+            e.ring.load(r, OutcomeRing::Head::NextWrite);
             e.conf = SatCounter(cfg.confBits, r.u8());
             e.useful = SatCounter(cfg.usefulBits, r.u8());
             e.lastLen = r.u32();
@@ -763,10 +650,10 @@ TagePredictor::loadState(StateReader &r)
     for (std::uint64_t i = 0; i < n; ++i) {
         PhaseId id = r.u32();
         std::uint8_t cls = r.u8();
-        history.emplace_back(
-            id, std::min<std::uint8_t>(
-                    cls, phase::numRunLengthClasses - 1));
+        history.push({id, std::min<std::uint8_t>(
+                              cls, phase::numRunLengthClasses - 1)});
     }
+    updateIndex();
     if (rle) {
         assistVote = SatCounter(4, r.u8());
         rle->loadState(r);

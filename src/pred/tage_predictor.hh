@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,6 +29,8 @@
 #include "common/sat_counter.hh"
 #include "common/types.hh"
 #include "pred/change_predictor.hh"
+#include "pred/history_ring.hh"
+#include "pred/outcome_payload.hh"
 #include "pred/predictor_base.hh"
 
 namespace tpcp::pred
@@ -47,10 +48,11 @@ struct TagePredictorConfig
     unsigned tableEntries = 128;
     /** Partial tag width of the tagged tables. */
     unsigned tagBits = 12;
-    /** History length per tagged table, in completed runs. The run
-     * lengths entering the history are class-quantized (exact
-     * lengths rarely recur — the paper's RLE tables show the cost of
-     * indexing on them). */
+    /** History length per tagged table, in completed runs: at most
+     * TagePredictor::maxTables tables of at most
+     * TagePredictor::maxHistory runs. The run lengths entering the
+     * history are class-quantized (exact lengths rarely recur — the
+     * paper's RLE tables show the cost of indexing on them). */
     std::vector<unsigned> historyLengths = {1, 2, 3, 4, 6, 8};
     /** Per-entry outcome-confidence counter width. */
     unsigned confBits = 2;
@@ -87,6 +89,12 @@ struct TagePredictorConfig
 class TagePredictor : public PhaseChangePredictor
 {
   public:
+    /** Capacity of the fixed per-table index state and history. */
+    static constexpr unsigned maxTables = 6;
+    static constexpr unsigned maxHistory = 8;
+
+    /** Raises tpcp::Error on a geometry outside the fixed capacity
+     * or an otherwise invalid configuration. */
     explicit TagePredictor(const TagePredictorConfig &config = {});
 
     ChangePrediction predict() const override;
@@ -95,14 +103,6 @@ class TagePredictor : public PhaseChangePredictor
     const std::string &name() const override { return cfg.name; }
     bool acceptAny() const override { return cfg.acceptAnyRule; }
 
-    const TagePredictorConfig &config() const { return cfg; }
-
-    /** Current phase (last observed); invalid before priming. */
-    PhaseId currentPhase() const { return lastPhase; }
-
-    /** Length of the current run so far, in intervals. */
-    std::uint64_t currentRunLength() const { return runLen; }
-
     bool injectFault(Rng &rng, bool invalidate) override;
 
     void saveState(StateWriter &w) const override;
@@ -110,17 +110,10 @@ class TagePredictor : public PhaseChangePredictor
 
   private:
     /** Base-table payload (the Markov-1 component); keyed by the
-     * current phase in a set-associative LRU table. */
-    struct BaseValue
+     * current phase in a set-associative LRU table. The frequency
+     * summary is the paper's Top-N payload view. */
+    struct BaseValue : OutcomePayload
     {
-        PhaseId outcome = invalidPhaseId;
-        std::array<PhaseId, 4> ring{};
-        std::uint8_t ringCount = 0;
-        std::uint8_t ringHead = 0;
-        /** Frequency summary of the most common outcomes, as in the
-         * paper's Top-N payload view. */
-        std::array<std::pair<PhaseId, std::uint32_t>, 8> freq{};
-        std::uint8_t freqCount = 0;
         SatCounter conf{2, 0};
         /** Per-entry payload-view vote (>= midpoint ranks the
          * frequency summary ahead of ring recency), trained on the
@@ -146,9 +139,7 @@ class TagePredictor : public PhaseChangePredictor
         bool valid = false;
         std::uint16_t tag = 0;
         PhaseId outcome = invalidPhaseId;
-        std::array<PhaseId, 4> ring{};
-        std::uint8_t ringCount = 0;
-        std::uint8_t ringHead = 0;
+        OutcomeRing ring;
         SatCounter conf{2, 0};
         SatCounter useful{2, 0};
         /** Terminal run length last observed (imminence gate; see
@@ -163,12 +154,6 @@ class TagePredictor : public PhaseChangePredictor
     {
         int provider = -1; ///< tagged-table index, -1 = base/none
         int alt = -1;      ///< next-longest match below the provider
-        bool baseHit = false;
-        /** Per-table index/tag of this history state (always filled,
-         * hit or miss — allocation reuses them). */
-        std::vector<std::uint32_t> index;
-        std::vector<std::uint16_t> tagOf;
-        std::uint32_t baseSet = 0;
         const BaseValue *baseEntry = nullptr; ///< null on base miss
     };
 
@@ -178,23 +163,16 @@ class TagePredictor : public PhaseChangePredictor
      * vote) so observe() can shadow-train the vote. */
     ChangePrediction ownPrediction(bool *alarm_out) const;
     /** The entry predict()/observe() read, honoring alt-on-weak;
-     * null when nothing hit. @p use_alt_out reports the choice. */
-    const TaggedEntry *chosenTagged(const Lookup &l,
-                                    bool &use_alt_out) const;
+     * null when nothing hit. */
+    const TaggedEntry *chosenTagged(const Lookup &l) const;
     /** Appends the base entry's outcomes to @p out, up to 4
      * candidates total: most recent first, then ring recency and
      * the frequency summary in the order the view vote prefers. */
     void appendBaseCandidates(const BaseValue &b,
                               CandidateSet &out) const;
-    /** Bumps @p actual in the entry's frequency summary, evicting
-     * the least frequent slot when full. */
-    static void bumpFreq(BaseValue &b, PhaseId actual);
-    static void pushRing(std::array<PhaseId, 4> &ring,
-                         std::uint8_t &count, std::uint8_t &head,
-                         PhaseId outcome);
-    static bool ringHas(const std::array<PhaseId, 4> &ring,
-                        std::uint8_t count, PhaseId outcome);
-    std::uint64_t foldHistory(unsigned hist_len) const;
+    /** Recomputes index, tagOf and baseSet from the history and the
+     * current phase; called whenever either changes. */
+    void updateIndex();
     /** Builds the accept-any candidate list of @p chosen under one
      * ring-vs-base order, exactly as predict() would emit it. */
     CandidateSet assembleCandidates(
@@ -204,10 +182,15 @@ class TagePredictor : public PhaseChangePredictor
 
     TagePredictorConfig cfg;
     AssocTable<std::uint64_t, BaseValue> base;
-    unsigned baseSets;
     /** tables[i] has cfg.historyLengths[i]; longer index = longer
      * history. */
     std::vector<std::vector<TaggedEntry>> tables;
+    /** The current history state's slot and tag in each tagged table
+     * and its base-table set; never serialized, rebuilt by
+     * updateIndex(). */
+    std::array<std::uint32_t, maxTables> index{};
+    std::array<std::uint16_t, maxTables> tagOf{};
+    std::uint32_t baseSet = 0;
 
     /** Adaptive use-alt-on-weak vote (>= midpoint trusts the
      * alternate over a weak provider), trained on disagreements. */
@@ -225,9 +208,9 @@ class TagePredictor : public PhaseChangePredictor
     PhaseId lastPhase = invalidPhaseId;
     std::uint64_t runLen = 0;
     std::uint64_t changesSeen = 0;
-    /** Completed (phase, run-length class) runs, back = most
-     * recent; capped at the longest configured history. */
-    std::deque<std::pair<PhaseId, std::uint8_t>> history;
+    /** Completed (phase, run-length class) runs, oldest first;
+     * capped at the longest configured history. */
+    HistoryRing<std::pair<PhaseId, std::uint8_t>, maxHistory> history;
     /** The rleAssist cascade component; null unless configured. */
     std::unique_ptr<ChangePredictor> rle;
     /** Adaptive assist vote (rleAssist only): shadow-scores TAGE's

@@ -27,7 +27,8 @@ Cache::Cache(const CacheConfig &config, std::string name)
     valid.resize(sets);
 }
 
-CacheAccessResult
+/** Out of line and cache-line aligned, like OooCore::consume. */
+__attribute__((noinline, aligned(64))) CacheAccessResult
 Cache::access(Addr addr, bool write)
 {
     ++stats_.accesses;

@@ -96,7 +96,8 @@ ExecEngine::resolveBranch(const isa::Region &reg, const isa::Inst &inst)
     return false;
 }
 
-const DynInst &
+/** Out of line and cache-line aligned, like OooCore::consume. */
+__attribute__((noinline, aligned(64))) const DynInst &
 ExecEngine::next()
 {
     const isa::Region &reg = program.regions[curRegion];

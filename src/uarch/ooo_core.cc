@@ -40,7 +40,12 @@ OooCore::allocFu(isa::FuClass fu, Cycles ready, Cycles occupancy)
     return issue;
 }
 
-void
+/**
+ * Out of line and cache-line aligned, like ExecEngine::next and
+ * Cache::access, the other hot spots of cold simulation: their code
+ * sits at the same offset whatever the linker places ahead of uarch.
+ */
+__attribute__((noinline, aligned(64))) void
 OooCore::consume(const DynInst &inst)
 {
     const CoreConfig &cc = config.core;

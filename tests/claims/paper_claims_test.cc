@@ -310,12 +310,12 @@ TEST_F(PaperClaims, MultiOutcomePredictorsBeatPlainMarkov)
         auto res = classify(
             name, phase::ClassifierConfig::paperDefault());
         plain.merge(pred::evalChangeOutcome(
-            res.trace.phases,
-            pred::ChangePredictorConfig::markov(2)));
+            res.trace.phases, pred::PredictorSpec::tableSpec(
+                                  pred::ChangePredictorConfig::markov(2))));
         top4.merge(pred::evalChangeOutcome(
             res.trace.phases,
-            pred::ChangePredictorConfig::markov(
-                1, pred::PayloadView::Top4)));
+            pred::PredictorSpec::tableSpec(pred::ChangePredictorConfig::markov(
+                1, pred::PayloadView::Top4))));
     }
     EXPECT_GT(top4.correctRate(), plain.correctRate() + 0.15)
         << "paper section 7: more aggressive techniques are needed";

@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the generic set-associative LRU table that backs the
- * prediction tables (32-entry 4-way in the paper).
+ * prediction tables (32-entry 4-way in the paper): lookup, LRU
+ * replacement, the fault-victim choice and the slot codec.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/assoc_table.hh"
+#include "common/state_io.hh"
 
 using namespace tpcp;
 
@@ -18,9 +21,12 @@ TEST(AssocTable, Geometry)
 {
     Table t(8, 4);
     EXPECT_EQ(t.numSets(), 8u);
-    EXPECT_EQ(t.numWays(), 4u);
     EXPECT_EQ(t.capacity(), 32u);
     EXPECT_EQ(t.size(), 0u);
+    for (std::uint64_t tag = 0; tag < 4; ++tag)
+        t.insert(7, tag, 0);
+    for (std::uint64_t tag = 0; tag < 4; ++tag)
+        EXPECT_NE(t.find(7, tag), nullptr) << "4 ways hold 4 tags";
 }
 
 TEST(AssocTable, InsertAndFind)
@@ -41,11 +47,8 @@ TEST(AssocTable, LruEvictionOrder)
     t.insert(0, 2, 20);
     // Touch tag 1 so tag 2 becomes LRU.
     t.touch(*t.find(0, 1));
-    Table::Entry evicted;
-    bool evicted_valid = false;
-    t.insert(0, 3, 30, &evicted, &evicted_valid);
-    EXPECT_TRUE(evicted_valid);
-    EXPECT_EQ(evicted.tag, 2u);
+    t.insert(0, 3, 30);
+    EXPECT_EQ(t.size(), 2u);
     EXPECT_NE(t.find(0, 1), nullptr);
     EXPECT_EQ(t.find(0, 2), nullptr);
     EXPECT_NE(t.find(0, 3), nullptr);
@@ -56,11 +59,13 @@ TEST(AssocTable, InsertPrefersInvalidSlots)
     Table t(1, 3);
     t.insert(0, 1, 1);
     t.insert(0, 2, 2);
-    bool evicted_valid = true;
-    Table::Entry evicted;
-    t.insert(0, 3, 3, &evicted, &evicted_valid);
-    EXPECT_FALSE(evicted_valid) << "room left, nothing evicted";
+    t.erase(*t.find(0, 1));
+    t.insert(0, 3, 3);
+    t.insert(0, 4, 4);
     EXPECT_EQ(t.size(), 3u);
+    EXPECT_NE(t.find(0, 2), nullptr) << "room left, nothing evicted";
+    EXPECT_NE(t.find(0, 3), nullptr);
+    EXPECT_NE(t.find(0, 4), nullptr);
 }
 
 TEST(AssocTable, EraseInvalidates)
@@ -72,58 +77,53 @@ TEST(AssocTable, EraseInvalidates)
     EXPECT_EQ(t.size(), 0u);
 }
 
-TEST(AssocTable, ClearEmptiesEverything)
+TEST(AssocTable, NthValidSkipsInvalidSlotsInSlotOrder)
 {
     Table t(2, 2);
     t.insert(0, 1, 1);
-    t.insert(1, 2, 2);
-    t.clear();
-    EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.find(0, 1), nullptr);
-    EXPECT_EQ(t.find(1, 2), nullptr);
-}
-
-TEST(AssocTable, FindIfPredicate)
-{
-    Table t(1, 4);
-    t.insert(0, 1, 10);
-    t.insert(0, 2, 25);
-    auto *e = t.findIf(0, [](const Table::Entry &entry) {
-        return entry.value > 20;
-    });
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->tag, 2u);
-    EXPECT_EQ(t.findIf(0,
-                       [](const Table::Entry &entry) {
-                           return entry.value > 100;
-                       }),
-              nullptr);
-}
-
-TEST(AssocTable, ForEachVisitsOnlyValid)
-{
-    Table t(2, 2);
-    t.insert(0, 1, 1);
-    t.insert(1, 2, 2);
+    t.insert(0, 2, 2);
     t.insert(1, 3, 3);
-    t.erase(*t.find(1, 2));
-    int sum = 0, count = 0;
-    t.forEach([&](Table::Entry &e) {
-        sum += e.value;
-        ++count;
-    });
-    EXPECT_EQ(count, 2);
-    EXPECT_EQ(sum, 4);
+    t.insert(1, 4, 4);
+    t.erase(*t.find(0, 2));
+    ASSERT_EQ(t.size(), 3u);
+    EXPECT_EQ(t.nthValid(0).tag, 1u);
+    EXPECT_EQ(t.nthValid(1).tag, 3u) << "the erased slot is skipped";
+    EXPECT_EQ(t.nthValid(2).tag, 4u);
 }
 
-TEST(AssocTable, ForEachInSet)
+TEST(AssocTable, SlotCodecRoundTripsEverySlot)
 {
     Table t(2, 2);
-    t.insert(0, 1, 1);
-    t.insert(1, 2, 2);
-    int count = 0;
-    t.forEachInSet(1, [&](Table::Entry &) { ++count; });
-    EXPECT_EQ(count, 1);
+    t.insert(0, 1, 10);
+    t.insert(0, 9, 90);
+    t.erase(*t.find(0, 9));
+    t.insert(1, 2, 20);
+    t.insert(1, 3, 30);
+    t.touch(*t.find(1, 2)); // tag 3 is now set 1's LRU entry
+    auto save = [](const Table &table) {
+        StateWriter w;
+        table.save(w, [&](int v) {
+            w.u32(static_cast<std::uint32_t>(v));
+        });
+        return w.buffer();
+    };
+    const std::vector<std::uint8_t> bytes = save(t);
+    // Four slots of valid, tag, use tick and payload, then the tick.
+    EXPECT_EQ(bytes.size(), 4 * (1 + 8 + 8 + 4) + 8u);
+
+    Table back(2, 2);
+    StateReader r(bytes);
+    back.load(r, [&](int &v) { v = static_cast<int>(r.u32()); });
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(save(back), bytes);
+    EXPECT_EQ(back.find(0, 9), nullptr) << "erased stays erased";
+    ASSERT_NE(back.find(0, 1), nullptr);
+    EXPECT_EQ(back.find(0, 1)->value, 10);
+    // The restored use ticks keep set 1's LRU order.
+    back.insert(1, 6, 60);
+    EXPECT_EQ(back.find(1, 3), nullptr);
+    ASSERT_NE(back.find(1, 2), nullptr);
+    EXPECT_EQ(back.find(1, 2)->value, 20);
 }
 
 TEST(AssocTable, ReinsertSameTagOverwrites)

@@ -213,7 +213,8 @@ TEST(EndToEnd, PeriodicPhasesAreRlePredictable)
     pred::NextPhaseStats lv =
         pred::evalNextPhase(res.trace.phases, std::nullopt);
     pred::NextPhaseStats rle = pred::evalNextPhase(
-        res.trace.phases, pred::ChangePredictorConfig::rle(2));
+        res.trace.phases,
+        pred::PredictorSpec::tableSpec(pred::ChangePredictorConfig::rle(2)));
     EXPECT_GT(lv.accuracy(), 0.8) << "long stable runs";
     EXPECT_GE(rle.accuracy(), lv.accuracy())
         << "RLE must not hurt on a periodic trace";
@@ -228,7 +229,8 @@ TEST(EndToEnd, ChangeOutcomesLearnable)
     analysis::ClassificationResult res =
         analysis::classifyProfile(prof, config());
     pred::ChangeOutcomeStats ch = pred::evalChangeOutcome(
-        res.trace.phases, pred::ChangePredictorConfig::markov(1));
+        res.trace.phases, pred::PredictorSpec::tableSpec(
+                              pred::ChangePredictorConfig::markov(1)));
     EXPECT_GT(ch.correctRate(), 0.5)
         << "A->B->C->A changes are first-order predictable";
     pred::PerfectMarkovStats perfect =

@@ -60,8 +60,8 @@ TEST(EvalNextPhase, LastValueAccuracyMatchesChangeRate)
 TEST(EvalNextPhase, CategoriesSumToTotal)
 {
     auto trace = periodicTrace({{1, 7}, {2, 2}, {3, 5}}, 12);
-    NextPhaseStats s =
-        evalNextPhase(trace, ChangePredictorConfig::rle(2));
+    NextPhaseStats s = evalNextPhase(
+        trace, PredictorSpec::tableSpec(ChangePredictorConfig::rle(2)));
     EXPECT_EQ(s.correctTable + s.incorrectTable + s.correctLvConf +
                   s.correctLvUnconf + s.incorrectLvUnconf +
                   s.incorrectLvConf,
@@ -72,8 +72,8 @@ TEST(EvalNextPhase, RlePredictorBeatsLastValueOnPeriodicTrace)
 {
     auto trace = periodicTrace({{1, 5}, {2, 3}}, 40);
     NextPhaseStats lv = evalNextPhase(trace, std::nullopt);
-    NextPhaseStats rle =
-        evalNextPhase(trace, ChangePredictorConfig::rle(1));
+    NextPhaseStats rle = evalNextPhase(
+        trace, PredictorSpec::tableSpec(ChangePredictorConfig::rle(1)));
     EXPECT_GT(rle.accuracy(), lv.accuracy())
         << "RLE should predict the periodic changes";
     EXPECT_GT(rle.correctTable, 0u);
@@ -104,8 +104,8 @@ TEST(EvalNextPhase, MergeAddsUp)
 TEST(EvalChangeOutcome, CountsOnlyChanges)
 {
     auto trace = periodicTrace({{1, 9}, {2, 1}}, 20);
-    ChangeOutcomeStats s =
-        evalChangeOutcome(trace, ChangePredictorConfig::rle(2));
+    ChangeOutcomeStats s = evalChangeOutcome(
+        trace, PredictorSpec::tableSpec(ChangePredictorConfig::rle(2)));
     EXPECT_EQ(s.changes, 39u) << "2 changes per period, minus prime";
     EXPECT_EQ(s.confCorrect + s.unconfCorrect + s.tagMiss +
                   s.unconfIncorrect + s.confIncorrect,
@@ -115,8 +115,8 @@ TEST(EvalChangeOutcome, CountsOnlyChanges)
 TEST(EvalChangeOutcome, PeriodicTraceMostlyCovered)
 {
     auto trace = periodicTrace({{1, 5}, {2, 3}}, 50);
-    ChangeOutcomeStats s =
-        evalChangeOutcome(trace, ChangePredictorConfig::rle(1));
+    ChangeOutcomeStats s = evalChangeOutcome(
+        trace, PredictorSpec::tableSpec(ChangePredictorConfig::rle(1)));
     EXPECT_GT(s.correctRate(), 0.8);
 }
 
@@ -133,9 +133,11 @@ TEST(EvalChangeOutcome, Top4AcceptsAnyFrequentSuccessor)
         }
     }
     ChangeOutcomeStats top1 = evalChangeOutcome(
-        trace, ChangePredictorConfig::markov(1, PayloadView::Top1));
+        trace, PredictorSpec::tableSpec(ChangePredictorConfig::markov(
+                   1, PayloadView::Top1)));
     ChangeOutcomeStats top4 = evalChangeOutcome(
-        trace, ChangePredictorConfig::markov(1, PayloadView::Top4));
+        trace, PredictorSpec::tableSpec(ChangePredictorConfig::markov(
+                   1, PayloadView::Top4)));
     EXPECT_GT(top4.correctRate(), top1.correctRate() + 0.2);
 }
 
@@ -143,8 +145,8 @@ TEST(EvalPerfectMarkov, UpperBoundsRealPredictor)
 {
     auto trace = periodicTrace({{1, 5}, {2, 3}, {3, 2}, {2, 6}}, 25);
     PerfectMarkovStats perfect = evalPerfectMarkov(trace, 1);
-    ChangeOutcomeStats real =
-        evalChangeOutcome(trace, ChangePredictorConfig::markov(1));
+    ChangeOutcomeStats real = evalChangeOutcome(
+        trace, PredictorSpec::tableSpec(ChangePredictorConfig::markov(1)));
     EXPECT_GE(perfect.coverage() + 1e-9, real.correctRate())
         << "no real predictor can beat the perfect model";
 }

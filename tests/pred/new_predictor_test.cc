@@ -233,6 +233,21 @@ TEST(TagePredictor, RejectsNonMultipleBaseGeometry)
     EXPECT_THROW(TagePredictor{cfg}, tpcp::Error);
 }
 
+TEST(TagePredictor, RejectsGeometryBeyondItsFixedState)
+{
+    TagePredictorConfig widest;
+    widest.historyLengths = {1, 2, 3, 4, 6, TagePredictor::maxHistory};
+    EXPECT_NO_THROW(TagePredictor{widest});
+
+    TagePredictorConfig tooMany;
+    tooMany.historyLengths = {1, 2, 3, 4, 5, 6, 7};
+    EXPECT_THROW(TagePredictor{tooMany}, tpcp::Error);
+
+    TagePredictorConfig tooLong;
+    tooLong.historyLengths = {1, 2, TagePredictor::maxHistory + 1};
+    EXPECT_THROW(TagePredictor{tooLong}, tpcp::Error);
+}
+
 TEST(ChangePredictor, RejectsNonMultipleTableGeometry)
 {
     ChangePredictorConfig cfg = ChangePredictorConfig::markov(1);
@@ -298,9 +313,7 @@ TEST(PredictorSpecs, ConstantPhaseTraceIsFiniteEverywhere)
             EXPECT_EQ(cs.confidentCorrectRate(), 0.0) << name;
         }
 
-        NextPhaseStats ns =
-            spec ? evalNextPhase(constant, *spec)
-                 : evalNextPhase(constant, std::nullopt);
+        NextPhaseStats ns = evalNextPhase(constant, spec);
         EXPECT_GE(ns.accuracy(), 0.0) << name;
         EXPECT_LE(ns.accuracy(), 1.0) << name;
         EXPECT_GE(ns.confidentAccuracy(), 0.0) << name;

@@ -5,8 +5,8 @@
  * versions that forward to malloc/free (so no other test binary is
  * affected), warms a PhaseTracker on a seeded stream whose phases all
  * recur, and asserts that the next 10k onIntervalRaw() calls make no
- * heap allocation. A std::vector or std::deque back on the hot path
- * fails here.
+ * heap allocation, for the paper's tables and for TAGE. A std::vector
+ * or std::deque back on the hot path fails here.
  */
 
 #include <gtest/gtest.h>
@@ -169,6 +169,17 @@ shapeStream(std::size_t n)
     return out;
 }
 
+/** The greedy-tage adapt preset's TAGE: the RLE-2 cascade on and a
+ * higher confidence bar. */
+PredictorSpec
+greedyTageSpec()
+{
+    TagePredictorConfig cfg;
+    cfg.rleAssist = true;
+    cfg.confThreshold = 3;
+    return PredictorSpec::tageSpec(cfg);
+}
+
 struct Case
 {
     std::string name;
@@ -245,7 +256,9 @@ INSTANTIATE_TEST_SUITE_P(
                  1, PayloadView::Last4))},
         Case{"top4rle2", PredictorSpec::tableSpec(
                              ChangePredictorConfig::rle(
-                                 2, PayloadView::Top4))}),
+                                 2, PayloadView::Top4))},
+        Case{"tage", PredictorSpec::tageSpec()},
+        Case{"greedy_tage", greedyTageSpec()}),
     [](const ::testing::TestParamInfo<Case> &info) {
         return info.param.name;
     });

@@ -92,9 +92,9 @@ class PredictorProperties : public ::testing::TestWithParam<Params>
 void
 noConfidenceMeansNoUnconfidentResults(const Params &params)
 {
-    ChangePredictorConfig cfg = configFor(params);
+    const PredictorSpec spec = PredictorSpec::tableSpec(configFor(params));
     auto trace = randomTrace(5);
-    ChangeOutcomeStats s = evalChangeOutcome(trace, cfg);
+    ChangeOutcomeStats s = evalChangeOutcome(trace, spec);
     EXPECT_EQ(s.unconfCorrect, 0u);
     EXPECT_EQ(s.unconfIncorrect, 0u)
         << "without confidence every table hit is 'confident'";
@@ -123,10 +123,10 @@ const bool kNoConfidenceRegistered =
 
 TEST_P(PredictorProperties, ChangeOutcomeCategoriesPartition)
 {
-    ChangePredictorConfig cfg = config();
+    const PredictorSpec spec = PredictorSpec::tableSpec(config());
     for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
         auto trace = randomTrace(seed);
-        ChangeOutcomeStats s = evalChangeOutcome(trace, cfg);
+        ChangeOutcomeStats s = evalChangeOutcome(trace, spec);
         EXPECT_EQ(s.confCorrect + s.unconfCorrect + s.tagMiss +
                       s.unconfIncorrect + s.confIncorrect,
                   s.changes)
@@ -138,9 +138,9 @@ TEST_P(PredictorProperties, ChangeOutcomeCategoriesPartition)
 
 TEST_P(PredictorProperties, NextPhaseCategoriesPartition)
 {
-    ChangePredictorConfig cfg = config();
     auto trace = randomTrace(11);
-    NextPhaseStats s = evalNextPhase(trace, cfg);
+    NextPhaseStats s =
+        evalNextPhase(trace, PredictorSpec::tableSpec(config()));
     EXPECT_EQ(s.total, trace.size() - 1);
     EXPECT_EQ(s.correctTable + s.incorrectTable + s.correctLvConf +
                   s.correctLvUnconf + s.incorrectLvUnconf +
@@ -168,10 +168,10 @@ TEST_P(PredictorProperties, AnyCorrectSupersetOfPrimary)
 
 TEST_P(PredictorProperties, DeterministicReplay)
 {
-    ChangePredictorConfig cfg = config();
+    const PredictorSpec spec = PredictorSpec::tableSpec(config());
     auto trace = randomTrace(23);
-    ChangeOutcomeStats a = evalChangeOutcome(trace, cfg);
-    ChangeOutcomeStats b = evalChangeOutcome(trace, cfg);
+    ChangeOutcomeStats a = evalChangeOutcome(trace, spec);
+    ChangeOutcomeStats b = evalChangeOutcome(trace, spec);
     EXPECT_EQ(a.changes, b.changes);
     EXPECT_EQ(a.confCorrect, b.confCorrect);
     EXPECT_EQ(a.tagMiss, b.tagMiss);

@@ -330,8 +330,7 @@ cmdPredict(const cli::Args &args)
     std::optional<pred::PredictorSpec> spec =
         pred::predictorSpecByName(pname);
     pred::NextPhaseStats next =
-        spec ? pred::evalNextPhase(res.trace.phases, *spec)
-             : pred::evalNextPhase(res.trace.phases, std::nullopt);
+        pred::evalNextPhase(res.trace.phases, spec);
 
     AsciiTable table({"metric", "value"});
     table.row().cell("predictor").cell(
