@@ -14,21 +14,15 @@ classifyProfile(const trace::IntervalProfile &profile,
 
     phase::PhaseClassifier classifier(cfg);
     std::size_t dim_idx = profile.dimIndex(cfg.numCounters);
-    // Batched replay: gather the stored snapshots into RawInterval
-    // views once, classify them in a single call (identical results
-    // to one classifyRaw() per interval), then fold the results.
-    const auto &intervals = profile.intervals();
-    std::vector<phase::RawInterval> views;
-    views.reserve(intervals.size());
-    for (std::size_t i = 0; i < intervals.size(); ++i)
-        views.push_back({profile.counters(i, dim_idx),
-                         intervals[i].accumTotal, intervals[i].cpi});
-    std::vector<phase::ClassifyResult> results(views.size());
-    classifier.classifyIntervals(views.data(), views.size(),
-                                 results.data());
-    for (std::size_t i = 0; i < results.size(); ++i)
-        out.trace.push(results[i].phase, intervals[i].cpi);
-
+    for (std::size_t i = 0; i < profile.numIntervals(); ++i) {
+        const trace::IntervalRecord &rec = profile.interval(i);
+        out.trace.push(classifier
+                           .classifyRaw(profile.counters(i, dim_idx),
+                                        cfg.numCounters, rec.accumTotal,
+                                        rec.cpi)
+                           .phase,
+                       rec.cpi);
+    }
     out.numPhases = classifier.numStablePhases();
     out.covCpi = weightedPhaseCov(out.trace.phases, out.trace.cpis);
     out.wholeProgramCov = wholeProgramCov(out.trace.cpis);

@@ -2,14 +2,6 @@
 
 #include <cstring>
 
-#if defined(__x86_64__) && !defined(TPCP_SIMD_DISABLED)
-#define TPCP_SIMD_X86 1
-#include <immintrin.h>
-#elif defined(__aarch64__) && !defined(TPCP_SIMD_DISABLED)
-#define TPCP_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace tpcp::simd
 {
 
@@ -40,22 +32,6 @@ compressScalar(const std::uint32_t *raw, std::size_t n, unsigned shift,
 #if defined(TPCP_SIMD_X86)
 
 // ---- SSE2 (x86-64 baseline, no extra target flags) ----
-
-/** Sum of absolute byte differences of one 16-byte chunk. */
-inline std::uint64_t
-sad16(const std::uint8_t *a, const std::uint8_t *b)
-{
-    __m128i va = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(a));
-    __m128i vb = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(b));
-    __m128i d = _mm_sub_epi8(_mm_max_epu8(va, vb),
-                             _mm_min_epu8(va, vb));
-    __m128i s = _mm_sad_epu8(d, _mm_setzero_si128());
-    return static_cast<std::uint64_t>(_mm_cvtsi128_si64(s)) +
-           static_cast<std::uint64_t>(_mm_cvtsi128_si64(
-               _mm_unpackhi_epi64(s, s)));
-}
 
 std::uint32_t
 compressSse2(const std::uint32_t *raw, std::size_t n, unsigned shift,
@@ -104,15 +80,6 @@ compressSse2(const std::uint32_t *raw, std::size_t n, unsigned shift,
 
 // ---- NEON (aarch64 baseline) ----
 
-/** Sum of absolute byte differences of one 16-byte chunk. */
-inline std::uint64_t
-sad16(const std::uint8_t *a, const std::uint8_t *b)
-{
-    uint8x16_t va = vld1q_u8(a);
-    uint8x16_t vb = vld1q_u8(b);
-    return vaddlvq_u8(vabdq_u8(va, vb));
-}
-
 std::uint32_t
 compressNeon(const std::uint32_t *raw, std::size_t n, unsigned shift,
              unsigned window_top, std::uint8_t max_dim,
@@ -148,46 +115,9 @@ compressNeon(const std::uint32_t *raw, std::size_t n, unsigned shift,
     return weight;
 }
 
-#else
-
-// ---- Portable scalar ----
-
-/** Sum of absolute byte differences of one kRowPad-byte chunk. */
-inline std::uint64_t
-sad16(const std::uint8_t *a, const std::uint8_t *b)
-{
-    std::uint64_t dist = 0;
-    for (std::size_t i = 0; i < kRowPad; ++i) {
-        int d = static_cast<int>(a[i]) - static_cast<int>(b[i]);
-        dist += static_cast<std::uint64_t>(d < 0 ? -d : d);
-    }
-    return dist;
-}
-
 #endif
 
-static_assert(kRowPad == 16, "sad16 covers exactly one row chunk");
-
 } // namespace
-
-bool
-manhattanRows4(const std::uint8_t *q, const std::uint8_t *rows,
-               std::size_t stride, const std::uint64_t bound[4],
-               std::uint64_t dist[4])
-{
-    dist[0] = dist[1] = dist[2] = dist[3] = 0;
-    for (std::size_t c = 0; c < stride; c += kRowPad) {
-        dist[0] += sad16(q + c, rows + c);
-        dist[1] += sad16(q + c, rows + stride + c);
-        dist[2] += sad16(q + c, rows + 2 * stride + c);
-        dist[3] += sad16(q + c, rows + 3 * stride + c);
-        if (c + kRowPad < stride && dist[0] >= bound[0] &&
-            dist[1] >= bound[1] && dist[2] >= bound[2] &&
-            dist[3] >= bound[3])
-            return true;
-    }
-    return false;
-}
 
 std::uint32_t
 compressU32(const std::uint32_t *raw, std::size_t n, unsigned shift,

@@ -3,14 +3,15 @@
  * Vector kernels for the classify hot path.
  *
  * Two dense uint8/uint32 kernels dominate classification (see
- * DESIGN.md "Hot path"): the past-signature-table match scan over
- * row-major signature storage, and signature compression (saturate
- * + shift + mask over the raw accumulators). The build compiles one
- * variant of each: SSE2 on x86-64 (the baseline of every x86-64
- * CPU), NEON on aarch64, and the portable scalar loops everywhere
- * else and under `-DTPCP_SIMD=OFF`. Every variant produces
- * *bit-identical* results — integer distances and weights are exact,
- * and all floating-point decisions stay in the callers.
+ * DESIGN.md "Hot path"): the per-chunk sum of absolute differences
+ * that the past-signature-table match scan inlines into its one pass
+ * over the rows, and signature compression (saturate + shift + mask
+ * over the raw accumulators). The build compiles one variant of
+ * each: SSE2 on x86-64 (the baseline of every x86-64 CPU), NEON on
+ * aarch64, and the portable scalar loops everywhere else and under
+ * `-DTPCP_SIMD=OFF`. Every variant produces *bit-identical* results
+ * — integer distances and weights are exact, and all floating-point
+ * decisions stay in the callers.
  */
 
 #ifndef TPCP_COMMON_SIMD_HH
@@ -18,6 +19,14 @@
 
 #include <cstdint>
 #include <cstddef>
+
+#if defined(__x86_64__) && !defined(TPCP_SIMD_DISABLED)
+#define TPCP_SIMD_X86 1
+#include <immintrin.h>
+#elif defined(__aarch64__) && !defined(TPCP_SIMD_DISABLED)
+#define TPCP_SIMD_NEON 1
+#include <arm_neon.h>
+#endif
 
 namespace tpcp::simd
 {
@@ -38,19 +47,34 @@ paddedSize(std::size_t n)
 }
 
 /**
- * Manhattan distances between query @p q and four consecutive table
- * rows of @p stride bytes (stride a multiple of kRowPad, query padded
- * to stride). The per-entry early-exit bound of the scan is
- * re-applied per kRowPad-byte chunk instead of per byte: after each
- * chunk, if every row's running distance has reached its entry's
- * @p bound, the remaining chunks are skipped and true is returned
- * (all four entries are proven non-matching; @p dist then holds
- * partial sums). Otherwise returns false with @p dist holding the
- * four *exact* distances.
+ * Sum of absolute byte differences of the kRowPad-byte chunks at
+ * @p a and @p b: one `psadbw` on SSE2, one `vabdq`/`vaddlvq` pair on
+ * NEON. Inline, so the match scan pays no call per row.
  */
-bool manhattanRows4(const std::uint8_t *q, const std::uint8_t *rows,
-                    std::size_t stride, const std::uint64_t bound[4],
-                    std::uint64_t dist[4]);
+inline std::uint64_t
+sad16(const std::uint8_t *a, const std::uint8_t *b)
+{
+#if defined(TPCP_SIMD_X86)
+    __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i *>(a));
+    __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i *>(b));
+    __m128i d = _mm_sub_epi8(_mm_max_epu8(va, vb), _mm_min_epu8(va, vb));
+    __m128i s = _mm_sad_epu8(d, _mm_setzero_si128());
+    return static_cast<std::uint64_t>(_mm_cvtsi128_si64(s)) +
+           static_cast<std::uint64_t>(
+               _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
+#elif defined(TPCP_SIMD_NEON)
+    return vaddlvq_u8(vabdq_u8(vld1q_u8(a), vld1q_u8(b)));
+#else
+    std::uint64_t dist = 0;
+    for (std::size_t i = 0; i < kRowPad; ++i) {
+        int d = static_cast<int>(a[i]) - static_cast<int>(b[i]);
+        dist += static_cast<std::uint64_t>(d < 0 ? -d : d);
+    }
+    return dist;
+#endif
+}
+
+static_assert(kRowPad == 16, "sad16 covers exactly one row chunk");
 
 /**
  * Signature compression kernel: for each of @p n raw uint32

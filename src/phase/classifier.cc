@@ -37,19 +37,6 @@ PhaseClassifier::classifyRaw(const std::uint32_t *raw, std::size_t n,
     return classifyOne(raw, total, cpi);
 }
 
-void
-PhaseClassifier::classifyIntervals(const RawInterval *intervals,
-                                   std::size_t n, ClassifyResult *out)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        ClassifyResult res = classifyOne(intervals[i].raw,
-                                         intervals[i].total,
-                                         intervals[i].cpi);
-        if (out)
-            out[i] = res;
-    }
-}
-
 ClassifyResult
 PhaseClassifier::classifyOne(const std::uint32_t *raw,
                              InstCount total, double cpi)

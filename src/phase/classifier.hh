@@ -31,17 +31,6 @@ class StateReader;
 namespace tpcp::phase
 {
 
-/**
- * One interval's raw accumulator snapshot for batched replay:
- * @p raw points at numCounters counter values.
- */
-struct RawInterval
-{
-    const std::uint32_t *raw = nullptr;
-    InstCount total = 0;
-    double cpi = 0.0;
-};
-
 /** Outcome of classifying one interval. */
 struct ClassifyResult
 {
@@ -112,17 +101,6 @@ class PhaseClassifier
      * values, which must equal numCounters. */
     ClassifyResult classifyRaw(const std::uint32_t *raw, std::size_t n,
                                InstCount total, double cpi);
-
-    /**
-     * Batched replay: classifies @p n interval snapshots in order,
-     * writing one result per interval into @p out when non-null.
-     * Equivalent to calling classifyRaw() once per interval — same
-     * results, same final classifier state — but amortizes the
-     * per-interval call overhead; this is what the profile-replay
-     * sweeps and the fault campaigns spend their time in.
-     */
-    void classifyIntervals(const RawInterval *intervals, std::size_t n,
-                           ClassifyResult *out = nullptr);
 
     /** Number of stable phase IDs allocated so far. */
     std::uint32_t numStablePhases() const { return nextPhase - 1; }

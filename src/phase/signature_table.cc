@@ -14,57 +14,12 @@
 namespace tpcp::phase
 {
 
-namespace detail
-{
-
-std::uint64_t
-distanceBound(double cutoff, std::uint64_t denom)
-{
-    double prod = cutoff * static_cast<double>(denom);
-    std::uint64_t d = prod <= 0.0 ? 0
-                                  : static_cast<std::uint64_t>(prod);
-    if (static_cast<double>(d) < prod)
-        ++d;
-    while (static_cast<double>(d) / static_cast<double>(denom) <
-           cutoff)
-        ++d;
-    while (d > 0 && static_cast<double>(d - 1) /
-                            static_cast<double>(denom) >=
-                        cutoff)
-        --d;
-    return d;
-}
-
-} // namespace detail
-
 namespace
 {
 
-/** Queries up to this padded width run the vectorized group scan;
- * wider tables (loadState admits up to 4096-byte rows) fall back to
- * the reference per-entry path. */
+/** Queries up to this padded width are padded on the stack; wider
+ * rows (loadState admits up to 4096 bytes) pad into a heap copy. */
 constexpr std::size_t kMaxQueryPad = 256;
-
-/**
- * Cheap conservative upper bound on detail::distanceBound(): any
- * D >= the exact minimal bound proves diff >= cutoff, so a *larger*
- * bound only lets extra rows through to the final double tests —
- * which reject them exactly as the reference scan would — and never
- * skips a row the reference scan accepts. trunc(prod) + 2 suffices:
- * the exact bound is <= ceil(true product) + 1, and the double
- * product is within 1 ulp (< 1 here: cutoff <= 1 and denom is a sum
- * of signature weights, far below 2^52) of the true product. Costs
- * one multiply and one conversion — no divisions, so the group scan
- * pays no FP-divide latency per pruned entry.
- */
-inline std::uint64_t
-distanceBoundUpper(double cutoff, std::uint64_t denom)
-{
-    if (!(cutoff > 0.0))
-        return 0; // reference scan skips the entry outright
-    double prod = cutoff * static_cast<double>(denom);
-    return static_cast<std::uint64_t>(prod) + 2;
-}
 
 static_assert(std::endian::native == std::endian::little,
               "the word-wise ECC maps row byte j to word bits 8j..8j+7");
@@ -121,75 +76,6 @@ SignatureTable::match(const Signature &sig, MatchPolicy policy) const
     return match(sig.data(), sig.size(), sig.weight(), policy);
 }
 
-bool
-SignatureTable::matchRange(const std::uint8_t *qdims,
-                           std::uint32_t qweight, MatchPolicy policy,
-                           std::size_t lo, std::size_t hi,
-                           MatchResult &best) const
-{
-    const std::size_t ndims = rowDims;
-    // Hoisted so the fault-free hot path pays one register test per
-    // entry, never a quarantine-array load.
-    const bool anyQuarantined = numQuarantined_ != 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-        if (anyQuarantined && quarantined[i])
-            continue; // parity-failed entry awaiting repair
-        const std::uint32_t wi = weights[i];
-        const std::uint64_t denom =
-            static_cast<std::uint64_t>(qweight) + wi;
-        double diff;
-        if (denom == 0) {
-            // Two all-zero signatures: identical by definition.
-            diff = 0.0;
-        } else if (qweight == 0 || wi == 0) {
-            // Empty vs non-empty: fully disjoint support.
-            diff = 1.0;
-        } else {
-            // The entry is irrelevant once its normalized difference
-            // reaches its own threshold — and, under best-match, the
-            // current best distance. A running distance at or above
-            // the corresponding integer bound proves that, so stop
-            // scanning the row early.
-            double cutoff = thresholds[i];
-            if (policy == MatchPolicy::BestMatch && best &&
-                best.distance < cutoff)
-                cutoff = best.distance;
-            if (cutoff <= 0.0)
-                continue;
-            const std::uint64_t bound =
-                detail::distanceBound(cutoff, denom);
-            const std::uint8_t *row = &rows[i * rowStride_];
-            std::uint64_t dist = 0;
-            std::size_t j = 0;
-            for (; j < ndims; ++j) {
-                int d = static_cast<int>(qdims[j]) -
-                        static_cast<int>(row[j]);
-                dist += static_cast<std::uint64_t>(d < 0 ? -d : d);
-                if (dist >= bound)
-                    break;
-            }
-            if (j < ndims)
-                continue; // proven too different
-            diff = static_cast<double>(dist) /
-                   static_cast<double>(denom);
-        }
-        // Final decisions use the same double comparisons as the
-        // original entry-by-entry scan.
-        if (diff >= thresholds[i])
-            continue;
-        if (policy == MatchPolicy::FirstMatch) {
-            best.index = static_cast<std::uint32_t>(i);
-            best.distance = diff;
-            return true;
-        }
-        if (!best || diff < best.distance) {
-            best.index = static_cast<std::uint32_t>(i);
-            best.distance = diff;
-        }
-    }
-    return false;
-}
-
 SignatureTable::MatchResult
 SignatureTable::match(const std::uint8_t *qdims, std::size_t ndims,
                       std::uint32_t qweight,
@@ -201,70 +87,57 @@ SignatureTable::match(const std::uint8_t *qdims, std::size_t ndims,
     const std::size_t n = metas.size();
     if (n == 0)
         return best;
-    // The vectorized group scan needs a weight-bearing query (so the
-    // degenerate all-zero diff definitions cannot trigger) and a
-    // stack-paddable row width; everything else takes the reference
-    // path. With fewer than one full group there is nothing to
-    // vectorize either.
-    if (qweight == 0 || rowStride_ > kMaxQueryPad || n < 4) {
-        matchRange(qdims, qweight, policy, 0, n, best);
-        return best;
-    }
     // Zero-pad the query to the row pitch: padding lanes contribute
-    // |0 - 0| = 0 to every vector chunk.
-    alignas(simd::kRowPad) std::uint8_t qpad[kMaxQueryPad];
+    // |0 - 0| = 0 to every chunk.
+    alignas(simd::kRowPad) std::uint8_t qbuf[kMaxQueryPad];
+    std::vector<std::uint8_t> qheap;
+    std::uint8_t *qpad = qbuf;
+    if (rowStride_ > kMaxQueryPad) {
+        qheap.resize(rowStride_);
+        qpad = qheap.data();
+    }
     std::memcpy(qpad, qdims, ndims);
     std::memset(qpad + ndims, 0, rowStride_ - ndims);
+    // Hoisted so the fault-free scan pays one register test per row,
+    // never a quarantine-array load.
     const bool anyQuarantined = numQuarantined_ != 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        // Entries needing the degenerate-diff or quarantine handling
-        // are rare; hand the whole group to the reference scan so
-        // table order (FirstMatch semantics) is preserved.
-        bool mixed = false;
-        for (unsigned g = 0; g < 4; ++g)
-            if ((anyQuarantined && quarantined[i + g]) ||
-                weights[i + g] == 0)
-                mixed = true;
-        if (mixed) {
-            if (matchRange(qdims, qweight, policy, i, i + 4, best))
-                return best;
+    const std::uint8_t *row = rows.data();
+    for (std::size_t i = 0; i < n; ++i, row += rowStride_) {
+        if (anyQuarantined && quarantined[i])
+            continue; // parity-failed entry awaiting repair
+        const std::uint32_t wi = weights[i];
+        const std::uint64_t denom =
+            static_cast<std::uint64_t>(qweight) + wi;
+        double diff;
+        if (qweight == 0 || wi == 0) {
+            // An empty signature: two empty ones are identical by
+            // definition, empty vs non-empty is fully disjoint.
+            diff = denom == 0 ? 0.0 : 1.0;
+        } else {
+            // Prune with the entry's own threshold, independent of
+            // scan state: a pruned row is one the exact tests below
+            // would reject. Rows wider than one chunk stop early.
+            const std::uint64_t bound =
+                detail::distanceBoundUpper(thresholds[i], denom);
+            std::uint64_t dist = simd::sad16(qpad, row);
+            for (std::size_t c = simd::kRowPad;
+                 c < rowStride_ && dist < bound; c += simd::kRowPad)
+                dist += simd::sad16(qpad + c, row + c);
+            if (dist >= bound)
+                continue;
+            // Signed conversions: the same doubles, fewer instructions.
+            diff = static_cast<double>(static_cast<std::int64_t>(dist)) /
+                   static_cast<double>(static_cast<std::int64_t>(denom));
+        }
+        if (diff >= thresholds[i])
             continue;
-        }
-        // Running distances for four entries at once, with the
-        // early-exit bound re-applied per vector chunk inside
-        // manhattanRows4. The conservative bound uses each entry's
-        // own threshold (not the running best), making it
-        // independent of scan state: pruning only ever discards
-        // entries the final double tests below would reject.
-        std::uint64_t denom[4];
-        std::uint64_t bound[4];
-        std::uint64_t dist[4];
-        for (unsigned g = 0; g < 4; ++g) {
-            denom[g] = static_cast<std::uint64_t>(qweight) +
-                       weights[i + g];
-            bound[g] = distanceBoundUpper(thresholds[i + g],
-                                          denom[g]);
-        }
-        if (simd::manhattanRows4(qpad, &rows[i * rowStride_],
-                                 rowStride_, bound, dist))
-            continue; // every running distance reached its bound
-        for (unsigned g = 0; g < 4; ++g) {
-            if (dist[g] >= bound[g])
-                continue;
-            double diff = static_cast<double>(dist[g]) /
-                          static_cast<double>(denom[g]);
-            if (diff >= thresholds[i + g])
-                continue;
-            if (policy == MatchPolicy::FirstMatch)
-                return {static_cast<std::uint32_t>(i + g), diff};
-            if (!best || diff < best.distance) {
-                best.index = static_cast<std::uint32_t>(i + g);
-                best.distance = diff;
-            }
+        if (policy == MatchPolicy::FirstMatch)
+            return {static_cast<std::uint32_t>(i), diff};
+        if (!best || diff < best.distance) {
+            best.index = static_cast<std::uint32_t>(i);
+            best.distance = diff;
         }
     }
-    matchRange(qdims, qweight, policy, i, n, best);
     return best;
 }
 

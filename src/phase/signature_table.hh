@@ -8,12 +8,13 @@
  * Storage is structure-of-arrays: the signature bytes of all entries
  * live in one contiguous row-major buffer with the per-entry weights
  * and thresholds cached in flat parallel arrays, so match() — the
- * per-interval hot path — walks flat memory and can cut each row's
- * Manhattan scan short with a precomputed running bound. Rows are
- * padded with zero bytes to a multiple of simd::kRowPad so the
- * vectorized match scan (common/simd.hh) processes whole aligned
- * chunks; the padding contributes |0-0| = 0 to every distance, and
- * the vector and scalar builds return bit-identical match results.
+ * per-interval hot path — is one pass over the live rows in index
+ * order: an inline simd::sad16 per 16-byte chunk, a one-multiply
+ * prune bound, and one double division for the rows that survive
+ * it. Rows are padded with zero bytes to a multiple of
+ * simd::kRowPad so every chunk is whole; the padding contributes
+ * |0-0| = 0 to every distance, and the vector and scalar builds
+ * return bit-identical match results.
  * Entries are referred to by index, which stays valid as an
  * unbounded table grows (a `SigEntry *` into a reallocating vector
  * would not).
@@ -48,15 +49,29 @@ namespace detail
 {
 
 /**
- * Smallest integer bound D such that (double)D / denom >= cutoff: a
- * running Manhattan distance reaching D proves the entry's
- * normalized difference (computed in double, exactly as the final
- * comparison does) is at least @p cutoff, so the match scan can stop
- * early. The ceil estimate is corrected by at most one step in
- * either direction (pinned by the distanceBound property test), so
- * float rounding in the product can never change a match decision.
+ * The match scan's prune bound: a Manhattan distance D >= this value
+ * proves (double)D / denom >= @p cutoff, so the entry cannot match.
+ * trunc(cutoff * denom) + 2 is sound because the double product is
+ * within one unit of the true product (cutoff <= 1 and denom, a sum
+ * of two 32-bit weights, is far below 2^52), and the smallest sound
+ * bound is at most ceil(true product) + 1. A bound above the
+ * smallest one only lets extra rows through to the exact double
+ * tests, which reject them. One multiply, no division; a
+ * non-positive cutoff gives 0, which prunes every row. Pinned by the
+ * DistanceBoundProperty test.
  */
-std::uint64_t distanceBound(double cutoff, std::uint64_t denom);
+inline std::uint64_t
+distanceBoundUpper(double cutoff, std::uint64_t denom)
+{
+    if (!(cutoff > 0.0))
+        return 0;
+    // Both conversions go through int64 (exact: every value here is
+    // below 2^35), which x86-64 does in one instruction each.
+    const double prod =
+        cutoff * static_cast<double>(static_cast<std::int64_t>(denom));
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(prod)) +
+           2;
+}
 
 } // namespace detail
 
@@ -293,17 +308,6 @@ class SignatureTable
   private:
     /** Appends or recycles a slot and returns its index. */
     std::uint32_t allocSlot(std::size_t ndims);
-
-    /**
-     * Reference per-entry match scan over entries [lo, hi), shared
-     * by weight-0 queries, over-wide rows, mixed groups (quarantined
-     * or zero-weight entries present) and the group tail. Updates
-     * @p best; returns true when a FirstMatch hit in this range ended
-     * the scan (the hit is in @p best).
-     */
-    bool matchRange(const std::uint8_t *qdims, std::uint32_t qweight,
-                    MatchPolicy policy, std::size_t lo, std::size_t hi,
-                    MatchResult &best) const;
 
     /** Marks @p idx most recently used: bumps its lastUse tick and
      * moves it to the back of the LRU list. */

@@ -2,8 +2,8 @@
  * @file
  * The compiled kernels in common/simd.hh (SSE2, NEON or scalar,
  * whichever this build selected) against plain scalar loops written
- * here: exact distances or a provable prune for the grouped row
- * scan, identical bytes and weight for compression.
+ * here: exact chunk distances for the match scan, identical bytes and
+ * weight for compression.
  */
 
 #include <gtest/gtest.h>
@@ -49,76 +49,23 @@ refCompress(const std::uint32_t *raw, std::size_t n, unsigned shift,
 
 } // namespace
 
-TEST(SimdManhattanRows4, ExactOrProvablyBeyondBound)
+TEST(SimdSad16, MatchesReferenceOverRandomChunks)
 {
     Rng rng(std::uint64_t{0x4404});
-    for (std::size_t stride : {std::size_t{16}, std::size_t{32},
-                               std::size_t{48}, std::size_t{64}}) {
-        for (int round = 0; round < 200; ++round) {
-            // 6-bit signature values, and the full byte range the
-            // byte-difference idiom must also get exact.
-            const std::uint32_t maxv = round % 2 ? 256 : 64;
-            std::vector<std::uint8_t> q(stride);
-            std::vector<std::uint8_t> rows(4 * stride);
-            for (auto &v : q)
-                v = static_cast<std::uint8_t>(rng.nextBounded(maxv));
-            for (auto &v : rows)
-                v = static_cast<std::uint8_t>(rng.nextBounded(maxv));
-            std::uint64_t ref[4];
-            for (unsigned g = 0; g < 4; ++g)
-                ref[g] = refManhattan(q.data(),
-                                      rows.data() + g * stride,
-                                      stride);
-            // Bounds spanning trivially-prunable (0), mid-range and
-            // unreachable values.
-            std::uint64_t bound[4];
-            for (unsigned g = 0; g < 4; ++g) {
-                switch (rng.nextBounded(3)) {
-                  case 0:
-                    bound[g] = 0;
-                    break;
-                  case 1:
-                    bound[g] = rng.nextBounded(
-                        static_cast<std::uint32_t>(maxv * stride));
-                    break;
-                  default:
-                    bound[g] = ~std::uint64_t(0);
-                    break;
-                }
-            }
-            std::uint64_t dist[4];
-            bool pruned = simd::manhattanRows4(q.data(), rows.data(),
-                                               stride, bound, dist);
-            if (pruned) {
-                // Running distances only grow: a pruned group proves
-                // every full distance is at least its entry's bound.
-                for (unsigned g = 0; g < 4; ++g) {
-                    EXPECT_GE(dist[g], bound[g]);
-                    EXPECT_GE(ref[g], bound[g])
-                        << "stride=" << stride << " lane=" << g;
-                }
-            } else {
-                for (unsigned g = 0; g < 4; ++g)
-                    EXPECT_EQ(dist[g], ref[g])
-                        << "stride=" << stride << " lane=" << g;
-            }
+    std::uint8_t a[simd::kRowPad], b[simd::kRowPad];
+    for (int round = 0; round < 20000; ++round) {
+        // 6-bit signature values, and the full byte range the
+        // byte-difference idiom must also get exact.
+        const std::uint32_t maxv = round % 2 ? 256 : 64;
+        for (std::size_t i = 0; i < simd::kRowPad; ++i) {
+            a[i] = static_cast<std::uint8_t>(rng.nextBounded(maxv));
+            b[i] = static_cast<std::uint8_t>(rng.nextBounded(maxv));
         }
+        ASSERT_EQ(simd::sad16(a, b), refManhattan(a, b, simd::kRowPad));
     }
-}
-
-TEST(SimdManhattanRows4, NeverPrunesBelowBoundLanes)
-{
-    // A group where one lane's bound is unreachable must always
-    // report exact distances for that lane.
-    constexpr std::size_t stride = 32;
-    std::vector<std::uint8_t> q(stride, 0);
-    std::vector<std::uint8_t> rows(4 * stride, 63);
-    std::uint64_t bound[4] = {1, 1, 1, ~std::uint64_t(0)};
-    std::uint64_t dist[4];
-    bool pruned = simd::manhattanRows4(q.data(), rows.data(), stride,
-                                       bound, dist);
-    EXPECT_FALSE(pruned);
-    EXPECT_EQ(dist[3], 63u * stride);
+    std::memset(a, 0, sizeof(a));
+    std::memset(b, 255, sizeof(b));
+    EXPECT_EQ(simd::sad16(a, b), 255u * simd::kRowPad);
 }
 
 TEST(SimdCompress, RandomizedMatchesReferenceAllLevels)

@@ -4,8 +4,7 @@
  * references at the component level: SignatureTable::match against
  * a brute-force Signature::difference scan (both policies,
  * quarantined entries, weight-0 signatures, row widths on and off
- * the 16-byte chunk), the batched classifyIntervals() against
- * per-interval classifyRaw(), the O(1) LRU eviction order against a
+ * the 16-byte chunk) and the O(1) LRU eviction order against a
  * reference min-lastUse rescan.
  */
 
@@ -167,53 +166,6 @@ TEST(SimdMatchEquivalence, SignatureMatchOverloadAgrees)
             }
         }
     }
-}
-
-TEST(BatchedClassify, MatchesSequentialClassifyRaw)
-{
-    Rng rng(std::uint64_t{0x5150});
-    ClassifierConfig cfg = ClassifierConfig::paperDefault();
-    // Generate a phase-like snapshot stream.
-    std::vector<std::vector<std::uint32_t>> raws;
-    std::vector<InstCount> totals;
-    std::vector<double> cpis;
-    for (int i = 0; i < 600; ++i) {
-        std::vector<std::uint32_t> raw(cfg.numCounters);
-        unsigned shape = (i / 40) % 6;
-        InstCount total = 0;
-        for (unsigned c = 0; c < cfg.numCounters; ++c) {
-            raw[c] = ((c + shape) % 4 == 0)
-                         ? 500 + rng.nextBounded(80)
-                         : rng.nextBounded(30);
-            total += raw[c];
-        }
-        raws.push_back(std::move(raw));
-        totals.push_back(total * 12);
-        cpis.push_back(0.5 + rng.nextDouble());
-    }
-    PhaseClassifier sequential(cfg);
-    PhaseClassifier batched(cfg);
-    std::vector<ClassifyResult> want;
-    for (std::size_t i = 0; i < raws.size(); ++i)
-        want.push_back(sequential.classifyRaw(raws[i], totals[i],
-                                              cpis[i]));
-    std::vector<RawInterval> views(raws.size());
-    for (std::size_t i = 0; i < raws.size(); ++i)
-        views[i] = {raws[i].data(), totals[i], cpis[i]};
-    std::vector<ClassifyResult> got(views.size());
-    batched.classifyIntervals(views.data(), views.size(),
-                              got.data());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-        ASSERT_EQ(got[i].phase, want[i].phase) << "interval " << i;
-        ASSERT_EQ(got[i].matched, want[i].matched);
-        ASSERT_EQ(got[i].inserted, want[i].inserted);
-        ASSERT_EQ(got[i].distance, want[i].distance);
-    }
-    // Final classifier state must be identical too.
-    StateWriter seqW, batW;
-    sequential.saveState(seqW);
-    batched.saveState(batW);
-    EXPECT_EQ(seqW.buffer(), batW.buffer());
 }
 
 TEST(LruEviction, MatchesReferenceMinLastUseScan)

@@ -1,95 +1,108 @@
 /**
  * @file
- * Property test pinning detail::distanceBound() as the *exact*
- * minimal integer D with (double)D / denom >= cutoff — the "at most
- * one correction step" claim the match scan's early exit (and the
- * SIMD chunked early exit built on top of it) depends on. Sweeps
- * randomized (cutoff, denom) pairs including denormal-adjacent
- * cutoffs and products that round both ways in double.
+ * Property test of the match scan's prune bound,
+ * detail::distanceBoundUpper(): a Manhattan distance at or above it
+ * must prove (double)dist / denom >= cutoff, computed in double
+ * exactly as the scan's final comparison does. Otherwise the scan
+ * would skip a row that matches. The bound must also stay within two
+ * of the smallest such distance (a local reference here), or the
+ * prune would let through rows the final tests have to reject. Sweeps
+ * cutoffs (including thresholds halved down to the floor) and
+ * denominators up to the largest sum of two 32-bit weights.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 
 #include "common/rng.hh"
+#include "phase/classifier_config.hh"
 #include "phase/signature_table.hh"
 
 using namespace tpcp;
-using tpcp::phase::detail::distanceBound;
+using tpcp::phase::detail::distanceBoundUpper;
 
 namespace
 {
 
-/** The defining property: D is feasible, D-1 is not. */
-void
-expectMinimal(double cutoff, std::uint64_t denom)
+/** Largest denominator the scan forms: two 32-bit weights. */
+constexpr std::uint64_t kMaxDenom = 2 * std::uint64_t{0xffffffff};
+
+/** The smallest integer D with (double)D / denom >= cutoff. */
+std::uint64_t
+minimalBound(double cutoff, std::uint64_t denom)
 {
-    const std::uint64_t d = distanceBound(cutoff, denom);
     const double dd = static_cast<double>(denom);
-    EXPECT_GE(static_cast<double>(d) / dd, cutoff)
-        << "cutoff=" << cutoff << " denom=" << denom << " D=" << d;
-    if (d > 0) {
-        EXPECT_LT(static_cast<double>(d - 1) / dd, cutoff)
-            << "cutoff=" << cutoff << " denom=" << denom
-            << " D=" << d;
-    }
+    double prod = cutoff * dd;
+    std::uint64_t d = prod <= 0.0 ? 0 : static_cast<std::uint64_t>(prod);
+    while (static_cast<double>(d) / dd < cutoff)
+        ++d;
+    while (d > 0 && static_cast<double>(d - 1) / dd >= cutoff)
+        --d;
+    return d;
+}
+
+/** Sound (dist >= bound implies the quotient reaches the cutoff, so
+ * the two distances just at and above the bound both fail the final
+ * test) and near-minimal. */
+void
+expectSoundAndTight(double cutoff, std::uint64_t denom)
+{
+    const std::uint64_t u = distanceBoundUpper(cutoff, denom);
+    const double dd = static_cast<double>(denom);
+    for (std::uint64_t dist : {u, u + 1})
+        EXPECT_GE(static_cast<double>(dist) / dd, cutoff)
+            << "cutoff=" << cutoff << " denom=" << denom << " U=" << u;
+    const std::uint64_t m = minimalBound(cutoff, denom);
+    EXPECT_GE(u, m) << "cutoff=" << cutoff << " denom=" << denom;
+    EXPECT_LE(u, m + 2) << "cutoff=" << cutoff << " denom=" << denom;
 }
 
 } // namespace
 
 TEST(DistanceBoundProperty, KnownValues)
 {
-    // 0.25 * 8 = 2 exactly: D = 2.
-    EXPECT_EQ(distanceBound(0.25, 8), 2u);
-    // 0.25 * 10 = 2.5: smallest integer with D/10 >= 0.25 is 3.
-    EXPECT_EQ(distanceBound(0.25, 10), 3u);
-    // Non-positive cutoffs need no distance at all.
-    EXPECT_EQ(distanceBound(0.0, 100), 0u);
-    EXPECT_EQ(distanceBound(-1.0, 100), 0u);
-    // A cutoff of 1 (maximum meaningful difference) needs the full
-    // denominator.
-    EXPECT_EQ(distanceBound(1.0, 123456), 123456u);
+    // trunc(0.25 * 8) + 2 and trunc(0.25 * 10) + 2.
+    EXPECT_EQ(distanceBoundUpper(0.25, 8), 4u);
+    EXPECT_EQ(distanceBoundUpper(0.25, 10), 4u);
+    // A non-positive cutoff prunes every row: no entry with a
+    // threshold of 0 can match.
+    EXPECT_EQ(distanceBoundUpper(0.0, 100), 0u);
+    EXPECT_EQ(distanceBoundUpper(-1.0, 100), 0u);
+    EXPECT_EQ(distanceBoundUpper(1.0, 123456), 123458u);
 }
 
 TEST(DistanceBoundProperty, RandomizedCutoffsAndDenoms)
 {
     Rng rng(std::uint64_t{0xb0b});
     for (int round = 0; round < 200000; ++round) {
-        // Denominators from tiny tables up to far beyond any real
-        // signature weight sum (weights are <= 255 * dims).
         std::uint64_t denom =
-            1 + (rng.next64() >> (rng.nextBounded(50) + 14));
-        double cutoff = rng.nextDouble(); // [0, 1)
-        expectMinimal(cutoff, denom);
+            1 + (rng.next64() >> (rng.nextBounded(50) + 14)) % kMaxDenom;
+        expectSoundAndTight(rng.nextDouble(), denom);
     }
 }
 
 TEST(DistanceBoundProperty, ExactAndNearExactProducts)
 {
     // cutoff = k / denom makes cutoff * denom round to (nearly)
-    // exactly k; these are the cases where a naive ceil is off by
-    // one in either direction.
+    // exactly k, where a truncating bound is most likely off by one.
     Rng rng(std::uint64_t{0x1dea});
     for (int round = 0; round < 100000; ++round) {
         std::uint64_t denom = 1 + rng.nextBounded(1u << 20);
         std::uint64_t k = rng.nextBounded(
-            static_cast<std::uint32_t>(
-                denom > (1u << 20) ? (1u << 20) : denom) +
-            1);
+            static_cast<std::uint32_t>(denom) + 1);
         double cutoff =
             static_cast<double>(k) / static_cast<double>(denom);
-        expectMinimal(cutoff, denom);
-        // Nudge one ulp in both directions to land just above/below
-        // the representable quotient.
-        expectMinimal(
+        expectSoundAndTight(cutoff, denom);
+        expectSoundAndTight(
             std::nextafter(cutoff,
                            std::numeric_limits<double>::infinity()),
             denom);
-        expectMinimal(std::nextafter(cutoff, -1.0), denom);
+        expectSoundAndTight(std::nextafter(cutoff, -1.0), denom);
     }
 }
 
@@ -99,29 +112,36 @@ TEST(DistanceBoundProperty, DenormalAdjacentCutoffs)
         std::numeric_limits<double>::denorm_min();
     for (std::uint64_t denom :
          {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{4080},
-          std::uint64_t{1} << 40}) {
-        // Any positive cutoff, however small, requires distance 1:
-        // D = 0 gives 0.0 / denom = 0.0 < cutoff.
-        expectMinimal(denorm_min, denom);
-        EXPECT_EQ(distanceBound(denorm_min, denom), 1u);
-        expectMinimal(DBL_MIN, denom);
-        expectMinimal(std::nextafter(DBL_MIN, 1.0), denom);
-        expectMinimal(DBL_EPSILON, denom);
-        // Just below 1.0 and exactly 1.0.
-        expectMinimal(std::nextafter(1.0, 0.0), denom);
-        expectMinimal(1.0, denom);
+          kMaxDenom}) {
+        expectSoundAndTight(denorm_min, denom);
+        expectSoundAndTight(DBL_MIN, denom);
+        expectSoundAndTight(std::nextafter(DBL_MIN, 1.0), denom);
+        expectSoundAndTight(DBL_EPSILON, denom);
+        expectSoundAndTight(std::nextafter(1.0, 0.0), denom);
+        expectSoundAndTight(1.0, denom);
     }
 }
 
 TEST(DistanceBoundProperty, HugeDenomsStayMinimal)
 {
-    // Products large enough that consecutive integers are no longer
-    // exactly representable in double: minimality must be stated in
-    // terms of the double division, which distanceBound guarantees.
+    // Up to the largest denominator the scan forms, and every
+    // threshold the adaptive scheme can reach: a starting threshold
+    // halved until it stops at the floor. "Minimal" here is the
+    // prune's promise: at most two above the smallest sound bound.
+    const double floor = phase::ClassifierConfig{}.thresholdFloor;
     Rng rng(std::uint64_t{0xb16});
     for (int round = 0; round < 20000; ++round) {
-        std::uint64_t denom = (std::uint64_t{1} << 53) +
-                              (rng.next64() >> 11);
-        expectMinimal(rng.nextDouble(), denom);
+        std::uint64_t denom = kMaxDenom - (rng.next64() >> 32);
+        expectSoundAndTight(rng.nextDouble(), denom);
+        std::uint64_t small = 1 + rng.nextBounded(1u << 13);
+        for (double t : {0.25, 0.125, 0.3, 1.0}) {
+            for (;;) {
+                expectSoundAndTight(t, denom);
+                expectSoundAndTight(t, small);
+                if (t <= floor)
+                    break;
+                t = std::max(floor, t / 2.0);
+            }
+        }
     }
 }
